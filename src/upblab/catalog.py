@@ -502,14 +502,19 @@ def save(path, obj) -> None:
         fh.write(canonical_json(doc))
 
 
-def load(path):
-    """Load a document and rebuild the exactly verified object."""
+def read_doc(path):
+    """Parse a JSON file; malformed JSON or text that is not UTF-8 raises
+    ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}", str(path)) from None
-    return from_doc(doc)
+
+
+def load(path):
+    """Load a document and rebuild the exactly verified object."""
+    return from_doc(read_doc(path))
 
 
 def from_doc(doc: dict):

@@ -9,7 +9,6 @@ always goes to stdout.  Randomized commands echo their seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import catalog
@@ -75,8 +74,7 @@ def _mask_label(mask) -> str:
 
 
 def cmd_verify(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = catalog.read_doc(args.file)
     if not isinstance(doc, dict) or doc.get("kind") != "product_set":
         raise _Exit(2, f"{args.file} does not hold a product set")
     if doc.get("schema_version") != catalog.SCHEMA_VERSION:

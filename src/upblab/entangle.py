@@ -12,12 +12,10 @@ confirmation, never on float evidence alone.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     ApproximateComparisonError,
@@ -29,6 +27,7 @@ from .errors import (
 from .linalg import (
     ExactMatrix,
     as_vector,
+    cleared,
     inner,
     kron_vec,
     matrix_rank,
@@ -126,11 +125,8 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
     if d.kernel_product_set is not None:
         s = d.kernel_product_set
         if len(s.members) == nullity and s.verified:
-            ok = all(
-                all(x.is_zero() for x in d.matrix.apply(m.flatten()))
-                for m in s.members
-            )
-            if ok:
+            rows = [cleared(d.matrix.row(i)) for i in range(d.dim)]
+            if all(_annihilates(rows, m.cleared_flatten()) for m in s.members):
                 return s
     if nullity == 0:
         return ProductSet(parties=d.parties, members=(), verified=True)
@@ -148,6 +144,17 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
             if not inner(members[i].flatten(), members[j].flatten()).is_zero():
                 return None
     return build_product_set(members)
+
+
+def _annihilates(rows, x) -> bool:
+    """M x == 0 for M's rows and x given as cleared (re, im) parts."""
+    xr, xi = x
+    for ar, ai in rows:
+        if sum(map(mul, ar, xr)) != sum(map(mul, ai, xi)):
+            return False
+        if sum(map(mul, ar, xi)) + sum(map(mul, ai, xr)):
+            return False
+    return True
 
 
 def range_product_scan(
@@ -184,6 +191,8 @@ def range_product_scan(
 
 
 def _heuristic_scan(d: DensityOp, budget: int, seed: int, sweeps: int) -> RangeScanResult:
+    import numpy as np
+
     if set(d.dims) != {2}:
         raise ApproximateComparisonError(
             "heuristic range scan is implemented for qubit parties only"
@@ -250,6 +259,8 @@ def _heuristic_scan(d: DensityOp, budget: int, seed: int, sweeps: int) -> RangeS
 
 def _rationalize_product(locs, max_den: int = 1 << 20) -> Optional[ProductVector]:
     """Snap float locals to rationals on a denominator grid."""
+    import numpy as np
+
     out = []
     for l in locs:
         # phase-normalize on the larger component
@@ -476,7 +487,7 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
         t_rank = matrix_rank(T)
         if t_rank == 1:
             col, row = _rank1_split(T)
-            return Rank2Decomposition(terms=((a, col, row),), unique=False)
+            return _check_sum(Rank2Decomposition(terms=((a, col, row),), unique=False), v)
         # bipartite rank-2 tail: any rank factorization gives a (non-unique) split
         rank, piv_cols, red = _rank_factor(T)
         terms = []
@@ -484,7 +495,7 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
             col = tuple(T.at(i, piv_cols[t]) for i in range(T.rows))
             row = red[t]
             terms.append((a, col, row))
-        return Rank2Decomposition(terms=tuple(terms), unique=False)
+        return _check_sum(Rank2Decomposition(terms=tuple(terms), unique=False), v)
 
     # rank over the leading cut is 2: rank factorization M = A.B
     rank, piv_cols, red = _rank_factor(M)
@@ -502,7 +513,7 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
                 raise DegenerateSplitError("degenerate pencil with a non-product row")
             col, row = split
             terms.append((a_cols[t], col, row))
-        return Rank2Decomposition(terms=tuple(terms), unique=False)
+        return _check_sum(Rank2Decomposition(terms=tuple(terms), unique=False), v)
 
     if len(points) < 2:
         raise DegenerateSplitError(
@@ -533,17 +544,17 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
         )
         terms.append((a_new, col, row))
     unique = all(r == 2 for r in ranks)
-    out = Rank2Decomposition(terms=tuple(terms), unique=unique)
-    _check_sum(out, v)
-    return out
+    return _check_sum(Rank2Decomposition(terms=tuple(terms), unique=unique), v)
 
 
-def _check_sum(dec: Rank2Decomposition, v):
+def _check_sum(dec: Rank2Decomposition, v) -> Rank2Decomposition:
+    """Return ``dec`` after checking that its terms sum exactly to ``v``."""
     total = None
     for vec in dec.term_vectors():
         total = vec if total is None else tuple(a + b for a, b in zip(total, vec))
     if tuple(total) != tuple(v):
         raise AssertionError("decomposition does not sum back to the input")
+    return dec
 
 
 def _rank_factor(M: ExactMatrix):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -41,6 +42,18 @@ def inner(u: Sequence[ComplexRational], v: Sequence[ComplexRational]) -> Complex
 
 def kron_vec(u: Sequence[ComplexRational], v: Sequence[ComplexRational]) -> Vector:
     return tuple(a * b for a in u for b in v)
+
+
+def cleared(v: Sequence[ComplexRational]) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of c*v as integers, where c is the least
+    common denominator of v's entries.
+
+    Scaling by a positive integer leaves kernels, ranks and projectors
+    unchanged, so such questions can be answered over Gaussian integers.
+    """
+    ts = [x.t for x in v]
+    c = lcm(*(r for _, _, r in ts))
+    return [p * (c // r) for p, _, r in ts], [q * (c // r) for _, q, r in ts]
 
 
 class ExactMatrix:
@@ -186,12 +199,13 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
-        for i in range(self.rows):
-            if not self.at(i, i).is_real():
+        n = self.rows
+        ts = [e.t for e in self.data]
+        # row i against the conjugate of column i; canonical triples are
+        # unique, so tuple equality is value equality
+        for i in range(n):
+            if ts[i * n : (i + 1) * n] != [(p, -q, r) for p, q, r in ts[i::n]]:
                 return False
-            for j in range(i + 1, self.cols):
-                if self.at(i, j) != self.at(j, i).conjugate():
-                    return False
         return True
 
     def to_numpy(self):
@@ -391,8 +405,11 @@ def range_quadratic_form(m: ExactMatrix, v) -> Optional[Fraction]:
     the value is independent of which exact solution of m x = v is used.
     Raises NotHermitianError / NotPsdError when the preconditions fail.
     """
-    v = as_vector(v)
-    cert = psd_certificate(m)
+    return _range_quadratic_form(m, psd_certificate(m), as_vector(v))
+
+
+def _range_quadratic_form(m: ExactMatrix, cert: PsdCertificate, v: Vector) -> Optional[Fraction]:
+    """range_quadratic_form with m's PSD certificate already in hand."""
     if not cert.is_psd:
         raise NotPsdError("matrix is not positive semidefinite")
     x = solve_consistent(m, v)

@@ -9,8 +9,9 @@ Extendibility of a qubit OPS is decided exactly by a covering search: a
 product vector z is orthogonal to member x iff z_j is the (unique) perp of
 x's local at some party j, so z exists iff one phase class per party can be
 chosen (at most one; parties may stay free) whose member groups jointly
-cover the whole set.  The search branches on the uncovered member with the
-fewest remaining covering options and certifies exhaustion on failure.
+cover the whole set.  The search branches on the first uncovered member
+(every uncovered member has one option per unassigned party) and certifies
+exhaustion on failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NotOrthogonalError,
     NotVerifiedError,
 )
-from .linalg import ExactMatrix, kron_vec, matrix_rank
+from .linalg import ExactMatrix, cleared, kron_vec, matrix_rank
 from .qubits import (
     KET0,
     LocalState,
@@ -67,6 +68,20 @@ class ProductVector:
         for l in self.locals[1:]:
             vec = kron_vec(vec, l.vec2())
         return vec
+
+    def cleared_flatten(self) -> tuple[list[int], list[int]]:
+        """Real and imaginary parts of a positive integer multiple of
+        ``flatten()``, built from each local with its denominators cleared;
+        raises for generic angle locals."""
+        re, im = [1], [0]
+        for l in self.locals:
+            (ar, br), (ai, bi) = cleared(l.vec2())
+            loc = ((ar, ai), (br, bi))
+            re, im = (
+                [x * c - y * e for x, y in zip(re, im) for c, e in loc],
+                [x * e + y * c for x, y in zip(re, im) for c, e in loc],
+            )
+        return re, im
 
     def phase_key(self):
         return tuple(l.phase_key() for l in self.locals)
@@ -180,13 +195,14 @@ class ExtendDecision:
         return self.branches_explored
 
 
-def _phase_classes(s: ProductSet):
-    """Per party: list of (representative local, member bitmask)."""
+def _phase_classes(s: ProductSet, keys):
+    """Per party: dict of phase key -> (representative local, member
+    bitmask); ``keys[i][p]`` is member i's phase key at party p."""
     classes = []
     for p in range(s.parties):
         groups = {}
         for idx, m in enumerate(s.members):
-            key = m.locals[p].phase_key()
+            key = keys[idx][p]
             if key in groups:
                 groups[key][1] |= 1 << idx
             else:
@@ -215,47 +231,32 @@ def extend_or_certify(
             raise NonQubitPartyError("member arity mismatch")
     nmembers = len(s.members)
     full = (1 << nmembers) - 1
-    classes = _phase_classes(s)
+    keys = [[l.phase_key() for l in m.locals] for m in s.members]
+    classes = _phase_classes(s, keys)
     branches = 0
 
     # assignment: party -> class key chosen (absent = free)
     assignment: dict = {}
-
-    def covered_mask() -> int:
-        mask = 0
-        for p, key in assignment.items():
-            mask |= classes[p][key][1]
-        return mask
 
     def search(mask: int) -> bool:
         nonlocal branches
         branches += 1
         if mask == full:
             return True
-        # fail-first: the uncovered member with the fewest covering options
-        best_i, best_opts = -1, None
-        for i in range(nmembers):
-            if mask & (1 << i):
+        # the first uncovered member must be covered at an unassigned party:
+        # an assigned class did not cover it, and a party holds one class only
+        i = (~mask & (mask + 1)).bit_length() - 1
+        for p in range(s.parties):
+            if p in assignment:
                 continue
-            opts = []
-            for p in range(s.parties):
-                if p in assignment:
-                    continue  # assigned class did not cover i, and a party holds one class only
-                opts.append((p, s.members[i].locals[p].phase_key()))
-            if best_opts is None or len(opts) < len(best_opts):
-                best_i, best_opts = i, opts
-                if not opts:
-                    break
-        if not best_opts:
-            return False
-        for p, key in best_opts:
+            key = keys[i][p]
             assignment[p] = key
             if search(mask | classes[p][key][1]):
                 return True
             del assignment[p]
         return False
 
-    if search(covered_mask()):
+    if search(0):
         rng = random.Random(seed)
         locals_out = []
         for p in range(s.parties):

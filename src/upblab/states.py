@@ -4,14 +4,16 @@ Operators are Hermitian matrices with an explicit party-dimension vector
 and an explicit trace; unnormalized operators are first class, and
 normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
-through the certified LDL* elimination.
+through the certified LDL* elimination, run at most once per operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import lcm, prod
 from typing import Optional
 
 from .errors import (
@@ -25,28 +27,33 @@ from .errors import (
 from .linalg import (
     ExactMatrix,
     PsdCertificate,
+    _range_quadratic_form,
     as_vector,
     inner,
     matrix_rank,
     outer,
     projector,
     psd_certificate,
-    range_quadratic_form,
+    range_quadratic_form,  # noqa: F401  (re-exported)
 )
 from .product import ProductSet, ProductVector
-from .scalars import CQ0, ComplexRational
+from .scalars import CQ0, ComplexRational, cq_make
 
 
 @dataclass(frozen=True)
 class DensityOp:
     """A Hermitian operator on a tensor product of finite-dimensional
     parties.  ``kernel_product_set`` optionally records a product basis of
-    the kernel, when the operator was built as a complement projector."""
+    the kernel, when the operator was built as a complement projector.
+
+    The PSD certificate is computed on first use and kept; operators derived
+    with ``dataclasses.replace`` start without one."""
 
     dims: tuple
     matrix: ExactMatrix
     trace_norm: Fraction
     kernel_product_set: Optional[ProductSet] = None
+    _psd: Optional[PsdCertificate] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = prod(self.dims)
@@ -62,10 +69,17 @@ class DensityOp:
         return prod(self.dims)
 
     def rank(self) -> int:
+        """Exact rank: the certificate's pivot count when the operator is
+        PSD, a separate elimination otherwise."""
+        cert = self.psd()
+        if cert.is_psd:
+            return cert.rank
         return matrix_rank(self.matrix)
 
     def psd(self) -> PsdCertificate:
-        return psd_certificate(self.matrix)
+        if self._psd is None:
+            object.__setattr__(self, "_psd", psd_certificate(self.matrix))
+        return self._psd
 
     def normalized(self) -> "DensityOp":
         if self.trace_norm == 1:
@@ -119,20 +133,44 @@ def complement_projector(s: ProductSet) -> DensityOp:
         if len(s.members) == d:
             raise SpansEverythingError("the set spans the whole space")
         raise ValueError("more members than the space dimension")
-    acc = ExactMatrix.identity(d)
+    vecs = []
     for m in s.members:
         try:
-            flat = m.flatten()
+            vecs.append(m.cleared_flatten())
         except ApproximateComparisonError:
             raise ApproximateComparisonError(
                 "complement projector needs exact coordinates for every local"
             )
-        acc = acc - projector(flat)
-    rank = matrix_rank(acc)
-    if rank != d - len(s.members):
-        raise AssertionError("complement projector has unexpected rank")
-    out = acc.scale(ComplexRational(Fraction(1, d - len(s.members))))
-    return density_from_matrix(s.dims, out, kernel_product_set=s)
+    # Each member is a Gaussian-integer vector x with norm n = <x|x>, so
+    # sum_x |x><x|/n = N/L with L the lcm of the norms and N integral.
+    norms = [sum(a * a for a in xr) + sum(b * b for b in xi) for xr, xi in vecs]
+    big = lcm(*norms)
+    weights = [big // n for n in norms]
+    # (L I - N) / (L (D - |s|)): the upper triangle, each entry reduced once,
+    # and its conjugate below the diagonal
+    rank = d - len(s.members)
+    den = big * rank
+    data = [None] * (d * d)
+    for i in range(d):
+        row_re = [0] * (d - i)
+        row_im = [0] * (d - i)
+        for (xr, xi), w in zip(vecs, weights):
+            wr, wi = w * xr[i], w * xi[i]
+            if wr or wi:
+                # w x_i conj(x_j) for j >= i
+                tail_re, tail_im = xr[i:], xi[i:]
+                row_re = [t + wr * a + wi * b for t, a, b in zip(row_re, tail_re, tail_im)]
+                row_im = [t + wi * a - wr * b for t, a, b in zip(row_im, tail_re, tail_im)]
+        row_re[0] -= big
+        for j, a, b in zip(range(i, d), row_re, row_im):
+            p, q, r = cq_make(-a, -b, den)
+            data[i * d + j] = ComplexRational.from_triple((p, q, r))
+            data[j * d + i] = ComplexRational.from_triple((p, -q, r))
+    out = density_from_matrix(s.dims, ExactMatrix(d, d, data), kernel_product_set=s)
+    cert = out.psd()
+    if not cert.is_psd or cert.rank != rank:
+        raise AssertionError("complement projector is not a PSD operator of rank D - |s|")
+    return out
 
 
 def _index_split(idx: int, dims) -> list:
@@ -158,26 +196,41 @@ def _check_mask(mask, parties) -> frozenset:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _transpose_permutation(dims: tuple, mask: tuple) -> array:
+    """Flat-index permutation of the partial transpose: the transposed
+    matrix's entry k is the source entry perm[k].
+
+    Swapping the digits of the parties in ``mask`` between row index i and
+    column index j moves entry i*D + j to i*D + j + A[j] - A[i], where
+    A[x] sums digit_p(x) * stride_p * (D - 1) over the masked parties.
+    """
+    dim = prod(dims)
+    offset = [0] * dim
+    stride = dim
+    for p, size in enumerate(dims):
+        stride //= size
+        if p in mask:
+            c = stride * (dim - 1)
+            offset = [a + (x // stride) % size * c for x, a in enumerate(offset)]
+    cols = [j + a for j, a in enumerate(offset)]
+    perm = array("I")
+    for i, a in enumerate(offset):
+        base = i * dim - a
+        perm.extend([base + c for c in cols])
+    return perm
+
+
 def partial_transpose(d: DensityOp, mask) -> DensityOp:
     """Transpose the tensor factors in ``mask`` (0-based), exactly.
 
     An involution; preserves Hermiticity of Hermitian inputs.
     """
     mask = _check_mask(mask, d.parties)
-    dims = d.dims
-    dim = d.dim
-    data = [None] * (dim * dim)
+    perm = _transpose_permutation(tuple(d.dims), tuple(sorted(mask)))
     src = d.matrix.data
-    for i in range(dim):
-        ip = _index_split(i, dims)
-        for j in range(dim):
-            jp = _index_split(j, dims)
-            ri = list(ip)
-            rj = list(jp)
-            for p in mask:
-                ri[p], rj[p] = jp[p], ip[p]
-            data[_index_join(ri, dims) * dim + _index_join(rj, dims)] = src[i * dim + j]
-    return replace(d, matrix=ExactMatrix(dim, dim, data), kernel_product_set=None)
+    m = ExactMatrix(d.dim, d.dim, tuple(map(src.__getitem__, perm)))
+    return replace(d, matrix=m, kernel_product_set=None)
 
 
 def partial_trace(d: DensityOp, keep) -> DensityOp:
@@ -289,7 +342,7 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
         raise ValueError("vector length does not match the operator")
     if all(x.is_zero() for x in flat):
         raise ValueError("cannot subtract the zero vector")
-    q = range_quadratic_form(d.matrix, flat)
+    q = _range_quadratic_form(d.matrix, d.psd(), flat)
     if q is None:
         raise NotInRangeError("vector is not in the range of the operator")
     weight = Fraction(1) / q

@@ -9,9 +9,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from upblab.linalg import ExactMatrix, as_vector, inner
-from upblab.product import ProductSet
-from upblab.qubits import LocalState
+from upblab.linalg import ExactMatrix, as_vector, inner, projector
+from upblab.product import ProductSet, ProductVector, build_product_set, shifts_upb
+from upblab.qubits import LocalState, local_perp
 from upblab.scalars import ComplexRational
 from upblab.search import Infeasible, realize_template, sample_template
 
@@ -97,3 +97,74 @@ def gram_schmidt(vectors):
         if any(not x.is_zero() for x in u):
             basis.append(tuple(u))
     return basis
+
+
+def random_exact_ops(rng: random.Random, parties: int) -> ProductSet:
+    """A random verified OPS with exact coordinates that does not span.
+
+    Each party gets a local basis {u, perp(u)}: either a random pair u with
+    non-integer rational parts, or the angle states q = 0 and q = 1/2.
+    The members are a random proper subset of that product basis or, for
+    three or more parties, the shifts UPB on the first three parties times
+    random basis states on the rest, written in those bases.
+    """
+    bases = []
+    for _ in range(parties):
+        if rng.random() < 0.3:
+            bases.append((LocalState.angle(0), LocalState.angle(Fraction(1, 2))))
+        else:
+            u = rand_local(rng)
+            bases.append((u, local_perp(u)))
+    if parties >= 3 and rng.random() < 0.5:
+        members = []
+        for m in shifts_upb().members:
+            locs = []
+            for p, loc in enumerate(m.locals):
+                u, w = (bases[p][0].vec2(), bases[p][1].vec2())
+                x, y = loc.vec2()
+                locs.append(LocalState.pair(x * u[0] + y * w[0], x * u[1] + y * w[1]))
+            tail = [bases[p][rng.randrange(2)] for p in range(3, parties)]
+            members.append(ProductVector(locs + tail))
+        return build_product_set(members)
+    strings = list(itertools.product(range(2), repeat=parties))
+    chosen = rng.sample(strings, rng.randint(1, len(strings) - 1))
+    return build_product_set(
+        [ProductVector([bases[p][b] for p, b in enumerate(bits)]) for bits in chosen]
+    )
+
+
+def complement_reference(s: ProductSet) -> ExactMatrix:
+    """(I - sum_x |x><x|/<x|x>) / (D - |s|) in ExactMatrix arithmetic."""
+    d = 2 ** s.parties
+    acc = ExactMatrix.identity(d)
+    for m in s.members:
+        acc = acc - projector(m.flatten())
+    return acc.scale(ComplexRational(Fraction(1, d - len(s.members))))
+
+
+def partial_transpose_entrywise(m: ExactMatrix, dims, mask) -> ExactMatrix:
+    """The partial transpose by its definition: split both indices into
+    per-party digits and swap the digits of the parties in ``mask``."""
+
+    def split(idx):
+        out = []
+        for d in reversed(dims):
+            out.append(idx % d)
+            idx //= d
+        return out[::-1]
+
+    def join(parts):
+        idx = 0
+        for p, d in zip(parts, dims):
+            idx = idx * d + p
+        return idx
+
+    dim = m.rows
+    data = [None] * (dim * dim)
+    for i in range(dim):
+        for j in range(dim):
+            ri, rj = split(i), split(j)
+            for p in mask:
+                ri[p], rj[p] = rj[p], ri[p]
+            data[join(ri) * dim + join(rj)] = m.at(i, j)
+    return ExactMatrix(dim, dim, data)

@@ -206,3 +206,13 @@ def test_usage_errors(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["rank", str(garbled)]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "rank"])
+@pytest.mark.parametrize("content", [b'{"kind": "product_set", ', b"\xff\xfe{"])
+def test_malformed_json_is_parse_error(tmp_path, capsys, command, content):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(content)
+    assert main([command, str(garbled)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "invalid JSON" in err

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from upblab import entangle
 from upblab.entangle import (
     product_vector_from_flat,
     range_product_scan,
@@ -231,3 +236,64 @@ def test_decompose_mixed_dimensions():
         _canonical(_term_vec(t1)),
         _canonical(_term_vec(t2)),
     }
+
+
+# One tensor per return path of rank2_tripartite_decompose.
+_DECOMPOSE_PATHS = {
+    "rank-one tail": _flat(2, 1, 6, 3, 0, 0, 0, 0),  # |0> (x) (2|0> + 6|1>) (x) (|0> + |1>/2)
+    "rank-two tail": _flat(1, 0, 0, 1, 0, 0, 0, 0),  # |0> (x) (|00> + |11>)
+    "degenerate pencil": _flat(1, 0, 0, 0, 0, 1, 0, 0),  # |000> + |101>
+    "two points": _flat(1, 0, 0, 0, 0, 0, 0, 1),  # |000> + |111>
+}
+
+
+@pytest.mark.parametrize("path", sorted(_DECOMPOSE_PATHS))
+def test_decompose_checks_the_sum_on_every_path(path, monkeypatch):
+    v = _DECOMPOSE_PATHS[path]
+    dec = rank2_tripartite_decompose(v, (2, 2, 2))
+    assert len(dec.terms) == (1 if path == "rank-one tail" else 2)
+    assert dec.unique == (path == "two points")
+    split = entangle._rank1_split
+
+    def doubled(mat):
+        col, row = split(mat)
+        return tuple(2 * x for x in col), row
+
+    # every path builds its terms from _rank1_split; a wrong split must be
+    # caught by the sum check instead of being returned
+    monkeypatch.setattr(entangle, "_rank1_split", doubled)
+    with pytest.raises(AssertionError, match="sum back"):
+        rank2_tripartite_decompose(v, (2, 2, 2))
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, upblab; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_attached_kernel_set_is_revalidated():
+    from dataclasses import replace
+
+    from upblab.product import build_product_set
+
+    d = complement_projector(shifts_upb())
+    assert entangle._kernel_product_basis(d) is d.kernel_product_set
+    # a verified set of the right size that is not in the kernel
+    wrong = build_product_set(
+        [ProductVector.from_bits(b) for b in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))]
+    )
+    assert entangle._kernel_product_basis(replace(d, kernel_product_set=wrong)) is not wrong
+    # M x with zero real parts but nonzero imaginary parts: |w><w| (i|0>)
+    # with w = (1, 1) is (i, i)
+    w = _flat(1, 1)
+    imaginary = build_product_set([ProductVector([LocalState.pair(CQ(0, 1), 0)])])
+    d = density_from_matrix((2,), outer(w, w), kernel_product_set=imaginary)
+    assert entangle._kernel_product_basis(d) is not imaginary

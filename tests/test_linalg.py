@@ -108,6 +108,19 @@ def test_psd_requires_hermitian():
         psd_certificate(ExactMatrix.from_rows([[1, 1], [0, 1]]))
 
 
+def test_is_hermitian_checks_every_entry():
+    rng = random.Random(23)
+    for n in range(1, 6):
+        h = rand_hermitian(rng, n)
+        assert h.is_hermitian()
+        for k in range(n * n):
+            i, j = divmod(k, n)
+            bad = list(h.data)
+            bad[k] = bad[k] + ComplexRational(0, 1)  # breaks (i, j) against (j, i)
+            assert not ExactMatrix(n, n, bad).is_hermitian(), (i, j)
+    assert not ExactMatrix.from_rows([[1, 2, 3]]).is_hermitian()
+
+
 def test_psd_rank_equals_pivot_count():
     rng = random.Random(8)
     for _ in range(40):
@@ -199,3 +212,31 @@ def test_range_form_subtraction_drops_rank():
         assert cert.is_psd
         assert cert.rank == r - 1
         done += 1
+
+
+def _to_sympy(m: ExactMatrix):
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [
+        [QQ_I(QQ(p, r), QQ(q, r)) for p, q, r in (x.t for x in m.row(i))]
+        for i in range(m.rows)
+    ]
+    return DomainMatrix(rows, (m.rows, m.cols), QQ_I)
+
+
+def test_rank_and_nullity_match_sympy_oracle():
+    # sympy's DomainMatrix over QQ_I shares no code with the kernels
+    rng = random.Random(17)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        # a product of two factors, so that deficient ranks are common
+        k = rng.randint(1, min(nr, nc))
+        a = ExactMatrix.from_rows([[rand_scalar(rng) for _ in range(k)] for _ in range(nr)])
+        b = ExactMatrix.from_rows([[rand_scalar(rng) for _ in range(nc)] for _ in range(k)])
+        m = a @ b
+        oracle = _to_sympy(m)
+        rank = oracle.rank()
+        assert matrix_rank(m, "bareiss") == rank
+        assert matrix_rank(m, "rref") == rank
+        assert len(nullspace_basis(m)) == nc - rank == oracle.nullspace().shape[0]

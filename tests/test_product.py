@@ -80,6 +80,19 @@ def test_shifts_unextendible():
     assert d.branches_explored > 0
 
 
+def test_covering_search_branch_counts_are_pinned():
+    # branch order is part of every certificate that reports it
+    assert extend_or_certify(shifts_upb()).branches_explored == 16
+    base = tensor_upb_opb(shifts_upb(), 2)
+    assert extend_or_certify(base).branches_explored == 326
+    # the symmetric sets above count the same under any member order; these
+    # extendible subsets do not
+    for drop, branches in [((0,), 314), ((5,), 64), ((3, 17, 30), 249)]:
+        s = build_product_set([m for i, m in enumerate(base.members) if i not in drop])
+        d = extend_or_certify(s)
+        assert d.extendible and d.branches_explored == branches
+
+
 def test_extend_requires_verified():
     s = ProductSet(parties=3, members=shifts_upb().members, verified=False)
     with pytest.raises(NotVerifiedError):

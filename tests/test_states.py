@@ -4,9 +4,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from upblab import _kernels
 from upblab.errors import BadMaskError, NotInRangeError, SpansEverythingError
-from upblab.linalg import ExactMatrix, inner, matrix_rank, outer, projector, psd_certificate
-from upblab.product import ProductVector, build_product_set, shifts_upb, standard_opb
+from upblab.linalg import (
+    ExactMatrix,
+    inner,
+    matrix_rank,
+    outer,
+    projector,
+    psd_certificate,
+    verify_psd_certificate,
+)
+from upblab.product import (
+    ProductVector,
+    build_product_set,
+    shifts_upb,
+    standard_opb,
+    tensor_upb_opb,
+)
 from upblab.qubits import LocalState
 from upblab.scalars import ComplexRational
 from upblab.states import (
@@ -22,7 +37,13 @@ from upblab.states import (
     subtract_product,
 )
 
-from oracles import rand_vector
+from oracles import (
+    complement_reference,
+    partial_transpose_entrywise,
+    rand_scalar,
+    rand_vector,
+    random_exact_ops,
+)
 
 K0, K1 = LocalState.ket(0), LocalState.ket(1)
 
@@ -283,3 +304,100 @@ def test_trace_preserved_by_partial_trace():
     d, _ = random_separable_two_by_n(rng, 3, 3)
     for keep in [{0}, {1}, {0, 1}]:
         assert partial_trace(d, keep).matrix.trace() == d.matrix.trace()
+
+
+def test_complement_matches_exact_matrix_reference():
+    rng = random.Random(2024)
+    angles = 0
+    for _ in range(25):
+        s = random_exact_ops(rng, rng.randint(1, 4))
+        angles += any(l.is_angle() for m in s.members for l in m.locals)
+        c = complement_projector(s)
+        assert c.matrix == complement_reference(s)
+        assert c.trace_norm == 1
+    assert angles > 0  # the sets do exercise angle locals
+
+
+def test_complement_rejects_generic_angle_locals():
+    from upblab.errors import ApproximateComparisonError
+
+    a, b = LocalState.angle(Fraction(1, 8)), LocalState.angle(Fraction(5, 8))
+    s = build_product_set([ProductVector([a, K0]), ProductVector([b, K0])])
+    with pytest.raises(ApproximateComparisonError):
+        complement_projector(s)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
+def test_partial_transpose_matches_entrywise_definition(dims):
+    rng = random.Random(len(dims))
+    dim = 1
+    for x in dims:
+        dim *= x
+    # not Hermitian, so every entry's destination is checked
+    m = ExactMatrix(dim, dim, [rand_scalar(rng) for _ in range(dim * dim)])
+    d = DensityOp(dims=dims, matrix=m, trace_norm=Fraction(1))
+    for bits in range(1 << len(dims)):
+        mask = {p for p in range(len(dims)) if bits >> p & 1}
+        assert partial_transpose(d, mask).matrix == partial_transpose_entrywise(m, dims, mask)
+
+
+def test_psd_certificate_is_computed_once_and_not_inherited():
+    d = bell_projector()
+    assert d.psd() is d.psd()
+    assert d.rank() == matrix_rank(d.matrix) == 1
+    # the transpose of a PSD operator need not be PSD: a certificate carried
+    # over from d would claim it is
+    pt = partial_transpose(d, {0})
+    assert not pt.psd().is_psd
+    assert pt.rank() == matrix_rank(pt.matrix) == 4
+    # normalizing halves the pivots; a carried-over certificate would not
+    n = d.normalized()
+    assert n.trace_norm == 1 and d.trace_norm == 2
+    assert n.psd().pivots == psd_certificate(n.matrix).pivots != d.psd().pivots
+
+
+def _count_eliminations(monkeypatch):
+    counts = {}
+    for name in ("ldl_hermitian", "bareiss_rank", "rref"):
+        fn = getattr(_kernels, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return counts
+
+
+def test_certification_pipeline_eliminates_each_state_once(monkeypatch):
+    from upblab.entangle import range_product_scan
+
+    counts = _count_eliminations(monkeypatch)
+    d = complement_projector(tensor_upb_opb(shifts_upb(), 1))
+    rep = ppt_report(d)
+    assert range_product_scan(d).verdict == "none_certified"
+    # one LDL for the complement, shared by the report and the scan, and
+    # one per bipartition class
+    assert counts == {"ldl_hermitian": 1 + len(rep.certificates)}
+
+
+def test_subtract_product_reuses_the_certificate(monkeypatch):
+    rng = random.Random(5)
+    d, v = random_separable_two_by_n(rng, 3, 3)
+    counts = _count_eliminations(monkeypatch)
+    before = birank(d)
+    out, _ = subtract_product(d, v)
+    after = birank(out)
+    assert after.rank == before.rank - 1
+    # LDL of d and of the result, one solve, one Bareiss per transpose rank
+    assert counts == {"ldl_hermitian": 2, "rref": 1, "bareiss_rank": 2}
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_ppt_report_certificates_revalidate(extra):
+    d = complement_projector(tensor_upb_opb(shifts_upb(), extra))
+    assert verify_psd_certificate(d.matrix, d.psd())
+    rep = ppt_report(d)
+    assert rep.is_ppt
+    for mask, cert in rep.certificates.items():
+        assert verify_psd_certificate(partial_transpose(d, mask).matrix, cert)
