@@ -1,9 +1,4 @@
-"""Pure-Python elimination kernels over exact complex rationals.
-
-This module is the reference twin of the compiled extension
-``upblab._kernels._fast``.  Both expose the same three functions with
-identical semantics on the same data layout, and the test suite checks them
-against each other entry for entry:
+"""Elimination kernels over exact complex rationals.
 
 * ``rref``           -- reduced row echelon form with per-step reduction
 * ``bareiss_rank``   -- fraction-free rank over Gaussian integers
@@ -11,13 +6,14 @@ against each other entry for entry:
 
 Matrices are lists of rows; each entry is a reduced triple ``(p, q, r)``
 meaning ``(p + q*i)/r`` with ``r > 0`` and ``gcd(p, q, r) = 1``.
+
+Callers reach these functions as ``_kernels.<name>(...)`` rather than
+importing the names, so tests and tracers can rebind them on this module.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-BACKEND_NAME = "python"
 
 
 def _make(p, q, r):

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .blocks import BipartitePair, BlockSpec, validate_block_spec
 from .errors import ParseError, SchemaVersionMismatchError, UnknownFixtureError
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, annihilates, cleared
 from .product import (
     ProductSet,
     ProductVector,
@@ -360,8 +360,9 @@ def density_from_doc(doc: dict) -> DensityOp:
     kernel = None
     if "kernel_product_set" in doc:
         kernel = product_set_from_doc(doc["kernel_product_set"])
+        cleared_rows = [cleared(m.row(i)) for i in range(dim)]
         for i, member in enumerate(kernel.members):
-            if any(not x.is_zero() for x in m.apply(member.flatten())):
+            if not annihilates(cleared_rows, member.cleared_flatten()):
                 raise ParseError(
                     f"member {i} is not annihilated by the matrix",
                     "kernel_product_set",

@@ -2,8 +2,9 @@
 
 Exit codes: 0 = claim verified or question answered, 1 = claim refuted
 (not orthogonal, extendible, not PPT, ...), 2 = usage or input error.
-Machine reports go to --json PATH ("-" for stdout); human-readable text
-always goes to stdout.  Randomized commands echo their seed.
+Machine reports go to --json PATH ("-" for stdout).  Human-readable text
+goes to stdout, or to stderr under ``--json -`` so that stdout carries only
+the JSON.  Randomized commands echo their seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .blocks import opb_from_blocks, opb_to_blocks
 from .product import ProductSet, build_product_set, extend_or_certify, is_proper
-from .search import scan, thread_cap
+from .search import scan
 from .states import (
     DensityOp,
     birank,
@@ -41,14 +42,16 @@ class _Exit(Exception):
 
 
 def _emit(args, report: dict, text_lines) -> None:
+    path = getattr(args, "json", None)
+    text_out = sys.stderr if path == "-" else sys.stdout
     for line in text_lines:
-        print(line)
-    if getattr(args, "json", None):
+        print(line, file=text_out)
+    if path:
         payload = catalog.canonical_json(report)
-        if args.json == "-":
+        if path == "-":
             sys.stdout.write(payload)
         else:
-            with open(args.json, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload)
 
 
@@ -280,7 +283,7 @@ def cmd_search(args) -> int:
     doc = catalog.scan_report_to_doc(report, include_timing=True)
     doc["command"] = "search"
     lines = [
-        f"seed {report.seed}, threads {thread_cap()}",
+        f"seed {report.seed}",
         f"{report.templates_tried} templates, {report.feasible} feasible, "
         f"{report.extendible} extendible, {len(report.upbs_found)} unextendible",
         report.note,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     ExactMatrix,
+    annihilates,
     as_vector,
     cleared,
     inner,
@@ -126,7 +126,7 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
         s = d.kernel_product_set
         if len(s.members) == nullity and s.verified:
             rows = [cleared(d.matrix.row(i)) for i in range(d.dim)]
-            if all(_annihilates(rows, m.cleared_flatten()) for m in s.members):
+            if all(annihilates(rows, m.cleared_flatten()) for m in s.members):
                 return s
     if nullity == 0:
         return ProductSet(parties=d.parties, members=(), verified=True)
@@ -144,17 +144,6 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
             if not inner(members[i].flatten(), members[j].flatten()).is_zero():
                 return None
     return build_product_set(members)
-
-
-def _annihilates(rows, x) -> bool:
-    """M x == 0 for M's rows and x given as cleared (re, im) parts."""
-    xr, xi = x
-    for ar, ai in rows:
-        if sum(map(mul, ar, xr)) != sum(map(mul, ai, xi)):
-            return False
-        if sum(map(mul, ar, xi)) + sum(map(mul, ai, xr)):
-            return False
-    return True
 
 
 def range_product_scan(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -54,6 +55,20 @@ def cleared(v: Sequence[ComplexRational]) -> tuple[list[int], list[int]]:
     ts = [x.t for x in v]
     c = lcm(*(r for _, _, r in ts))
     return [p * (c // r) for p, _, r in ts], [q * (c // r) for _, q, r in ts]
+
+
+def annihilates(rows, x) -> bool:
+    """M x == 0, for M given by its rows and x, both as ``cleared`` (re, im)
+    parts.  A vector of another length is not in the kernel."""
+    xr, xi = x
+    for ar, ai in rows:
+        if len(ar) != len(xr):
+            return False
+        if sum(map(mul, ar, xr)) != sum(map(mul, ai, xi)):
+            return False
+        if sum(map(mul, ar, xi)) + sum(map(mul, ai, xr)):
+            return False
+    return True
 
 
 class ExactMatrix:

@@ -15,7 +15,6 @@ produced and proves nothing by absence.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -169,16 +168,6 @@ def _scan_unit(parties: int, size: int, seed: int, unit: int, balanced: bool):
     return ("upb", realized)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("UPBLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def scan(
     parties: int,
     size: int,
@@ -189,31 +178,16 @@ def scan(
     """Try ``budget`` random templates and collect certified UPBs.
 
     Deterministic for fixed arguments: unit u always runs with seed
-    ``seed + u``, so serial and thread-pooled runs produce the same report.
-    UPBLAB_THREADS caps the pool (default 1, serial).
+    ``seed + u``.
     """
     if size > 2 ** parties:
         raise ValueError("size exceeds the space dimension")
     started = time.monotonic()
-    threads = thread_cap()
-    results = [None] * budget
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {
-                pool.submit(_scan_unit, parties, size, seed, u, balanced): u
-                for u in range(budget)
-            }
-            for fut, u in futs.items():
-                results[u] = fut.result()
-    else:
-        for u in range(budget):
-            results[u] = _scan_unit(parties, size, seed, u, balanced)
     feasible = 0
     extendible = 0
     upbs = []
-    for kind, payload in results:
+    for u in range(budget):
+        kind, payload = _scan_unit(parties, size, seed, u, balanced)
         if kind == "infeasible":
             continue
         feasible += 1

@@ -1,94 +1,4 @@
-import importlib.machinery
-import importlib.util
 import os
-import shlex
-import shutil
-import subprocess
 import sys
-import sysconfig
-from pathlib import Path
-
-import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Builds the compiled kernel twin from the shipped C source, so neither Cython
-# nor the repository's setup.py is involved.
-_BUILD_SCRIPT = (
-    "from setuptools import Extension, setup\n"
-    "setup(name='upblab-kernels', ext_modules=[Extension("
-    "'upblab._kernels._fast', ['upblab/_kernels/_fast.c'])])\n"
-)
-
-
-def _copy_package(root):
-    """Copy ``src/upblab`` under ``root``, leaving out caches and built modules."""
-    shutil.copytree(
-        SRC / "upblab",
-        root / "upblab",
-        ignore=shutil.ignore_patterns(
-            "__pycache__", *("*" + s for s in importlib.machinery.EXTENSION_SUFFIXES)
-        ),
-    )
-    return root
-
-
-@pytest.fixture(scope="session")
-def pure_tree(tmp_path_factory):
-    """A copy of the package with no compiled kernel twin in it."""
-    return _copy_package(tmp_path_factory.mktemp("pure"))
-
-
-@pytest.fixture(scope="session")
-def compiled_tree(tmp_path_factory):
-    """A copy of the package with ``_kernels/_fast.c`` built in place.
-
-    Skips only when this machine cannot compile an extension at all (no C
-    compiler or no Python headers); a failing build fails the test.
-    """
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or ""
-    if not cc.strip() or shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip(f"no C compiler found (CC={cc!r})")
-    include = sysconfig.get_paths()["include"]
-    if not os.path.exists(os.path.join(include, "Python.h")):
-        pytest.skip(f"no Python.h under {include}")
-    root = _copy_package(tmp_path_factory.mktemp("compiled"))
-    out = subprocess.run(
-        [sys.executable, "-c", _BUILD_SCRIPT, "build_ext", "--inplace"],
-        cwd=root,
-        capture_output=True,
-        text=True,
-    )
-    if out.returncode != 0:
-        pytest.fail(f"building _fast.c failed:\n{out.stdout}\n{out.stderr}")
-    return root
-
-
-@pytest.fixture(scope="session")
-def compiled_twin(compiled_tree):
-    """The module built by ``compiled_tree``, loaded for direct calls.
-
-    Loading an extension registers it in ``sys.modules``; the previous entry is
-    put back, so ``available_backends()`` in this process does not depend on
-    whether this fixture ran first.
-    """
-    name = "upblab._kernels._fast"
-    kdir = compiled_tree / "upblab" / "_kernels"
-    (path,) = [
-        kdir / ("_fast" + s)
-        for s in importlib.machinery.EXTENSION_SUFFIXES
-        if (kdir / ("_fast" + s)).exists()
-    ]
-    saved = sys.modules.get(name)
-    try:
-        spec = importlib.util.spec_from_file_location(name, path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-    finally:
-        if saved is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = saved
-    return mod

@@ -21,8 +21,11 @@ from upblab.errors import (
     SchemaVersionMismatchError,
     UnknownFixtureError,
 )
-from upblab.product import extend_or_certify
-from upblab.states import ppt_report
+from upblab.linalg import as_vector, outer
+from upblab.product import ProductVector, build_product_set, extend_or_certify
+from upblab.qubits import LocalState
+from upblab.scalars import ComplexRational
+from upblab.states import density_from_matrix, ppt_report
 
 # minimum sizes for 1..16 qubits, from the closed formula and its sporadic cases
 EXPECTED_MINIMA = {
@@ -189,11 +192,22 @@ def test_tampered_witness_data_rejected():
 
 
 def test_tampered_kernel_set_rejected():
-    doc = density_to_doc(fixture("rank5_pptes_4q"))
-    # swap in a product set that does not live in the kernel
-    doc["kernel_product_set"] = product_set_to_doc(fixture("standard_opb_4"))
-    with pytest.raises(ParseError):
-        from_doc(doc)
+    rank5 = density_to_doc(fixture("rank5_pptes_4q"))
+    # a product set that does not live in the kernel
+    outside = dict(rank5, kernel_product_set=product_set_to_doc(fixture("standard_opb_4")))
+    # a one-qubit |1> against |11><11|: only the first two columns, which
+    # are zero, would meet it
+    e11 = ProductVector.from_bits((1, 1)).flatten()
+    one_qubit = build_product_set([ProductVector.from_bits((1,))])
+    short = density_to_doc(density_from_matrix((2, 2), outer(e11, e11), kernel_product_set=one_qubit))
+    # M x with zero real parts but nonzero imaginary parts: |w><w| (i|0>)
+    # with w = (1, 1) is (i, i)
+    w = as_vector([1, 1])
+    imaginary = build_product_set([ProductVector([LocalState.pair(ComplexRational(0, 1), 0)])])
+    residue = density_to_doc(density_from_matrix((2,), outer(w, w), kernel_product_set=imaginary))
+    for doc in (outside, short, residue):
+        with pytest.raises(ParseError, match="not annihilated"):
+            from_doc(doc)
 
 
 def test_tampered_trace_rejected():

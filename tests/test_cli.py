@@ -160,9 +160,15 @@ def test_gen_and_decompose_opb(tmp_path, capsys):
 
 
 def test_json_to_stdout(shifts_file, capsys):
+    # stdout carries the JSON alone; the human lines move to stderr
     assert main(["extend", shifts_file, "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    assert '"verdict": "unextendible"' in out
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "unextendible"
+    assert "unextendible (covering search exhausted" in captured.err
+    assert main(["fixture", "shifts", "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["fixture"] == "shifts"
+    assert "shifts: product set, 4 members on 3 parties" in captured.err
 
 
 def test_decompose_non_opb_is_refuted(tmp_path, capsys):

@@ -1,121 +1,16 @@
-"""Backend selection and exact agreement of the kernel twins."""
+"""Contracts of the elimination kernels that the callers rely on."""
 
-import os
 import random
-import re
-import subprocess
-import sys
 
 import upblab._kernels as kernels
-from upblab._kernels import reference
 
-from conftest import SRC
-from oracles import rand_hermitian, rand_scalar
-
-
-def _triple_rows(m):
-    return m._triple_rows()
-
-
-_BACKENDS = "import upblab._kernels as k; print(k.BACKEND, *k.available_backends())"
-
-
-def _run(tree, code, kernels=None):
-    """Run ``code`` in a fresh interpreter that imports upblab from ``tree``."""
-    env = {k: v for k, v in os.environ.items() if k != "UPBLAB_KERNELS"}
-    env["PYTHONPATH"] = str(tree)
-    if kernels is not None:
-        env["UPBLAB_KERNELS"] = kernels
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=tree,
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_compiled_backend_is_built(compiled_tree):
-    # The shipped C source builds, and the selector prefers what it builds.
-    out = _run(compiled_tree, _BACKENDS)
-    assert out.returncode == 0, out.stderr
-    backend, *available = out.stdout.split()
-    assert "compiled" in available
-    assert backend == "compiled"
-
-
-def test_env_var_forces_backend(compiled_tree, pure_tree):
-    for kernels in ("python", "compiled"):
-        out = _run(compiled_tree, _BACKENDS, kernels)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == [kernels, "python", "compiled"]
-    out = _run(compiled_tree, "import upblab._kernels", "nonsense")
-    assert out.returncode != 0
-    assert "UPBLAB_KERNELS" in out.stderr
-    # Without the compiled twin, the default falls back and a forced
-    # "compiled" is an import error rather than a silent fallback.
-    out = _run(pure_tree, _BACKENDS)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["python", "python"]
-    out = _run(pure_tree, _BACKENDS, "compiled")
-    assert out.returncode != 0
-    assert "ImportError" in out.stderr
-
-
-def test_fast_c_matches_pyx():
-    # The tests build the compiled twin from _fast.c, so it must have been
-    # generated from the current _fast.pyx: every source line Cython quoted
-    # (the one marked with arrows) must be that line of the .pyx today.
-    kdir = SRC / "upblab" / "_kernels"
-    pyx = [" * " + ln.rstrip() for ln in (kdir / "_fast.pyx").read_text().splitlines()]
-    c_lines = (kdir / "_fast.c").read_text().splitlines()
-    marker = re.compile(r'/\* "upblab/_kernels/_fast\.pyx":(\d+)$')
-    arrow = "             # <<<<<<<<<<<<<<"
-    checked = 0
-    for i, line in enumerate(c_lines):
-        m = marker.search(line)
-        if not m:
-            continue
-        n = int(m.group(1))
-        (quoted,) = [q for q in c_lines[i + 1 : i + 4] if q.endswith(arrow)]
-        assert n <= len(pyx), f"_fast.c quotes line {n}; _fast.pyx has {len(pyx)}"
-        assert quoted[: -len(arrow)] == pyx[n - 1], f"_fast.pyx line {n} changed"
-        checked += 1
-    assert checked > 0
-
-
-def test_twins_agree_on_random_matrices(compiled_twin):
-    mods = [reference, compiled_twin]
-    rng = random.Random(2024)
-    for _ in range(150):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        from upblab.linalg import ExactMatrix
-
-        m = ExactMatrix.from_rows(
-            [[rand_scalar(rng) for _ in range(nc)] for _ in range(nr)]
-        )
-        rows = _triple_rows(m)
-        results = [mod.rref(rows, nr, nc) for mod in mods]
-        assert results[0] == results[1]
-        ranks = [mod.bareiss_rank(rows, nr, nc) for mod in mods]
-        assert ranks[0] == ranks[1] == results[0][0]
-
-
-def test_twins_agree_on_hermitian_elimination(compiled_twin):
-    mods = [reference, compiled_twin]
-    rng = random.Random(77)
-    for trial in range(150):
-        n = rng.randint(1, 7)
-        h = rand_hermitian(rng, n, psd=trial % 2 == 0)
-        rows = _triple_rows(h)
-        recs = [mod.ldl_hermitian(rows, n) for mod in mods]
-        assert recs[0] == recs[1]
+from oracles import rand_hermitian
 
 
 def test_rref_does_not_mutate_input():
     rng = random.Random(5)
     h = rand_hermitian(rng, 4)
-    rows = _triple_rows(h)
+    rows = h._triple_rows()
     snapshot = [list(r) for r in rows]
     kernels.rref(rows, 4, 4)
     kernels.ldl_hermitian(rows, 4)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from upblab import _kernels
 from upblab.errors import NotHermitianError, NotPsdError
 from upblab.linalg import (
     ExactMatrix,
@@ -214,14 +215,18 @@ def test_range_form_subtraction_drops_rank():
         done += 1
 
 
-def _to_sympy(m: ExactMatrix):
+def _qq_i(t):
     from sympy import QQ, QQ_I
+
+    p, q, r = t
+    return QQ_I(QQ(p, r), QQ(q, r))
+
+
+def _to_sympy(m: ExactMatrix):
+    from sympy import QQ_I
     from sympy.polys.matrices import DomainMatrix
 
-    rows = [
-        [QQ_I(QQ(p, r), QQ(q, r)) for p, q, r in (x.t for x in m.row(i))]
-        for i in range(m.rows)
-    ]
+    rows = [[_qq_i(x.t) for x in m.row(i)] for i in range(m.rows)]
     return DomainMatrix(rows, (m.rows, m.cols), QQ_I)
 
 
@@ -240,3 +245,9 @@ def test_rank_and_nullity_match_sympy_oracle():
         assert matrix_rank(m, "bareiss") == rank
         assert matrix_rank(m, "rref") == rank
         assert len(nullspace_basis(m)) == nc - rank == oracle.nullspace().shape[0]
+        # the RREF is unique, so the reduced rows must agree entry for entry
+        k_rank, k_pivots, k_rows = _kernels.rref(m._triple_rows(), nr, nc)
+        reduced, pivots = oracle.rref()
+        assert k_rank == rank
+        assert tuple(k_pivots) == tuple(pivots)
+        assert [[_qq_i(t) for t in row] for row in k_rows[:rank]] == reduced.to_list()[:rank]

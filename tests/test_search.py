@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 from upblab.catalog import canonical_json, scan_report_to_doc
 from upblab.product import extend_or_certify
@@ -67,23 +64,6 @@ def test_scan_reproducible_byte_for_byte():
     assert canonical_json(scan_report_to_doc(a)) == canonical_json(scan_report_to_doc(b))
     c = scan(3, 4, 200, seed=8)
     assert canonical_json(scan_report_to_doc(a)) != canonical_json(scan_report_to_doc(c))
-
-
-def test_scan_threaded_matches_serial():
-    serial = scan(3, 4, 150, seed=3)
-    env = dict(os.environ)
-    env["UPBLAB_THREADS"] = "4"
-    code = (
-        "from upblab.search import scan\n"
-        "from upblab.catalog import canonical_json, scan_report_to_doc\n"
-        "import sys\n"
-        "sys.stdout.write(canonical_json(scan_report_to_doc(scan(3, 4, 150, seed=3))))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == canonical_json(scan_report_to_doc(serial))
 
 
 def test_scan_finds_size_four_upbs_on_three_qubits():
