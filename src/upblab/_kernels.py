@@ -15,49 +15,7 @@ from __future__ import annotations
 
 from math import gcd
 
-
-def _make(p, q, r):
-    if r < 0:
-        p, q, r = -p, -q, -r
-    g = gcd(p, q, r)
-    if g > 1:
-        return (p // g, q // g, r // g)
-    return (p, q, r)
-
-
-def _add(x, y):
-    p1, q1, r1 = x
-    p2, q2, r2 = y
-    return _make(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2)
-
-
-def _sub(x, y):
-    p1, q1, r1 = x
-    p2, q2, r2 = y
-    return _make(p1 * r2 - p2 * r1, q1 * r2 - q2 * r1, r1 * r2)
-
-
-def _mul(x, y):
-    p1, q1, r1 = x
-    p2, q2, r2 = y
-    return _make(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, r1 * r2)
-
-
-def _div(x, y):
-    p1, q1, r1 = x
-    p2, q2, r2 = y
-    n2 = p2 * p2 + q2 * q2
-    return _make((p1 * p2 + q1 * q2) * r2, (q1 * p2 - p1 * q2) * r2, r1 * n2)
-
-
-def _conj(x):
-    return (x[0], -x[1], x[2])
-
-
-def _div_rat(x, num, den):
-    """Divide the triple x by the positive rational num/den."""
-    p, q, r = x
-    return _make(p * den, q * den, r * num)
+from .scalars import cq_add, cq_conj, cq_div, cq_make, cq_mul, cq_scale_rat, cq_sub
 
 
 def rref(rows, nrows, ncols):
@@ -87,7 +45,7 @@ def rref(rows, nrows, ncols):
             for k in range(c, ncols):
                 e = row[k]
                 if e[0] != 0 or e[1] != 0:
-                    row[k] = _div(e, piv)
+                    row[k] = cq_div(e, piv)
         prow = m[r]
         for i in range(nrows):
             if i == r:
@@ -99,7 +57,7 @@ def rref(rows, nrows, ncols):
             for k in range(c, ncols):
                 e = prow[k]
                 if e[0] != 0 or e[1] != 0:
-                    row[k] = _sub(row[k], _mul(f, e))
+                    row[k] = cq_sub(row[k], cq_mul(f, e))
         pivot_cols.append(c)
         r += 1
         if r == nrows:
@@ -204,9 +162,9 @@ def ldl_hermitian(rows, n):
             for k, f in frow:
                 uk = u[k]
                 if uk[0] != 0 or uk[1] != 0:
-                    s = _add(s, _mul(f, uk))
+                    s = cq_add(s, cq_mul(f, uk))
             if s[0] != 0 or s[1] != 0:
-                u[p] = _sub(u[p], s)
+                u[p] = cq_sub(u[p], s)
         return u
 
     while True:
@@ -245,7 +203,7 @@ def ldl_hermitian(rows, n):
                     if c[0] != 0 or c[1] != 0:
                         u = [(0, 0, 1)] * n
                         u[i] = (1, 0, 1)
-                        u[j] = _conj((-c[0], -c[1], c[2]))
+                        u[j] = cq_conj((-c[0], -c[1], c[2]))
                         witness = backapply(u)
                         n2 = c[0] * c[0] + c[1] * c[1]
                         return {
@@ -274,20 +232,20 @@ def ldl_hermitian(rows, n):
         for k in act:
             e = W[p][k]
             if e[0] != 0 or e[1] != 0:
-                frow.append((k, _div_rat(e, dnum, dden)))
+                frow.append((k, cq_scale_rat(e, dden, dnum)))
         fmap = dict(frow)
         for i in act:
             fi = fmap.get(i)
             if fi is None:
                 continue
             # coef_i = conj(f_i) * d
-            coef = _make(fi[0] * dnum, -fi[1] * dnum, fi[2] * dden)
+            coef = cq_make(fi[0] * dnum, -fi[1] * dnum, fi[2] * dden)
             Wi = W[i]
             for j in act:
                 fj = fmap.get(j)
                 if fj is None:
                     continue
-                Wi[j] = _sub(Wi[j], _mul(coef, fj))
+                Wi[j] = cq_sub(Wi[j], cq_mul(coef, fj))
         steps.append((p, frow))
         order.append(p)
         pivots.append((dnum, dden))

@@ -279,7 +279,10 @@ def cmd_min_size(args) -> int:
 
 
 def cmd_search(args) -> int:
-    report = scan(args.qubits, args.size, args.budget, args.seed, balanced=args.balanced)
+    try:
+        report = scan(args.qubits, args.size, args.budget, args.seed, balanced=args.balanced)
+    except ValueError as exc:
+        raise _Exit(2, f"invalid search request: {exc}")
     doc = catalog.scan_report_to_doc(report, include_timing=True)
     doc["command"] = "search"
     lines = [

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .errors import (
@@ -43,7 +44,7 @@ from .product import (
 )
 from .qubits import LocalState
 from .scalars import CQ0, CQ1, ComplexRational
-from .states import DensityOp
+from .states import DensityOp, party_offsets
 
 
 @dataclass(frozen=True)
@@ -273,43 +274,12 @@ def schmidt_rank(v, dims, cut) -> int:
     """Exact rank of the flattening of ``v`` across ``cut`` vs the rest."""
     v = as_vector(v)
     dims = tuple(dims)
-    total = 1
-    for d in dims:
-        total *= d
-    if total != len(v):
+    if prod(dims) != len(v):
         raise BadCutError("dims inconsistent with vector length")
     cut = frozenset(cut)
     if not cut or any(p < 0 or p >= len(dims) for p in cut) or len(cut) == len(dims):
         raise BadCutError("cut must be a nonempty proper subset of parties")
-    left = sorted(cut)
-    right = [p for p in range(len(dims)) if p not in cut]
-    ldim = 1
-    for p in left:
-        ldim *= dims[p]
-    rdim = total // ldim
-    rows = [[CQ0] * rdim for _ in range(ldim)]
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
-    for idx, x in enumerate(v):
-        if x.is_zero():
-            continue
-        parts = []
-        rem = idx
-        for d, s in zip(dims, strides):
-            parts.append(rem // s)
-            rem %= s
-        li = 0
-        for p in left:
-            li = li * dims[p] + parts[p]
-        ri = 0
-        for p in right:
-            ri = ri * dims[p] + parts[p]
-        rows[li][ri] = x
-    return matrix_rank(ExactMatrix.from_rows(rows))
+    return matrix_rank(_flatten_matrix(v, dims, sorted(cut)))
 
 
 @dataclass(frozen=True)
@@ -334,33 +304,13 @@ class Rank2Decomposition:
         return out
 
 
-def _flatten_matrix(v, dims, lead: int) -> ExactMatrix:
-    d1 = dims[lead]
-    rest = [dims[p] for p in range(len(dims)) if p != lead]
-    rdim = 1
-    for d in rest:
-        rdim *= d
-    rows = [[CQ0] * rdim for _ in range(d1)]
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
-    others = [p for p in range(len(dims)) if p != lead]
-    for idx, x in enumerate(v):
-        if x.is_zero():
-            continue
-        rem = idx
-        parts = []
-        for d, s in zip(dims, strides):
-            parts.append(rem // s)
-            rem %= s
-        ri = 0
-        for p in others:
-            ri = ri * dims[p] + parts[p]
-        rows[parts[lead]][ri] = x
-    return ExactMatrix.from_rows(rows)
+def _flatten_matrix(v, dims, left) -> ExactMatrix:
+    """``v`` as a matrix: rows run over the joint values of the parties in
+    ``left``, columns over the other parties, each row-major."""
+    right = [p for p in range(len(dims)) if p not in left]
+    rows = party_offsets(dims, left)
+    cols = party_offsets(dims, right)
+    return ExactMatrix(len(rows), len(cols), [v[a + b] for a in rows for b in cols])
 
 
 def _rank1_split(mat: ExactMatrix):
@@ -467,7 +417,7 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
     if any(r > 2 for r in ranks):
         raise NotRankTwoError(f"one-vs-rest Schmidt ranks {ranks} exceed two")
 
-    M = _flatten_matrix(v, dims, 0)
+    M = _flatten_matrix(v, dims, [0])
     if ranks[0] == 1:
         # v = a (x) tail with tail on parties 2,3
         split = _rank1_split(M)

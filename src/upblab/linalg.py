@@ -110,9 +110,6 @@ class ExactMatrix:
     def row(self, i: int) -> Vector:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -256,21 +253,12 @@ def projector(v: Sequence[ComplexRational]) -> ExactMatrix:
     return outer(v, v).scale(CQ1 / n2)
 
 
-def matrix_rank(m: ExactMatrix, method: str = "bareiss") -> int:
-    """Exact rank over Q(i).
-
-    ``bareiss`` (default) runs fraction-free elimination over Gaussian
-    integers; ``rref`` runs the reducing Gauss-Jordan kernel.  Both are
-    exact and agree; they serve as independent routes in tests.
-    """
+def matrix_rank(m: ExactMatrix) -> int:
+    """Exact rank over Q(i), by fraction-free elimination over Gaussian
+    integers."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    if method == "bareiss":
-        return _kernels.bareiss_rank(m._triple_rows(), m.rows, m.cols)
-    if method == "rref":
-        rank, _, _ = _kernels.rref(m._triple_rows(), m.rows, m.cols)
-        return rank
-    raise ValueError(f"unknown method {method!r}")
+    return _kernels.bareiss_rank(m._triple_rows(), m.rows, m.cols)
 
 
 def nullspace_basis(m: ExactMatrix) -> list[Vector]:
@@ -362,6 +350,11 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """
     if not m.is_hermitian():
         raise NotHermitianError("matrix is not exactly Hermitian")
+    return _ldl_certificate(m)
+
+
+def _ldl_certificate(m: ExactMatrix) -> PsdCertificate:
+    """psd_certificate for a matrix already known to be Hermitian."""
     rec = _kernels.ldl_hermitian(m._triple_rows(), m.rows)
     pivots = tuple(Fraction(n, d) for n, d in rec["pivots"])
     order = tuple(rec["order"])

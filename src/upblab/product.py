@@ -16,7 +16,6 @@ exhaustion on failure.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,10 +111,6 @@ class WitnessGraph:
             i, j = j, i
         return self.witnesses[(i, j)]
 
-    def contains_choice(self, choice: dict) -> bool:
-        """True when every (pair -> party) choice appears in this graph."""
-        return all(p in self.witnesses[pair] for pair, p in choice.items())
-
 
 @dataclass(frozen=True)
 class ProductSet:
@@ -190,10 +185,6 @@ class ExtendDecision:
     witness: Optional[ProductVector]
     branches_explored: int
 
-    @property
-    def search_trace(self) -> int:
-        return self.branches_explored
-
 
 def _phase_classes(s: ProductSet, keys):
     """Per party: dict of phase key -> (representative local, member
@@ -211,18 +202,13 @@ def _phase_classes(s: ProductSet, keys):
     return classes
 
 
-def extend_or_certify(
-    s: ProductSet,
-    free_coordinate: str = "canonical",
-    seed: Optional[int] = None,
-) -> ExtendDecision:
+def extend_or_certify(s: ProductSet) -> ExtendDecision:
     """Decide extendibility of a verified qubit OPS, exactly.
 
     Extendible: returns a concrete witness, re-validated at its covering
     parties.  Unextendible: the covering search ran to exhaustion;
-    ``branches_explored`` counts expanded nodes.  ``free_coordinate`` is
-    "canonical" for |0> at unconstrained parties or "random" for a random
-    valid state (seeded for reproducibility).
+    ``branches_explored`` counts expanded nodes.  Unconstrained parties get
+    |0>, or the angle state 0 at a party of angle locals.
     """
     if not s.verified:
         raise NotVerifiedError("extendibility requires a verified ProductSet")
@@ -257,14 +243,11 @@ def extend_or_certify(
         return False
 
     if search(0):
-        rng = random.Random(seed)
         locals_out = []
         for p in range(s.parties):
             if p in assignment:
                 rep = classes[p][assignment[p]][0]
                 locals_out.append(local_perp(rep))
-            elif free_coordinate == "random":
-                locals_out.append(_random_free_local(rng, s, p))
             else:
                 locals_out.append(_canonical_free_local(s, p))
         witness = ProductVector(locals_out)
@@ -278,14 +261,6 @@ def _canonical_free_local(s: ProductSet, p: int) -> LocalState:
     if any(m.locals[p].is_angle() for m in s.members):
         return LocalState.angle(0)
     return KET0
-
-
-def _random_free_local(rng: random.Random, s: ProductSet, p: int) -> LocalState:
-    from fractions import Fraction
-
-    if any(m.locals[p].is_angle() for m in s.members):
-        return LocalState.angle(Fraction(rng.randint(0, 63), 64))
-    return LocalState.pair(rng.randint(1, 9), rng.randint(-9, 9))
 
 
 def _validate_extension(s, witness, assignment, classes):

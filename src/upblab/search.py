@@ -178,10 +178,17 @@ def scan(
     """Try ``budget`` random templates and collect certified UPBs.
 
     Deterministic for fixed arguments: unit u always runs with seed
-    ``seed + u``.
+    ``seed + u``.  Raises ValueError for a request outside
+    1 <= size <= 2^parties, parties >= 1, budget >= 0.
     """
+    if parties < 1:
+        raise ValueError("need at least one party")
+    if size < 1:
+        raise ValueError("size must be positive")
     if size > 2 ** parties:
         raise ValueError("size exceeds the space dimension")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     started = time.monotonic()
     feasible = 0
     extendible = 0

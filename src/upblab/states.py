@@ -27,6 +27,7 @@ from .errors import (
 from .linalg import (
     ExactMatrix,
     PsdCertificate,
+    _ldl_certificate,
     _range_quadratic_form,
     as_vector,
     inner,
@@ -166,27 +167,27 @@ def complement_projector(s: ProductSet) -> DensityOp:
             p, q, r = cq_make(-a, -b, den)
             data[i * d + j] = ComplexRational.from_triple((p, q, r))
             data[j * d + i] = ComplexRational.from_triple((p, -q, r))
-    out = density_from_matrix(s.dims, ExactMatrix(d, d, data), kernel_product_set=s)
+    # Every entry sits next to its conjugate, so the Hermitian check that
+    # psd() makes below is the only one needed
+    m = ExactMatrix(d, d, data)
+    out = DensityOp(dims=s.dims, matrix=m, trace_norm=m.trace().re, kernel_product_set=s)
     cert = out.psd()
     if not cert.is_psd or cert.rank != rank:
         raise AssertionError("complement projector is not a PSD operator of rank D - |s|")
     return out
 
 
-def _index_split(idx: int, dims) -> list:
-    out = []
-    for d in reversed(dims):
-        out.append(idx % d)
-        idx //= d
-    out.reverse()
+def party_offsets(dims, parties) -> list:
+    """Flat-index offset of each joint value of ``parties``, row-major over
+    ``parties`` as listed, with every other party's digit zero.
+
+    A flat index is the sum of one offset per group when the groups
+    partition the parties."""
+    out = [0]
+    for p in parties:
+        stride = prod(dims[p + 1 :])
+        out = [a + k * stride for a in out for k in range(dims[p])]
     return out
-
-
-def _index_join(parts, dims) -> int:
-    idx = 0
-    for p, d in zip(parts, dims):
-        idx = idx * d + p
-    return idx
 
 
 def _check_mask(mask, parties) -> frozenset:
@@ -201,22 +202,17 @@ def _transpose_permutation(dims: tuple, mask: tuple) -> array:
     """Flat-index permutation of the partial transpose: the transposed
     matrix's entry k is the source entry perm[k].
 
-    Swapping the digits of the parties in ``mask`` between row index i and
-    column index j moves entry i*D + j to i*D + j + A[j] - A[i], where
-    A[x] sums digit_p(x) * stride_p * (D - 1) over the masked parties.
+    With u, u' offsets of the unmasked parties and m, m' of the masked ones,
+    entry (u + m, u' + m') of the transpose is entry (u + m', u' + m).
     """
     dim = prod(dims)
-    offset = [0] * dim
-    stride = dim
-    for p, size in enumerate(dims):
-        stride //= size
-        if p in mask:
-            c = stride * (dim - 1)
-            offset = [a + (x // stride) % size * c for x, a in enumerate(offset)]
-    cols = [j + a for j, a in enumerate(offset)]
+    rest = party_offsets(dims, [p for p in range(len(dims)) if p not in mask])
+    # (u, m) for each flat index u + m, in index order
+    split = sorted((u + m, u, m) for u in rest for m in party_offsets(dims, mask))
+    cols = [m * dim + u for _, u, m in split]
     perm = array("I")
-    for i, a in enumerate(offset):
-        base = i * dim - a
+    for _, u, m in split:
+        base = u * dim + m
         perm.extend([base + c for c in cols])
     return perm
 
@@ -239,33 +235,16 @@ def partial_trace(d: DensityOp, keep) -> DensityOp:
     if not keep:
         raise BadMaskError("keep set must be nonempty")
     dims = d.dims
-    out_dims = tuple(dims[p] for p in keep)
-    traced = [p for p in range(d.parties) if p not in keep]
-    out_dim = prod(out_dims)
-    acc = [[CQ0] * out_dim for _ in range(out_dim)]
-    tr_dims = [dims[p] for p in traced]
-    tr_count = prod(tr_dims) if traced else 1
+    offsets = party_offsets(dims, keep)
+    traced = party_offsets(dims, [p for p in range(d.parties) if p not in keep])
     src = d.matrix.data
     dim = d.dim
-    for a in range(out_dim):
-        ap = _index_split(a, out_dims)
-        for b in range(out_dim):
-            bp = _index_split(b, out_dims)
-            s = CQ0
-            for t in range(tr_count):
-                tp = _index_split(t, tr_dims) if traced else []
-                full_i = [0] * d.parties
-                full_j = [0] * d.parties
-                for pos, p in enumerate(keep):
-                    full_i[p] = ap[pos]
-                    full_j[p] = bp[pos]
-                for pos, p in enumerate(traced):
-                    full_i[p] = tp[pos]
-                    full_j[p] = tp[pos]
-                s = s + src[_index_join(full_i, dims) * dim + _index_join(full_j, dims)]
-            acc[a][b] = s
-    m = ExactMatrix(out_dim, out_dim, [acc[a][b] for a in range(out_dim) for b in range(out_dim)])
-    return DensityOp(dims=out_dims, matrix=m, trace_norm=d.trace_norm)
+    # out[a, b] = sum_t M[a + t, b + t]
+    data = [
+        sum((src[(a + t) * dim + b + t] for t in traced), CQ0) for a in offsets for b in offsets
+    ]
+    m = ExactMatrix(len(offsets), len(offsets), data)
+    return DensityOp(dims=tuple(dims[p] for p in keep), matrix=m, trace_norm=d.trace_norm)
 
 
 @dataclass(frozen=True)
@@ -306,7 +285,8 @@ def ppt_report(d: DensityOp) -> PptReport:
         raise NotPsdError("ppt_report requires a PSD operator")
     certs = {}
     for mask in bipartition_classes(d.parties):
-        certs[mask] = psd_certificate(partial_transpose(d, mask).matrix)
+        # d.psd() checked that d is Hermitian, so each partial transpose is
+        certs[mask] = _ldl_certificate(partial_transpose(d, mask).matrix)
     return PptReport(certificates=certs)
 
 

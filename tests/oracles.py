@@ -8,6 +8,7 @@ other.
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 from upblab.linalg import ExactMatrix, as_vector, inner, projector
 from upblab.product import ProductSet, ProductVector, build_product_set, shifts_upb
@@ -142,29 +143,80 @@ def complement_reference(s: ProductSet) -> ExactMatrix:
     return acc.scale(ComplexRational(Fraction(1, d - len(s.members))))
 
 
+def _digits(idx, dims):
+    out = []
+    for d in reversed(dims):
+        out.append(idx % d)
+        idx //= d
+    return out[::-1]
+
+
+def _join(digits, dims):
+    idx = 0
+    for x, d in zip(digits, dims):
+        idx = idx * d + x
+    return idx
+
+
 def partial_transpose_entrywise(m: ExactMatrix, dims, mask) -> ExactMatrix:
     """The partial transpose by its definition: split both indices into
     per-party digits and swap the digits of the parties in ``mask``."""
-
-    def split(idx):
-        out = []
-        for d in reversed(dims):
-            out.append(idx % d)
-            idx //= d
-        return out[::-1]
-
-    def join(parts):
-        idx = 0
-        for p, d in zip(parts, dims):
-            idx = idx * d + p
-        return idx
-
     dim = m.rows
     data = [None] * (dim * dim)
     for i in range(dim):
         for j in range(dim):
-            ri, rj = split(i), split(j)
+            ri, rj = _digits(i, dims), _digits(j, dims)
             for p in mask:
                 ri[p], rj[p] = rj[p], ri[p]
-            data[join(ri) * dim + join(rj)] = m.at(i, j)
+            data[_join(ri, dims) * dim + _join(rj, dims)] = m.at(i, j)
     return ExactMatrix(dim, dim, data)
+
+
+def partial_trace_entrywise(m: ExactMatrix, dims, keep) -> ExactMatrix:
+    """The partial trace by its definition: entry (i, j) adds to entry
+    (a, b) of the result when i and j agree on every traced party's digit
+    and their kept digits spell a and b."""
+    keep = sorted(keep)
+    out_dims = [dims[p] for p in keep]
+    n = prod(out_dims)
+    acc = [[ComplexRational(0)] * n for _ in range(n)]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            ri, rj = _digits(i, dims), _digits(j, dims)
+            if all(ri[p] == rj[p] for p in range(len(dims)) if p not in keep):
+                a = _join([ri[p] for p in keep], out_dims)
+                b = _join([rj[p] for p in keep], out_dims)
+                acc[a][b] = acc[a][b] + m.at(i, j)
+    return ExactMatrix.from_rows(acc)
+
+
+def flattening_entrywise(v, dims, left) -> ExactMatrix:
+    """``v`` as a matrix whose row index spells the digits of the parties in
+    ``left`` and whose column index spells the other parties' digits."""
+    left = sorted(left)
+    right = [p for p in range(len(dims)) if p not in left]
+    ldims = [dims[p] for p in left]
+    rdims = [dims[p] for p in right]
+    rows = [[ComplexRational(0)] * prod(rdims) for _ in range(prod(ldims))]
+    for idx, x in enumerate(v):
+        ds = _digits(idx, dims)
+        rows[_join([ds[p] for p in left], ldims)][_join([ds[p] for p in right], rdims)] = x
+    return ExactMatrix.from_rows(rows)
+
+
+def random_grouped_tensor(rng: random.Random, dims):
+    """A product of random tensors, one on each group of a random partition
+    of the parties.  A group split by a cut contributes to the Schmidt rank
+    across it and a group on one side does not, so the rank depends on
+    which parties the cut holds."""
+    label = [rng.randrange(len(dims)) for _ in dims]
+    groups = [[p for p in range(len(dims)) if label[p] == g] for g in set(label)]
+    factors = [rand_vector(rng, prod(dims[p] for p in g)) for g in groups]
+    v = []
+    for idx in range(prod(dims)):
+        ds = _digits(idx, dims)
+        x = ComplexRational(1)
+        for g, f in zip(groups, factors):
+            x = x * f[_join([ds[p] for p in g], [dims[p] for p in g])]
+        v.append(x)
+    return tuple(v)

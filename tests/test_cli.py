@@ -125,6 +125,23 @@ def test_search_reports(tmp_path, capsys):
     assert "elapsed_s" in doc
 
 
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        ["--qubits", "2", "--size", "5"],
+        ["--qubits", "3", "--size", "0"],
+        ["--qubits", "0", "--size", "1"],
+        ["--qubits", "3", "--size", "4", "--budget", "-5"],
+    ],
+    ids=["size-above-dimension", "size-zero", "qubits-zero", "negative-budget"],
+)
+def test_search_rejects_invalid_request(request_args, capsys):
+    assert main(["search", *request_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid search request" in captured.err
+
+
 def test_range_scan(tmp_path, rho_file, capsys):
     assert main(["range-scan", rho_file, "--seed", "1"]) == 0
     assert "found" in capsys.readouterr().out

@@ -15,13 +15,20 @@ from upblab.entangle import (
     schmidt_rank,
 )
 from upblab.errors import BadCutError, DegenerateSplitError, NotRankTwoError
-from upblab.linalg import ExactMatrix, as_vector, kron_vec, outer, solve_consistent
+from upblab.linalg import (
+    ExactMatrix,
+    as_vector,
+    kron_vec,
+    matrix_rank,
+    outer,
+    solve_consistent,
+)
 from upblab.product import ProductVector, shifts_upb
 from upblab.qubits import LocalState
 from upblab.scalars import ComplexRational
 from upblab.states import complement_projector, density_from_matrix
 
-from oracles import rand_vector
+from oracles import flattening_entrywise, rand_vector, random_grouped_tensor
 
 CQ = ComplexRational
 
@@ -95,6 +102,22 @@ def test_schmidt_rank_examples():
     assert schmidt_rank(_flat(1, 0, 0, 1), (2, 2), {0}) == 2
     w = _flat(1, 0, 0, 1, 0, 1, 0, 0)  # |000> + |011> + |101>
     assert schmidt_rank(w, (2, 2, 2), {0}) == 2
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
+def test_schmidt_rank_matches_digit_loop_flattening(dims):
+    rng = random.Random(sum(dims))
+    seen = set()
+    for _ in range(6):
+        v = random_grouped_tensor(rng, dims)
+        # every proper cut, multi-party and non-contiguous ones included
+        for bits in range(1, (1 << len(dims)) - 1):
+            cut = {p for p in range(len(dims)) if bits >> p & 1}
+            r = schmidt_rank(v, dims, cut)
+            assert r == matrix_rank(flattening_entrywise(v, dims, cut))
+            seen.add(r)
+    # the tensors are entangled across some cuts and not others
+    assert len(seen) > 1
 
 
 def test_schmidt_rank_bad_cut():

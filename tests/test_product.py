@@ -225,10 +225,3 @@ def test_mixed_kind_comparison_fails_loudly():
     d = ProductVector([K1, LocalState.pair(1, 1)])
     graph = verify_ops([c, d])
     assert graph.parties_for(0, 1) == frozenset({0})
-
-
-def test_random_free_coordinate_witness_validates():
-    full = standard_opb(2)
-    reduced = build_product_set(list(full.members)[:2])
-    d = extend_or_certify(reduced, free_coordinate="random", seed=5)
-    assert d.extendible

@@ -39,6 +39,7 @@ from upblab.states import (
 
 from oracles import (
     complement_reference,
+    partial_trace_entrywise,
     partial_transpose_entrywise,
     rand_scalar,
     rand_vector,
@@ -341,6 +342,22 @@ def test_partial_transpose_matches_entrywise_definition(dims):
         assert partial_transpose(d, mask).matrix == partial_transpose_entrywise(m, dims, mask)
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
+def test_partial_trace_matches_entrywise_definition(dims):
+    rng = random.Random(10 + len(dims))
+    dim = 1
+    for x in dims:
+        dim *= x
+    # not Hermitian, so every entry's destination is checked
+    m = ExactMatrix(dim, dim, [rand_scalar(rng) for _ in range(dim * dim)])
+    d = DensityOp(dims=dims, matrix=m, trace_norm=Fraction(1))
+    for bits in range(1, 1 << len(dims)):
+        keep = {p for p in range(len(dims)) if bits >> p & 1}
+        out = partial_trace(d, keep)
+        assert out.dims == tuple(dims[p] for p in sorted(keep))
+        assert out.matrix == partial_trace_entrywise(m, dims, keep)
+
+
 def test_psd_certificate_is_computed_once_and_not_inherited():
     d = bell_projector()
     assert d.psd() is d.psd()
@@ -401,3 +418,22 @@ def test_ppt_report_certificates_revalidate(extra):
     assert rep.is_ppt
     for mask, cert in rep.certificates.items():
         assert verify_psd_certificate(partial_transpose(d, mask).matrix, cert)
+
+
+def test_hermiticity_is_checked_once_per_certified_operator(monkeypatch):
+    # the complement is Hermitian by construction and each partial transpose
+    # of a Hermitian operator is Hermitian: only the complement's psd()
+    # needs the check
+    s = tensor_upb_opb(shifts_upb(), 1)
+    calls = []
+    original = ExactMatrix.is_hermitian
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "is_hermitian", counted)
+    d = complement_projector(s)
+    report = ppt_report(d)
+    assert len(report.certificates) == 7
+    assert calls == [16]
