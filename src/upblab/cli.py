@@ -221,6 +221,8 @@ def cmd_subtract(args) -> int:
 
 def cmd_theta(args) -> int:
     n = args.n
+    if n < 1:
+        raise _Exit(2, f"invalid theta request: need at least one qubit, got {n}")
     if args.k is None:
         cat = catalog.ThetaCatalog.for_qubits(n)
         lines = [f"possible UPB sizes on {n} qubits:"]
@@ -269,7 +271,10 @@ def _ranges(xs) -> str:
 
 
 def cmd_min_size(args) -> int:
-    m = catalog.min_upb_size(args.n)
+    try:
+        m = catalog.min_upb_size(args.n)
+    except ValueError as exc:
+        raise _Exit(2, f"invalid min-size request: {exc}")
     _emit(
         args,
         {"command": "min-size", "qubits": args.n, "minimum": m},
@@ -297,7 +302,10 @@ def cmd_search(args) -> int:
 
 def cmd_range_scan(args) -> int:
     d = _load_density(args.file)
-    res = range_product_scan(d, budget=args.budget, seed=args.seed)
+    try:
+        res = range_product_scan(d, budget=args.budget, seed=args.seed)
+    except ValueError as exc:
+        raise _Exit(2, f"invalid range-scan request: {exc}")
     lines = [f"seed {args.seed}"]
     report = {"command": "range-scan", "verdict": res.verdict, "seed": args.seed}
     if res.verdict == "found":

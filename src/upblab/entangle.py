@@ -155,8 +155,10 @@ def range_product_scan(
     ``budget`` counts random restarts of the heuristic branch; ``seed``
     makes the run reproducible.  The verdict "none_certified" is only ever
     produced from an exact unextendibility certificate for a product basis
-    of the kernel.
+    of the kernel.  Raises ValueError for a negative budget.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("range scan requires a PSD operator")

@@ -11,7 +11,8 @@ x's local at some party j, so z exists iff one phase class per party can be
 chosen (at most one; parties may stay free) whose member groups jointly
 cover the whole set.  The search branches on the first uncovered member
 (every uncovered member has one option per unassigned party) and certifies
-exhaustion on failure.
+exhaustion on failure.  It sees only which members share a class at each
+party, so the randomized scan runs the same search on integer labels.
 """
 
 from __future__ import annotations
@@ -186,19 +187,49 @@ class ExtendDecision:
     branches_explored: int
 
 
-def _phase_classes(s: ProductSet, keys):
-    """Per party: dict of phase key -> (representative local, member
-    bitmask); ``keys[i][p]`` is member i's phase key at party p."""
-    classes = []
-    for p in range(s.parties):
-        groups = {}
-        for idx, m in enumerate(s.members):
-            key = keys[idx][p]
-            if key in groups:
-                groups[key][1] |= 1 << idx
-            else:
-                groups[key] = [m.locals[p], 1 << idx]
-        classes.append({key: (rep, mask) for key, (rep, mask) in groups.items()})
+def covering_search(keys, classes, parties: int):
+    """The covering search behind every extendibility decision.
+
+    ``keys[i][p]`` is member i's class at party p and ``classes[p]`` maps
+    each class at party p to the bitmask of its members.  Looks for one
+    class per party (parties may stay free) whose masks jointly cover every
+    member.  Returns (assignment, branches): the party -> class choice, or
+    None when the search ran to exhaustion, and the number of expanded
+    nodes.
+    """
+    full = (1 << len(keys)) - 1
+    branches = 0
+    assignment: dict = {}
+
+    def search(mask: int) -> bool:
+        nonlocal branches
+        branches += 1
+        if mask == full:
+            return True
+        # the first uncovered member must be covered at an unassigned party:
+        # an assigned class did not cover it, and a party holds one class only
+        i = (~mask & (mask + 1)).bit_length() - 1
+        for p in range(parties):
+            if p in assignment:
+                continue
+            key = keys[i][p]
+            assignment[p] = key
+            if search(mask | classes[p][key]):
+                return True
+            del assignment[p]
+        return False
+
+    return (assignment if search(0) else None), branches
+
+
+def class_masks(keys, parties: int):
+    """Per party: dict of class -> bitmask of the members in it."""
+    classes = [{} for _ in range(parties)]
+    for idx, row in enumerate(keys):
+        bit = 1 << idx
+        for p, key in enumerate(row):
+            groups = classes[p]
+            groups[key] = groups.get(key, 0) | bit
     return classes
 
 
@@ -215,45 +246,25 @@ def extend_or_certify(s: ProductSet) -> ExtendDecision:
     for m in s.members:
         if len(m.locals) != s.parties:
             raise NonQubitPartyError("member arity mismatch")
-    nmembers = len(s.members)
-    full = (1 << nmembers) - 1
     keys = [[l.phase_key() for l in m.locals] for m in s.members]
-    classes = _phase_classes(s, keys)
-    branches = 0
-
-    # assignment: party -> class key chosen (absent = free)
-    assignment: dict = {}
-
-    def search(mask: int) -> bool:
-        nonlocal branches
-        branches += 1
-        if mask == full:
-            return True
-        # the first uncovered member must be covered at an unassigned party:
-        # an assigned class did not cover it, and a party holds one class only
-        i = (~mask & (mask + 1)).bit_length() - 1
-        for p in range(s.parties):
-            if p in assignment:
-                continue
-            key = keys[i][p]
-            assignment[p] = key
-            if search(mask | classes[p][key][1]):
-                return True
-            del assignment[p]
-        return False
-
-    if search(0):
-        locals_out = []
-        for p in range(s.parties):
-            if p in assignment:
-                rep = classes[p][assignment[p]][0]
-                locals_out.append(local_perp(rep))
-            else:
-                locals_out.append(_canonical_free_local(s, p))
-        witness = ProductVector(locals_out)
-        _validate_extension(s, witness, assignment, classes)
-        return ExtendDecision(extendible=True, witness=witness, branches_explored=branches)
-    return ExtendDecision(extendible=False, witness=None, branches_explored=branches)
+    classes = class_masks(keys, s.parties)
+    assignment, branches = covering_search(keys, classes, s.parties)
+    if assignment is None:
+        return ExtendDecision(extendible=False, witness=None, branches_explored=branches)
+    # each chosen class is represented by its first member's local
+    reps = {}
+    for p, key in assignment.items():
+        mask = classes[p][key]
+        reps[p] = s.members[(mask & -mask).bit_length() - 1].locals[p]
+    locals_out = []
+    for p in range(s.parties):
+        if p in assignment:
+            locals_out.append(local_perp(reps[p]))
+        else:
+            locals_out.append(_canonical_free_local(s, p))
+    witness = ProductVector(locals_out)
+    _validate_extension(s, witness, assignment, classes, reps)
+    return ExtendDecision(extendible=True, witness=witness, branches_explored=branches)
 
 
 def _canonical_free_local(s: ProductSet, p: int) -> LocalState:
@@ -263,13 +274,12 @@ def _canonical_free_local(s: ProductSet, p: int) -> LocalState:
     return KET0
 
 
-def _validate_extension(s, witness, assignment, classes):
+def _validate_extension(s, witness, assignment, classes, reps):
     covered = 0
     for p, key in assignment.items():
-        rep, mask = classes[p][key]
-        if not orthogonal_exact(witness.locals[p], rep):
+        if not orthogonal_exact(witness.locals[p], reps[p]):
             raise AssertionError("extension witness failed exact re-validation")
-        covered |= mask
+        covered |= classes[p][key]
     if covered != (1 << len(s.members)) - 1:
         raise AssertionError("extension witness does not cover all members")
 

@@ -9,6 +9,13 @@ is 2-colorable.  Realization hands each connected component a fresh
 rational angle q (its color classes get q and q + 1/2), which keeps all
 later orthogonality decisions exact.
 
+Realization runs in two stages.  ``label_template`` draws every angle as an
+integer numerator over a fixed denominator; distinct numerators are
+distinct phase classes, so the labels alone decide extendibility with the
+covering search of ``upblab.product``.  The scan decides each draw on its
+labels and materializes, verifies and re-checks exact product sets only for
+the unextendible hits it reports.
+
 The scan is evidence-grade: it reports what a random sample of templates
 produced and proves nothing by absence.
 """
@@ -21,7 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .product import ProductVector, build_product_set, extend_or_certify
+from .product import (
+    ProductVector,
+    build_product_set,
+    class_masks,
+    covering_search,
+    extend_or_certify,
+)
 from .qubits import LocalState
 
 SCAN_NOTE = "evidence-grade randomized scan; finding nothing is not a proof"
@@ -93,36 +106,57 @@ def _two_color(size: int, edges) -> Optional[list]:
     return comps
 
 
-# Angles are rationals a/b in [0, 1) with b <= 64; fresh draws are rejected
-# while they collide with an existing phase class or its perp within the
-# same party.
+# Angles are a/64 for integer numerators a in [0, 64); a fresh draw is
+# rejected while it collides with a numerator already used at the same
+# party or with its perp, (a + 32) % 64.
 _ANGLE_DENOM = 64
+_HALF = _ANGLE_DENOM // 2
 _MAX_ANGLE_TRIES = 200
 
 
-def realize_template(t: Template, seed: int):
-    """Realize a template as a verified all-angle OPS, or return Infeasible.
+def label_template(t: Template, seed: int):
+    """Angle numerators of the realization of a template, or Infeasible.
 
-    Deterministic for a given (template, seed).  The witness graph of the
-    result contains every chosen witness of the template.
+    Returns a grid with one row per member and one integer per party: the
+    member's local at that party is the angle state a / 64.  Members share a
+    numerator exactly when their locals are phase-equal, and are orthogonal
+    at a party exactly when their numerators differ by 32.  Deterministic
+    for a given (template, seed).
     """
     rng = random.Random(seed)
-    locals_grid = [[None] * t.parties for _ in range(t.size)]
+    grid = [[0] * t.parties for _ in range(t.size)]
     for p in range(t.parties):
         comps = _two_color(t.size, t.party_edges(p))
         if comps is None:
             return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
         used = set()
         for comp, colors in comps:
-            q = _fresh_angle(rng, used)
-            if q is None:
+            a = _fresh_angle(rng, used)
+            if a is None:
                 return Infeasible(reason=f"party {p} ran out of non-colliding angles")
-            used.add(q)
-            used.add((q + Fraction(1, 2)) % 1)
-            qp = (q + Fraction(1, 2)) % 1
+            perp = (a + _HALF) % _ANGLE_DENOM
+            used.add(a)
+            used.add(perp)
             for m in comp:
-                locals_grid[m][p] = LocalState.angle(q if colors[m] == 0 else qp)
-    members = [ProductVector(row) for row in locals_grid]
+                grid[m][p] = a if colors[m] == 0 else perp
+    return grid
+
+
+def _fresh_angle(rng: random.Random, used) -> Optional[int]:
+    for _ in range(_MAX_ANGLE_TRIES):
+        a = rng.randrange(_ANGLE_DENOM)
+        if a not in used:
+            return a
+    return None
+
+
+def _materialize(t: Template, grid):
+    """The verified all-angle OPS a label grid stands for.  Its witness
+    graph must contain every chosen witness of the template."""
+    members = [
+        ProductVector([LocalState.angle(Fraction(a, _ANGLE_DENOM)) for a in row])
+        for row in grid
+    ]
     s = build_product_set(members)
     for (i, j), p in t.witness_choice.items():
         if p not in s.witness_graph.parties_for(i, j):
@@ -130,12 +164,17 @@ def realize_template(t: Template, seed: int):
     return s
 
 
-def _fresh_angle(rng: random.Random, used) -> Optional[Fraction]:
-    for _ in range(_MAX_ANGLE_TRIES):
-        q = Fraction(rng.randrange(_ANGLE_DENOM), _ANGLE_DENOM)
-        if q not in used:
-            return q
-    return None
+def realize_template(t: Template, seed: int):
+    """Realize a template as a verified all-angle OPS, or return Infeasible.
+
+    Deterministic for a given (template, seed): the labels of
+    ``label_template``, materialized.  The witness graph of the result
+    contains every chosen witness of the template.
+    """
+    grid = label_template(t, seed)
+    if isinstance(grid, Infeasible):
+        return grid
+    return _materialize(t, grid)
 
 
 @dataclass(frozen=True)
@@ -156,16 +195,17 @@ class ScanReport:
 
 
 def _scan_unit(parties: int, size: int, seed: int, unit: int, balanced: bool):
-    """One deterministic work unit: sample, realize, decide."""
+    """One deterministic work unit: sample, label, decide; only an
+    unextendible draw is materialized."""
     rng = random.Random(seed + unit)
     t = sample_template(parties, size, rng, balanced=balanced)
-    realized = realize_template(t, seed=rng.randrange(1 << 30))
-    if isinstance(realized, Infeasible):
+    grid = label_template(t, seed=rng.randrange(1 << 30))
+    if isinstance(grid, Infeasible):
         return ("infeasible", None)
-    decision = extend_or_certify(realized)
-    if decision.extendible:
+    assignment, _ = covering_search(grid, class_masks(grid, parties), parties)
+    if assignment is not None:
         return ("extendible", None)
-    return ("upb", realized)
+    return ("upb", _materialize(t, grid))
 
 
 def scan(

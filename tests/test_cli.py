@@ -111,6 +111,18 @@ def test_min_size(capsys):
     assert "16" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["min-size", "0"], ["theta", "0"], ["theta", "-1", "1"]],
+    ids=["min-size", "theta", "theta-size"],
+)
+def test_zero_qubit_request_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need at least one qubit" in captured.err
+
+
 def test_search_reports(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(
@@ -145,6 +157,22 @@ def test_search_rejects_invalid_request(request_args, capsys):
 def test_range_scan(tmp_path, rho_file, capsys):
     assert main(["range-scan", rho_file, "--seed", "1"]) == 0
     assert "found" in capsys.readouterr().out
+
+
+def test_range_scan_rejects_negative_budget(tmp_path, capsys):
+    from upblab.entangle import range_product_scan
+    from upblab.states import pure_density
+
+    # the Bell projector takes the heuristic branch, where the budget counts
+    bell = pure_density([1, 0, 0, 1], (2, 2))
+    with pytest.raises(ValueError):
+        range_product_scan(bell, budget=-3)
+    p = tmp_path / "bell.json"
+    save(p, bell)
+    assert main(["range-scan", str(p), "--budget", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid range-scan request" in captured.err
 
 
 def test_fixture_command(tmp_path, capsys):

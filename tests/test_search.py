@@ -1,10 +1,15 @@
+import hashlib
 import random
 
+import pytest
+
+from upblab import search
 from upblab.catalog import canonical_json, scan_report_to_doc
-from upblab.product import extend_or_certify
+from upblab.product import class_masks, covering_search, extend_or_certify
 from upblab.search import (
     Infeasible,
     Template,
+    label_template,
     realize_template,
     sample_template,
     scan,
@@ -106,3 +111,76 @@ def test_balanced_sampling_respects_choice_count():
     assert len(t.witness_choice) == 15
     counts = [len(t.party_edges(p)) for p in range(4)]
     assert max(counts) - min(counts) <= 1
+
+
+def test_label_decision_agrees_with_the_realized_set():
+    # The scan decides each draw on its angle numerators; the decision and
+    # its branch count must be those of the exact realized set.
+    shapes = [(3, 4), (3, 5), (4, 6), (4, 8), (5, 6), (4, 11)]
+    rng = random.Random(2024)
+    feasible = unextendible = 0
+    for parties, size in shapes:
+        for balanced in (False, True):
+            for _ in range(200):
+                t = sample_template(parties, size, rng, balanced=balanced)
+                seed = rng.randrange(1 << 30)
+                grid = label_template(t, seed)
+                realized = realize_template(t, seed)
+                if isinstance(grid, Infeasible):
+                    assert realized == grid
+                    continue
+                feasible += 1
+                # numerators are exactly the phase classes at every party
+                keys = [[l.phase_key() for l in m.locals] for m in realized.members]
+                for by_label, by_key in zip(
+                    class_masks(grid, parties), class_masks(keys, parties)
+                ):
+                    assert sorted(by_label.values()) == sorted(by_key.values())
+                assignment, branches = covering_search(
+                    grid, class_masks(grid, parties), parties
+                )
+                decision = extend_or_certify(realized)
+                assert (assignment is not None) == decision.extendible
+                assert branches == decision.branches_explored
+                unextendible += assignment is None
+    assert feasible >= 800
+    assert unextendible > 0
+
+
+# Canonical reports recorded before the scan decided draws on labels.
+_PINNED_SCANS = [
+    ((3, 4, 1000, 7), (601, 594, 7), "46f03194dd5c1fc8d9fed0fa75e606316937999865c60c94920b8e2bc460dc41"),
+    ((4, 6, 300, 5), (80, 80, 0), "a032270296e327e5bef2438fc982cc45757f0129f249f905ae95c1997a8e816f"),
+]
+
+
+@pytest.mark.parametrize("args, counts, digest", _PINNED_SCANS, ids=["3q-size4", "4q-size6"])
+def test_scan_reports_are_pinned(args, counts, digest):
+    rep = scan(*args)
+    assert (rep.feasible, rep.extendible, len(rep.upbs_found)) == counts
+    text = canonical_json(scan_report_to_doc(rep))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_scan_materializes_only_its_hits(monkeypatch):
+    counts = {"build_product_set": 0, "extend_or_certify": 0}
+
+    def counting(name):
+        original = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(search, name, counting(name))
+    rep = scan(5, 6, 200, seed=3)
+    assert rep.feasible > 0 and not rep.upbs_found
+    assert counts == {"build_product_set": 0, "extend_or_certify": 0}
+    rep = scan(3, 4, 1000, seed=7)
+    hits = len(rep.upbs_found)
+    assert hits > 0
+    # one materialization and one re-check per reported UPB
+    assert counts == {"build_product_set": hits, "extend_or_certify": hits}
