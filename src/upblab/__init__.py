@@ -3,7 +3,8 @@ product bases and the PPT states built from them.
 
 All core decisions (orthogonality, rank, positivity, extendibility) are
 made over the complex rationals with no tolerances.  Floating point only
-appears in explicitly flagged heuristics and cross-checks.
+appears in the range scanner's flagged heuristic branch and in the float
+views (``ExactMatrix.to_numpy``) that tests use as cross-checks.
 """
 
 from .blocks import BipartitePair, BlockSpec, opb_from_blocks, opb_to_blocks
@@ -44,8 +45,8 @@ from .product import (
     tensor_upb_opb,
     verify_ops,
 )
-from .qubits import LocalState, local_equal_up_to_phase, local_inner, local_perp
-from .scalars import ApproxScalar, ComplexRational
+from .qubits import LocalState, local_equal_up_to_phase, local_perp
+from .scalars import ComplexRational
 from .search import ScanReport, Template, realize_template, sample_template, scan
 from .states import (
     BirankRecord,

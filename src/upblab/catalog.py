@@ -13,10 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .blocks import BipartitePair, BlockSpec, validate_block_spec
-from .errors import ParseError, SchemaVersionMismatchError, UnknownFixtureError
+from .errors import (
+    ParseError,
+    SchemaVersionMismatchError,
+    UnknownFixtureError,
+    VerificationError,
+)
 from .linalg import ExactMatrix, annihilates, cleared
 from .product import (
     ProductSet,
@@ -272,11 +278,32 @@ def _parse_local(obj, where: str) -> LocalState:
         pair = obj["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError("pair must hold two complex entries", where)
-        return LocalState.pair(
-            _parse_cx(pair[0], where + ".pair[0]"),
-            _parse_cx(pair[1], where + ".pair[1]"),
-        )
+        a = _parse_cx(pair[0], where + ".pair[0]")
+        b = _parse_cx(pair[1], where + ".pair[1]")
+        if a.is_zero() and b.is_zero():
+            raise ParseError("local state must be nonzero", where + ".pair")
+        return LocalState.pair(a, b)
     raise ParseError("local state needs 'angle' or 'pair'", where)
+
+
+def _parse_list(obj, where: str, length) -> list:
+    """``obj`` if it is a list (of ``length`` entries unless that is None)."""
+    if not isinstance(obj, list):
+        raise ParseError(f"expected a list, got {obj!r}", where)
+    if length is not None and len(obj) != length:
+        raise ParseError(f"expected {length} entries, got {len(obj)}", where)
+    return obj
+
+
+def _parse_int(obj, where: str, least: int) -> int:
+    if not isinstance(obj, int) or obj < least:
+        raise ParseError(f"expected an integer >= {least}, got {obj!r}", where)
+    return obj
+
+
+def witness_map(graph) -> dict:
+    """The witness graph as stored in documents: "i,j" -> sorted parties."""
+    return {f"{i},{j}": sorted(ws) for (i, j), ws in sorted(graph.witnesses.items())}
 
 
 def product_set_to_doc(s: ProductSet) -> dict:
@@ -287,41 +314,27 @@ def product_set_to_doc(s: ProductSet) -> dict:
         "members": [[_local_obj(l) for l in m.locals] for m in s.members],
     }
     if s.verified and s.witness_graph is not None:
-        doc["witnesses"] = {
-            f"{i},{j}": sorted(ws)
-            for (i, j), ws in sorted(s.witness_graph.witnesses.items())
-        }
+        doc["witnesses"] = witness_map(s.witness_graph)
     return doc
 
 
-def product_set_members_from_doc(doc: dict) -> list:
-    """Parse the members only, without running verification."""
-    parties = doc.get("parties")
-    members_obj = doc.get("members")
-    if not isinstance(members_obj, list):
-        raise ParseError("members must be a list", "members")
-    members = []
-    for i, row in enumerate(members_obj):
-        if not isinstance(row, list) or len(row) != parties:
-            raise ParseError(f"member {i} must list {parties} locals", f"members[{i}]")
-        members.append(
-            ProductVector(
-                [_parse_local(l, f"members[{i}][{p}]") for p, l in enumerate(row)]
-            )
-        )
-    return members
-
-
 def product_set_from_doc(doc: dict) -> ProductSet:
-    s = build_product_set(product_set_members_from_doc(doc))
+    parties = _parse_int(doc.get("parties"), "parties", 1)
+    members_obj = _parse_list(doc.get("members"), "members", None)
+    if not members_obj:
+        raise ParseError("a product set needs at least one member", "members")
+    s = build_product_set(
+        ProductVector(
+            [
+                _parse_local(l, f"members[{i}][{p}]")
+                for p, l in enumerate(_parse_list(row, f"members[{i}]", parties))
+            ]
+        )
+        for i, row in enumerate(members_obj)
+    )
     stored = doc.get("witnesses")
-    if stored is not None:
-        mine = {
-            f"{i},{j}": sorted(ws)
-            for (i, j), ws in sorted(s.witness_graph.witnesses.items())
-        }
-        if mine != stored:
-            raise ParseError("stored witness data disagrees with verification", "witnesses")
+    if stored is not None and witness_map(s.witness_graph) != stored:
+        raise ParseError("stored witness data disagrees with verification", "witnesses")
     return s
 
 
@@ -342,24 +355,27 @@ def density_to_doc(d: DensityOp) -> dict:
 
 
 def density_from_doc(doc: dict) -> DensityOp:
-    dims = doc.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(x, int) and x >= 1 for x in dims):
-        raise ParseError("dims must be a list of positive integers", "dims")
-    rows = doc.get("matrix")
-    dim = 1
-    for x in dims:
-        dim *= x
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ParseError(f"matrix must have {dim} rows", "matrix")
+    dims = [
+        _parse_int(x, f"dims[{p}]", 1)
+        for p, x in enumerate(_parse_list(doc.get("dims"), "dims", None))
+    ]
+    dim = prod(dims)
     entries = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"row {i} must have {dim} entries", f"matrix[{i}]")
-        entries.extend(_parse_cx(x, f"matrix[{i}][{j}]") for j, x in enumerate(row))
+    for i, row in enumerate(_parse_list(doc.get("matrix"), "matrix", dim)):
+        entries.extend(
+            _parse_cx(x, f"matrix[{i}][{j}]")
+            for j, x in enumerate(_parse_list(row, f"matrix[{i}]", dim))
+        )
     m = ExactMatrix(dim, dim, entries)
     kernel = None
     if "kernel_product_set" in doc:
-        kernel = product_set_from_doc(doc["kernel_product_set"])
+        kernel_doc = doc["kernel_product_set"]
+        if not isinstance(kernel_doc, dict):
+            raise ParseError("expected a product set object", "kernel_product_set")
+        try:
+            kernel = product_set_from_doc(kernel_doc)
+        except VerificationError as exc:
+            raise ParseError(f"not an OPS ({exc})", "kernel_product_set") from None
         cleared_rows = [cleared(m.row(i)) for i in range(dim)]
         for i, member in enumerate(kernel.members):
             if not annihilates(cleared_rows, member.cleared_flatten()):
@@ -387,20 +403,18 @@ def bipartite_opb_to_doc(members) -> dict:
 
 
 def bipartite_opb_from_doc(doc: dict) -> list:
-    members_obj = doc.get("members")
-    if not isinstance(members_obj, list):
-        raise ParseError("members must be a list", "members")
+    side2_dim = _parse_int(doc.get("side2_dim"), "side2_dim", 0)
+    members_obj = _parse_list(doc.get("members"), "members", None)
     out = []
     for i, obj in enumerate(members_obj):
         where = f"members[{i}]"
         if not isinstance(obj, dict) or "qubit" not in obj or "tail" not in obj:
             raise ParseError("member needs 'qubit' and 'tail'", where)
+        tail = _parse_list(obj["tail"], where + ".tail", side2_dim)
         out.append(
             BipartitePair(
                 qubit=_parse_local(obj["qubit"], where + ".qubit"),
-                tail=tuple(
-                    _parse_cx(x, f"{where}.tail[{k}]") for k, x in enumerate(obj["tail"])
-                ),
+                tail=tuple(_parse_cx(x, f"{where}.tail[{k}]") for k, x in enumerate(tail)),
             )
         )
     return out
@@ -420,26 +434,27 @@ def block_spec_to_doc(spec: BlockSpec) -> dict:
 
 def block_spec_from_doc(doc: dict) -> BlockSpec:
     def parse_bases(key):
-        raw = doc.get(key)
-        if not isinstance(raw, list):
-            raise ParseError(f"{key} must be a list", key)
-        out = []
-        for j, basis in enumerate(raw):
-            out.append(
+        return tuple(
+            tuple(
                 tuple(
-                    tuple(_parse_cx(x, f"{key}[{j}][{i}][{k}]") for k, x in enumerate(vec))
-                    for i, vec in enumerate(basis)
+                    _parse_cx(x, f"{key}[{j}][{i}][{k}]")
+                    for k, x in enumerate(_parse_list(vec, f"{key}[{j}][{i}]", None))
                 )
+                for i, vec in enumerate(_parse_list(basis, f"{key}[{j}]", None))
             )
-        return tuple(out)
+            for j, basis in enumerate(_parse_list(doc.get(key), key, None))
+        )
 
     spec = BlockSpec(
-        side2_dim=doc.get("side2_dim", 0),
+        side2_dim=_parse_int(doc.get("side2_dim"), "side2_dim", 0),
         qubit_bases=tuple(
             _parse_local(v, f"qubit_bases[{j}]")
-            for j, v in enumerate(doc.get("qubit_bases", []))
+            for j, v in enumerate(_parse_list(doc.get("qubit_bases"), "qubit_bases", None))
         ),
-        block_dims=tuple(doc.get("block_dims", [])),
+        block_dims=tuple(
+            _parse_int(k, f"block_dims[{j}]", 0)
+            for j, k in enumerate(_parse_list(doc.get("block_dims"), "block_dims", None))
+        ),
         x_bases=parse_bases("x_bases"),
         y_bases=parse_bases("y_bases"),
     )
@@ -503,19 +518,15 @@ def save(path, obj) -> None:
         fh.write(canonical_json(doc))
 
 
-def read_doc(path):
-    """Parse a JSON file; malformed JSON or text that is not UTF-8 raises
-    ParseError."""
+def load(path):
+    """Load a document and rebuild the exactly verified object; malformed
+    JSON or text that is not UTF-8 raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}", str(path)) from None
-
-
-def load(path):
-    """Load a document and rebuild the exactly verified object."""
-    return from_doc(read_doc(path))
+    return from_doc(doc)
 
 
 def from_doc(doc: dict):

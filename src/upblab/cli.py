@@ -24,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .blocks import opb_from_blocks, opb_to_blocks
-from .product import ProductSet, build_product_set, extend_or_certify, is_proper
+from .product import ProductSet, extend_or_certify, is_proper
 from .search import scan
 from .states import (
     DensityOp,
@@ -77,14 +77,8 @@ def _mask_label(mask) -> str:
 
 
 def cmd_verify(args) -> int:
-    doc = catalog.read_doc(args.file)
-    if not isinstance(doc, dict) or doc.get("kind") != "product_set":
-        raise _Exit(2, f"{args.file} does not hold a product set")
-    if doc.get("schema_version") != catalog.SCHEMA_VERSION:
-        raise _Exit(2, f"unsupported schema_version in {args.file}")
-    members = catalog.product_set_members_from_doc(doc)
     try:
-        s = build_product_set(members)
+        s = catalog.load(args.file)
     except VerificationError as exc:
         report = {
             "command": "verify",
@@ -94,16 +88,15 @@ def cmd_verify(args) -> int:
         }
         _emit(args, report, [f"refuted: {exc}"])
         return 1
+    if not isinstance(s, ProductSet):
+        raise _Exit(2, f"{args.file} does not hold a product set")
     lines = [f"verified OPS: {len(s.members)} members on {s.parties} parties"]
     report = {
         "command": "verify",
         "verdict": "ops",
         "members": len(s.members),
         "parties": s.parties,
-        "witnesses": {
-            f"{i},{j}": sorted(ws)
-            for (i, j), ws in sorted(s.witness_graph.witnesses.items())
-        },
+        "witnesses": catalog.witness_map(s.witness_graph),
     }
     _emit(args, report, lines)
     return 0

@@ -23,13 +23,13 @@ from .errors import (
     DegenerateSplitError,
     NotPsdError,
     NotRankTwoError,
+    VerificationError,
 )
 from .linalg import (
     ExactMatrix,
     annihilates,
     as_vector,
     cleared,
-    inner,
     kron_vec,
     matrix_rank,
     nullspace_basis,
@@ -45,6 +45,11 @@ from .product import (
 from .qubits import LocalState
 from .scalars import CQ0, CQ1, ComplexRational
 from .states import DensityOp, party_offsets
+
+# Heuristic range scan: alternating-maximization sweeps per restart, and the
+# denominator bound used to snap a near-hit to exact rationals.
+_SWEEPS = 500
+_MAX_DEN = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,52 +72,24 @@ class RangeScanResult:
     seed: Optional[int] = None
 
 
-def _vector_factors_qubits(v, n) -> Optional[list]:
-    """Factor a 2^n vector into n qubit locals, exactly, or return None.
-
-    Peels one party at a time: the party-vs-rest flattening must have rank
-    one, in which case the local is read off a nonzero row/column.
-    """
-    vec = list(v)
-    locals_out = []
-    length = len(vec)
-    for _ in range(n - 1):
-        half = length // 2
-        top = vec[:half]
-        bot = vec[half:]
-        # rank-1 condition of the 2 x half flattening: top and bot parallel
-        top_zero = all(x.is_zero() for x in top)
-        bot_zero = all(x.is_zero() for x in bot)
-        if top_zero and bot_zero:
-            return None
-        if top_zero:
-            locals_out.append(LocalState.ket(1))
-            vec = bot
-        elif bot_zero:
-            locals_out.append(LocalState.ket(0))
-            vec = top
-        else:
-            k = next(i for i, x in enumerate(top) if not x.is_zero())
-            if bot[k].is_zero():
-                return None
-            ratio = bot[k] / top[k]
-            for a, b in zip(top, bot):
-                if b != ratio * a:
-                    return None
-            locals_out.append(LocalState.pair(CQ1, ratio))
-            vec = top
-        length = half
-    a, b = vec
-    if a.is_zero() and b.is_zero():
-        return None
-    locals_out.append(LocalState.pair(a, b))
-    return locals_out
-
-
 def product_vector_from_flat(v, n: int) -> Optional[ProductVector]:
-    """Exact product factorization of a 2^n coordinate vector, or None."""
-    locs = _vector_factors_qubits(as_vector(v), n)
-    return ProductVector(locs) if locs else None
+    """Exact product factorization of a 2^n coordinate vector, or None.
+
+    Peels one party at a time with the rank-one split of its party-vs-rest
+    flattening; the last 2-vector is the final local.
+    """
+    row = as_vector(v)
+    locals_out = []
+    for k in range(n - 1, 0, -1):
+        split = _rank1_split(ExactMatrix(2, 2 ** k, row))
+        if split is None:
+            return None
+        col, row = split
+        locals_out.append(LocalState.pair(*col))
+    if all(x.is_zero() for x in row):
+        return None
+    locals_out.append(LocalState.pair(*row))
+    return ProductVector(locals_out)
 
 
 def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
@@ -140,16 +117,13 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
         if pv is None:
             return None
         members.append(pv)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not inner(members[i].flatten(), members[j].flatten()).is_zero():
-                return None
-    return build_product_set(members)
+    try:
+        return build_product_set(members)
+    except VerificationError:
+        return None
 
 
-def range_product_scan(
-    d: DensityOp, budget: int = 64, seed: int = 0, sweeps: int = 500
-) -> RangeScanResult:
+def range_product_scan(d: DensityOp, budget: int = 64, seed: int = 0) -> RangeScanResult:
     """Search for a nonzero product vector in the range of a PSD operator.
 
     ``budget`` counts random restarts of the heuristic branch; ``seed``
@@ -179,10 +153,10 @@ def range_product_scan(
             return RangeScanResult(
                 verdict="none_certified", certificate=decision, seed=seed
             )
-    return _heuristic_scan(d, budget, seed, sweeps)
+    return _heuristic_scan(d, budget, seed)
 
 
-def _heuristic_scan(d: DensityOp, budget: int, seed: int, sweeps: int) -> RangeScanResult:
+def _heuristic_scan(d: DensityOp, budget: int, seed: int) -> RangeScanResult:
     import numpy as np
 
     if set(d.dims) != {2}:
@@ -205,7 +179,7 @@ def _heuristic_scan(d: DensityOp, budget: int, seed: int, sweeps: int) -> RangeS
         locs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)]
         locs = [l / np.linalg.norm(l) for l in locs]
         prev = -1.0
-        for _ in range(sweeps):
+        for _ in range(_SWEEPS):
             total_sweeps += 1
             for j in range(n):
                 # M_j[a,b] = <z with e_a at j | proj | z with e_b at j>
@@ -249,7 +223,7 @@ def _heuristic_scan(d: DensityOp, budget: int, seed: int, sweeps: int) -> RangeS
     )
 
 
-def _rationalize_product(locs, max_den: int = 1 << 20) -> Optional[ProductVector]:
+def _rationalize_product(locs) -> Optional[ProductVector]:
     """Snap float locals to rationals on a denominator grid."""
     import numpy as np
 
@@ -259,12 +233,12 @@ def _rationalize_product(locs, max_den: int = 1 << 20) -> Optional[ProductVector
         k = int(np.argmax(np.abs(l)))
         l = l / l[k]
         a = ComplexRational(
-            Fraction(float(np.real(l[0]))).limit_denominator(max_den),
-            Fraction(float(np.imag(l[0]))).limit_denominator(max_den),
+            Fraction(float(np.real(l[0]))).limit_denominator(_MAX_DEN),
+            Fraction(float(np.imag(l[0]))).limit_denominator(_MAX_DEN),
         )
         b = ComplexRational(
-            Fraction(float(np.real(l[1]))).limit_denominator(max_den),
-            Fraction(float(np.imag(l[1]))).limit_denominator(max_den),
+            Fraction(float(np.real(l[1]))).limit_denominator(_MAX_DEN),
+            Fraction(float(np.imag(l[1]))).limit_denominator(_MAX_DEN),
         )
         if a.is_zero() and b.is_zero():
             return None

@@ -9,23 +9,19 @@ Two representations are supported:
 
 Equality is always judged up to a global phase; for a qubit this makes the
 perpendicular state unique.
+
+The module offers exact decisions only: ``orthogonal_exact``,
+``local_equal_up_to_phase``, ``local_perp`` and ``LocalState.phase_key``.
+A generic angle (q not in {0, 1/2}) has no rational coordinates, so
+comparing it with a pair state raises instead of falling back to floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, pi
 
 from .errors import ApproximateComparisonError, MixedRepresentationError
-from .scalars import CQ0, CQ1, ApproxScalar, ComplexRational
-
-# cos(pi*d) is rational only at these d in [0,1)  (Niven's theorem)
-_RATIONAL_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 3): Fraction(1, 2),
-    Fraction(1, 2): Fraction(0),
-    Fraction(2, 3): Fraction(-1, 2),
-}
+from .scalars import CQ0, CQ1, ComplexRational
 
 
 class LocalState:
@@ -82,12 +78,6 @@ class LocalState:
             f"angle state q={self.q} has no exact coordinates"
         )
 
-    def vec2_float(self) -> tuple[complex, complex]:
-        if self.kind == "pair":
-            return (self.a.to_complex(), self.b.to_complex())
-        th = pi * float(self.q)
-        return (complex(cos(th)), complex(cos(th - pi / 2)))
-
     def phase_key(self):
         """Canonical key: equal keys exactly when equal up to phase.
 
@@ -128,32 +118,6 @@ PLUS = LocalState.pair(1, 1)
 MINUS = LocalState.pair(1, -1)
 
 
-def local_inner(u: LocalState, v: LocalState):
-    """<u|v>: exact for pair x pair; exact where possible for angles.
-
-    Angle x angle inner products are cos(pi (q_v - q_u)); the value is
-    returned exactly on the rational-cosine set and as a flagged
-    ApproxScalar elsewhere (the zero test is exact either way).  Mixed
-    representations go through exact coordinates when the angle is 0 or
-    1/2 and degrade to an ApproxScalar otherwise.
-    """
-    if u.kind == "pair" and v.kind == "pair":
-        return u.a.conjugate() * v.a + u.b.conjugate() * v.b
-    if u.kind == "angle" and v.kind == "angle":
-        d = (v.q - u.q) % 1
-        val = _RATIONAL_COS.get(d)
-        if val is not None:
-            return ComplexRational(val)
-        return ApproxScalar(cos(pi * float(d)))
-    if u.convertible() and v.convertible():
-        ua, ub = u.vec2()
-        va, vb = v.vec2()
-        return ua.conjugate() * va + ub.conjugate() * vb
-    ua, ub = u.vec2_float()
-    va, vb = v.vec2_float()
-    return ApproxScalar(ua.conjugate() * va + ub.conjugate() * vb)
-
-
 def orthogonal_exact(u: LocalState, v: LocalState) -> bool:
     """Exact zero test of <u|v>; raises when only a float answer exists."""
     if u.kind == "angle" and v.kind == "angle":
@@ -165,18 +129,6 @@ def orthogonal_exact(u: LocalState, v: LocalState) -> bool:
     raise ApproximateComparisonError(
         "orthogonality of mixed representations is not exactly decidable"
     )
-
-
-def approx_orthogonal(u: LocalState, v: LocalState, tol: float = 1e-12) -> bool:
-    """Float orthogonality test at a configurable tolerance.
-
-    The escape hatch for mixed representations with no exact decision;
-    certificate-producing code never calls this.
-    """
-    val = local_inner(u, v)
-    if isinstance(val, ApproxScalar):
-        return abs(val.value) <= tol
-    return val.is_zero()
 
 
 def local_perp(v: LocalState) -> LocalState:

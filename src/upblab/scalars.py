@@ -222,25 +222,6 @@ CQ0 = ComplexRational(0)
 CQ1 = ComplexRational(1)
 
 
-class ApproxScalar:
-    """A floating-point scalar flagged as approximate.
-
-    Returned where no exact value exists (e.g. inner products of generic
-    angle states).  Certificate-producing code must reject these.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: complex):
-        self.value = complex(value)
-
-    def __repr__(self):
-        return f"ApproxScalar({self.value})"
-
-    def is_zero(self) -> bool:
-        raise TypeError("approximate scalars carry no exact zero test")
-
-
 def rational_sqrt(x: Fraction):
     """Exact square root of a nonnegative rational, or None if irrational."""
     if x < 0:

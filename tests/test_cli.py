@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -47,6 +48,10 @@ def test_verify_ok_and_refuted(tmp_path, capsys):
     bad.write_text(json.dumps(bad_doc))
     assert main(["verify", str(bad)]) == 1
     assert "refuted" in capsys.readouterr().out
+    assert main(["verify", str(bad), "--json", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "not_ops"
+    assert report["offending_pair"] == [0, 3]
 
 
 def test_ppt_accepts_and_refutes(tmp_path, rho_file, capsys):
@@ -267,3 +272,74 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, content):
     assert main([command, str(garbled)]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "invalid JSON" in err
+
+
+def _base_doc(name):
+    import random
+
+    from test_blocks import random_block_spec
+    from upblab.blocks import opb_from_blocks
+    from upblab.catalog import bipartite_opb_to_doc, block_spec_to_doc, density_to_doc
+
+    if name == "shifts":
+        return product_set_to_doc(fixture("shifts"))
+    if name == "empty":
+        return {"schema_version": 1, "kind": "product_set", "parties": 2, "members": []}
+    if name == "complement":
+        return density_to_doc(fixture("shifts_complement"))
+    spec = random_block_spec(random.Random(8), 3, 2)
+    if name == "spec":
+        return block_spec_to_doc(spec)
+    return bipartite_opb_to_doc(opb_from_blocks(spec))
+
+
+_ZERO_LOCAL = {"pair": [["0", "0"], ["0", "0"]]}
+
+# id -> (command, base document, edits as (key path, new value))
+_MALFORMED = {
+    "tampered-witness": ("verify", "shifts", [(("witnesses", "0,1"), [0, 1, 2])]),
+    "zero-local-verify": ("verify", "shifts", [(("members", 0, 0), _ZERO_LOCAL)]),
+    "zero-local-extend": ("extend", "shifts", [(("members", 0, 0), _ZERO_LOCAL)]),
+    "no-members-verify": ("verify", "empty", []),
+    "no-members-extend": ("extend", "empty", []),
+    "string-parties": ("verify", "empty", [(("parties",), "2")]),
+    "int-qubit-bases": ("gen-opb", "spec", [(("qubit_bases",), 5)]),
+    "string-block-dim": ("gen-opb", "spec", [(("block_dims", 0), "1")]),
+    "string-side2-dim": ("gen-opb", "spec", [(("side2_dim",), "3")]),
+    "int-tail": ("decompose-opb", "opb", [(("members", 0, "tail"), 5)]),
+    # a density operator whose embedded kernel set is malformed is not a
+    # refuted product set
+    "kernel-not-ops": (
+        "extend",
+        "complement",
+        [(("kernel_product_set", "members", 1), [{"angle": "0"}] * 3)],
+    ),
+    "int-kernel-set": ("rank", "complement", [(("kernel_product_set",), 5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_exits_two(tmp_path, case):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    command, base, edits = _MALFORMED[case]
+    doc = _base_doc(base)
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "upblab.cli", command, str(p)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert "parse error" in out.stderr
+    assert "Traceback" not in out.stderr

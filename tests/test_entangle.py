@@ -20,6 +20,7 @@ from upblab.linalg import (
     as_vector,
     kron_vec,
     matrix_rank,
+    nullspace_basis,
     outer,
     solve_consistent,
 )
@@ -28,7 +29,13 @@ from upblab.qubits import LocalState
 from upblab.scalars import ComplexRational
 from upblab.states import complement_projector, density_from_matrix
 
-from oracles import flattening_entrywise, rand_vector, random_grouped_tensor
+from oracles import (
+    flattening_entrywise,
+    rand_local,
+    rand_scalar,
+    rand_vector,
+    random_grouped_tensor,
+)
 
 CQ = ComplexRational
 
@@ -94,6 +101,75 @@ def test_product_vector_from_flat():
     for a, b in zip(rebuilt.locals, v.locals):
         assert local_equal_up_to_phase(a, b)
     assert product_vector_from_flat(_flat(1, 0, 0, 1), 2) is None
+
+
+def _rand_local_with_zeros(rng):
+    # one local in three has a zero coordinate
+    r = rng.randrange(3)
+    if r == 0:
+        return LocalState.pair(0, rand_vector(rng, 1)[0])
+    if r == 1:
+        return LocalState.pair(rand_vector(rng, 1)[0], 0)
+    return rand_local(rng)
+
+
+def test_product_vector_from_flat_round_trips_exactly():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        v = ProductVector([_rand_local_with_zeros(rng) for _ in range(n)]).flatten()
+        pv = product_vector_from_flat(v, n)
+        assert pv is not None and pv.parties == n
+        assert pv.flatten() == v
+
+
+def test_product_vector_from_flat_agrees_with_flattening_ranks():
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        dims = (2,) * n
+        v = list(random_grouped_tensor(rng, dims))
+        if rng.random() < 0.3:
+            v[rng.randrange(len(v))] = rand_scalar(rng)
+        if all(x.is_zero() for x in v):
+            continue
+        entangled = any(
+            matrix_rank(flattening_entrywise(v, dims, {p})) > 1 for p in range(n)
+        )
+        pv = product_vector_from_flat(v, n)
+        assert (pv is None) == entangled
+        if pv is not None:
+            assert pv.flatten() == tuple(v)
+        verdicts.add(entangled)
+    assert verdicts == {True, False}
+
+
+def test_kernel_fallback_accepts_orthogonal_products():
+    # ker diag(1, 0, 0, 1) = span{|01>, |10>}: the rref basis is already an
+    # orthogonal product basis, so the exact branch decides
+    diag = ExactMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    d = density_from_matrix((2, 2), diag)
+    assert d.kernel_product_set is None
+    kernel = entangle._kernel_product_basis(d)
+    assert kernel is not None and kernel.verified
+    assert {m.flatten() for m in kernel.members} == {_flat(0, 1, 0, 0), _flat(0, 0, 1, 0)}
+    res = range_product_scan(d)
+    assert res.verdict == "found"
+    assert res.iterations == 0
+    assert solve_consistent(d.matrix, res.witness.flatten()) is not None
+
+
+def test_kernel_fallback_rejects_non_orthogonal_products():
+    # range span{(1, -1, -1, 0), e_3}: the rref kernel basis (1, 1, 0, 0) =
+    # |0>(|0>+|1>) and (1, 0, 1, 0) = (|0>+|1>)|0> is product but not
+    # orthogonal, so no product basis is in reach
+    u, e3 = _flat(1, -1, -1, 0), _flat(0, 0, 0, 1)
+    d = density_from_matrix((2, 2), outer(u, u) + outer(e3, e3))
+    basis = nullspace_basis(d.matrix)
+    assert [tuple(b) for b in basis] == [_flat(1, 1, 0, 0), _flat(1, 0, 1, 0)]
+    assert all(product_vector_from_flat(b, 2) is not None for b in basis)
+    assert entangle._kernel_product_basis(d) is None
 
 
 def test_schmidt_rank_examples():

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upblab.errors import MixedRepresentationError
+from upblab.errors import ApproximateComparisonError, MixedRepresentationError
 from upblab.qubits import (
     LocalState,
     local_equal_up_to_phase,
-    local_inner,
     local_perp,
     orthogonal_exact,
 )
-from upblab.scalars import ApproxScalar, ComplexRational
+from upblab.scalars import ComplexRational
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -32,37 +31,27 @@ angle_states = st.builds(
 
 
 def test_inner_basis():
-    assert local_inner(LocalState.ket(0), LocalState.ket(1)) == 0
+    assert orthogonal_exact(LocalState.ket(0), LocalState.ket(1))
 
 
 def test_inner_angles():
-    assert local_inner(LocalState.angle(0), LocalState.angle(Fraction(1, 2))) == 0
+    assert orthogonal_exact(LocalState.angle(0), LocalState.angle(Fraction(1, 2)))
 
 
 def test_inner_plus_minus():
-    assert local_inner(LocalState.pair(1, 1), LocalState.pair(1, -1)) == 0
-
-
-def test_inner_rational_cosines():
-    v = local_inner(LocalState.angle(0), LocalState.angle(Fraction(1, 3)))
-    assert v == ComplexRational(Fraction(1, 2))
-    v = local_inner(LocalState.angle(Fraction(1, 6)), LocalState.angle(Fraction(5, 6)))
-    assert v == ComplexRational(Fraction(-1, 2))
-
-
-def test_inner_generic_angle_is_flagged():
-    v = local_inner(LocalState.angle(0), LocalState.angle(Fraction(1, 5)))
-    assert isinstance(v, ApproxScalar)
+    assert orthogonal_exact(LocalState.pair(1, 1), LocalState.pair(1, -1))
 
 
 def test_inner_mixed_convertible():
-    v = local_inner(LocalState.ket(1), LocalState.angle(Fraction(1, 2)))
-    assert v == 1
+    # angle 1/2 converts exactly to |1>
+    assert not orthogonal_exact(LocalState.ket(1), LocalState.angle(Fraction(1, 2)))
+    assert orthogonal_exact(LocalState.ket(0), LocalState.angle(Fraction(1, 2)))
 
 
 def test_inner_mixed_generic_flagged():
-    v = local_inner(LocalState.ket(0), LocalState.angle(Fraction(1, 5)))
-    assert isinstance(v, ApproxScalar)
+    # a generic angle has no exact coordinates: no float fallback, a raise
+    with pytest.raises(ApproximateComparisonError):
+        orthogonal_exact(LocalState.ket(0), LocalState.angle(Fraction(1, 5)))
 
 
 def test_perp_examples():
@@ -85,19 +74,6 @@ def test_equal_up_to_phase_examples():
 def test_mixed_comparison_raises():
     with pytest.raises(MixedRepresentationError):
         local_equal_up_to_phase(LocalState.pair(1, 1), LocalState.angle(Fraction(1, 5)))
-
-
-def test_approx_orthogonal_escape_hatch():
-    from upblab.qubits import approx_orthogonal
-
-    # mixed representations with no exact decision fall back to floats
-    assert not approx_orthogonal(LocalState.pair(1, 0), LocalState.angle(Fraction(1, 8)))
-    # (1,1) is the angle-1/4 direction, so angle 3/4 is its perp
-    assert approx_orthogonal(LocalState.pair(1, 1), LocalState.angle(Fraction(3, 4)))
-    # exact path still decides exactly
-    assert approx_orthogonal(
-        LocalState.angle(Fraction(1, 8)), LocalState.angle(Fraction(5, 8))
-    )
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upblab.scalars import ApproxScalar, ComplexRational, complex_sqrt, rational_sqrt
+from upblab.scalars import ComplexRational, complex_sqrt, rational_sqrt
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -92,8 +92,3 @@ def test_complex_sqrt_of_squares(z):
     assert w is not None
     assert w == z or w == -z
 
-
-def test_approx_scalar_refuses_zero_test():
-    a = ApproxScalar(1e-16)
-    with pytest.raises(TypeError):
-        a.is_zero()
