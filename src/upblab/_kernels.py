@@ -149,7 +149,7 @@ def ldl_hermitian(rows, n):
       value     -- on failure, the negative value <w|M|w> as (num, den)
     """
     W = [list(r) for r in rows]
-    active = [True] * n
+    act = list(range(n))  # active indices, ascending
     order = []
     pivots = []
     steps = []
@@ -170,9 +170,7 @@ def ldl_hermitian(rows, n):
     while True:
         neg = -1
         pos = -1
-        for i in range(n):
-            if not active[i]:
-                continue
+        for i in act:
             di = W[i][i]
             if di[0] < 0:
                 neg = i
@@ -195,7 +193,6 @@ def ldl_hermitian(rows, n):
             }
         if pos < 0:
             # Active diagonal all zero: look for a nonzero off-diagonal.
-            act = [i for i in range(n) if active[i]]
             for a in range(len(act)):
                 for b in range(a + 1, len(act)):
                     i, j = act[a], act[b]
@@ -225,28 +222,32 @@ def ldl_hermitian(rows, n):
                 "value": None,
             }
         p = pos
+        act.remove(p)
         d = W[p][p]
         dnum, dden = d[0], d[2]
-        act = [i for i in range(n) if active[i] and i != p]
+        Wp = W[p]
         frow = []
         for k in act:
-            e = W[p][k]
+            e = Wp[k]
             if e[0] != 0 or e[1] != 0:
                 frow.append((k, cq_scale_rat(e, dden, dnum)))
-        fmap = dict(frow)
-        for i in act:
-            fi = fmap.get(i)
-            if fi is None:
-                continue
+        # Schur update over the nonzero multipliers only: an entry whose row
+        # or column multiplier is zero does not change.  Each updated entry
+        # W_ij - conj(f_i) d f_j is formed over one common denominator and
+        # reduced once.
+        fcols = [(j, fp, fq, fr) for j, (fp, fq, fr) in frow]
+        for i, (ap, aq, ar) in frow:
             # coef_i = conj(f_i) * d
-            coef = cq_make(fi[0] * dnum, -fi[1] * dnum, fi[2] * dden)
+            cp, cq, cr = cq_make(ap * dnum, -aq * dnum, ar * dden)
             Wi = W[i]
-            for j in act:
-                fj = fmap.get(j)
-                if fj is None:
-                    continue
-                Wi[j] = cq_sub(Wi[j], cq_mul(coef, fj))
+            for j, fp, fq, fr in fcols:
+                wp, wq, wr = Wi[j]
+                den = cr * fr
+                x = wp * den - wr * (cp * fp - cq * fq)
+                y = wq * den - wr * (cp * fq + cq * fp)
+                z = wr * den
+                g = gcd(x, y, z)
+                Wi[j] = (x // g, y // g, z // g) if g > 1 else (x, y, z)
         steps.append((p, frow))
         order.append(p)
         pivots.append((dnum, dden))
-        active[p] = False

@@ -23,7 +23,7 @@ from .errors import (
     UnknownFixtureError,
     VerificationError,
 )
-from .linalg import ExactMatrix, annihilates, cleared
+from .linalg import ExactMatrix, annihilates, sparse_cleared_rows
 from .product import (
     ProductSet,
     ProductVector,
@@ -376,9 +376,9 @@ def density_from_doc(doc: dict) -> DensityOp:
             kernel = product_set_from_doc(kernel_doc)
         except VerificationError as exc:
             raise ParseError(f"not an OPS ({exc})", "kernel_product_set") from None
-        cleared_rows = [cleared(m.row(i)) for i in range(dim)]
+        rows = sparse_cleared_rows(m)
         for i, member in enumerate(kernel.members):
-            if not annihilates(cleared_rows, member.cleared_flatten()):
+            if not annihilates(rows, member.cleared_flatten()):
                 raise ParseError(
                     f"member {i} is not annihilated by the matrix",
                     "kernel_product_set",

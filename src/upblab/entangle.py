@@ -29,11 +29,11 @@ from .linalg import (
     ExactMatrix,
     annihilates,
     as_vector,
-    cleared,
     kron_vec,
     matrix_rank,
     nullspace_basis,
     solve_consistent,
+    sparse_cleared_rows,
 )
 from .product import (
     ExtendDecision,
@@ -103,7 +103,7 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
     if d.kernel_product_set is not None:
         s = d.kernel_product_set
         if len(s.members) == nullity and s.verified:
-            rows = [cleared(d.matrix.row(i)) for i in range(d.dim)]
+            rows = sparse_cleared_rows(d.matrix)
             if all(annihilates(rows, m.cleared_flatten()) for m in s.members):
                 return s
     if nullity == 0:

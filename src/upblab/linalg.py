@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -57,16 +56,35 @@ def cleared(v: Sequence[ComplexRational]) -> tuple[list[int], list[int]]:
     return [p * (c // r) for p, _, r in ts], [q * (c // r) for _, q, r in ts]
 
 
-def annihilates(rows, x) -> bool:
-    """M x == 0, for M given by its rows and x, both as ``cleared`` (re, im)
-    parts.  A vector of another length is not in the kernel."""
+def sparse_cleared_rows(m: ExactMatrix) -> tuple[int, list]:
+    """m's column count and, per row, the nonzero entries of the row scaled
+    as by ``cleared``, as ``(column, re, im)`` integer triples.
+
+    This is the form ``annihilates`` takes; the zero entries, which cannot
+    change M x, are left out.
+    """
+    rows = []
+    for i in range(m.rows):
+        re, im = cleared(m.row(i))
+        rows.append([(j, a, b) for j, (a, b) in enumerate(zip(re, im)) if a or b])
+    return m.cols, rows
+
+
+def annihilates(sparse_rows, x) -> bool:
+    """M x == 0, for M given by ``sparse_cleared_rows`` and x as ``cleared``
+    (re, im) parts.  A vector of another length is not in the kernel."""
+    cols, rows = sparse_rows
     xr, xi = x
-    for ar, ai in rows:
-        if len(ar) != len(xr):
-            return False
-        if sum(map(mul, ar, xr)) != sum(map(mul, ai, xi)):
-            return False
-        if sum(map(mul, ar, xi)) + sum(map(mul, ai, xr)):
+    if len(xr) != cols:
+        return False
+    for row in rows:
+        re = im = 0
+        for j, a, b in row:
+            u = xr[j]
+            v = xi[j]
+            re += a * u - b * v
+            im += a * v + b * u
+        if re or im:
             return False
     return True
 

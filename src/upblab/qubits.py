@@ -113,19 +113,31 @@ class LocalState:
 
 
 KET0 = LocalState.ket(0)
-KET1 = LocalState.ket(1)
-PLUS = LocalState.pair(1, 1)
-MINUS = LocalState.pair(1, -1)
 
 
 def orthogonal_exact(u: LocalState, v: LocalState) -> bool:
-    """Exact zero test of <u|v>; raises when only a float answer exists."""
+    """Exact zero test of <u|v>; raises when only a float answer exists.
+
+    With ua = (p1 + q1 i)/r1, ub = (p2 + q2 i)/r2, va = (p3 + q3 i)/r3 and
+    vb = (p4 + q4 i)/r4, <u|v> = conj(ua) va + conj(ub) vb is zero iff
+    r2 r4 conj(p1 + q1 i)(p3 + q3 i) + r1 r3 conj(p2 + q2 i)(p4 + q4 i) is,
+    so the test runs on those integers alone.
+    """
     if u.kind == "angle" and v.kind == "angle":
         return (v.q - u.q) % 1 == Fraction(1, 2)
     if (u.kind == "pair" or u.convertible()) and (v.kind == "pair" or v.convertible()):
         ua, ub = u.vec2()
         va, vb = v.vec2()
-        return (ua.conjugate() * va + ub.conjugate() * vb).is_zero()
+        p1, q1, r1 = ua.t
+        p2, q2, r2 = ub.t
+        p3, q3, r3 = va.t
+        p4, q4, r4 = vb.t
+        s = r2 * r4
+        t = r1 * r3
+        return (
+            (p1 * p3 + q1 * q3) * s + (p2 * p4 + q2 * q4) * t == 0
+            and (p1 * q3 - q1 * p3) * s + (p2 * q4 - q2 * p4) * t == 0
+        )
     raise ApproximateComparisonError(
         "orthogonality of mixed representations is not exactly decidable"
     )

@@ -11,10 +11,17 @@ from fractions import Fraction
 from math import prod
 
 from upblab.linalg import ExactMatrix, as_vector, inner, projector
-from upblab.product import ProductSet, ProductVector, build_product_set, shifts_upb
+from upblab.product import (
+    ProductSet,
+    ProductVector,
+    build_product_set,
+    shifts_upb,
+    tensor_upb_opb,
+)
 from upblab.qubits import LocalState, local_perp
 from upblab.scalars import ComplexRational
 from upblab.search import Infeasible, realize_template, sample_template
+from upblab.states import DensityOp, complement_projector
 
 
 def oracle_extendible(s: ProductSet) -> bool:
@@ -132,6 +139,31 @@ def random_exact_ops(rng: random.Random, parties: int) -> ProductSet:
     return build_product_set(
         [ProductVector([bases[p][b] for p, b in enumerate(bits)]) for bits in chosen]
     )
+
+
+def rotated_complement(rng: random.Random, extra: int) -> DensityOp:
+    """The shifts UPB tensored with ``extra`` basis parties, parties
+    permuted and each party rotated by |0> -> (a, b), |1> -> (-conj b, conj a),
+    as the benchmark builds its inputs; returns the complement projector."""
+    base = tensor_upb_opb(shifts_upb(), extra)
+    n = 3 + extra
+    perm = list(range(n))
+    rng.shuffle(perm)
+    unitaries = []
+    for _ in range(n):
+        a = b = (0, 0)
+        while a == b == (0, 0):
+            a = (rng.randint(-3, 3), rng.randint(-3, 3))
+            b = (rng.randint(-3, 3), rng.randint(-3, 3))
+        unitaries.append((ComplexRational(*a), ComplexRational(*b)))
+    members = []
+    for m in base.members:
+        locs = []
+        for p, (a, b) in enumerate(unitaries):
+            x, y = m.locals[perm[p]].vec2()
+            locs.append(LocalState.pair(x * a - y * b.conjugate(), x * b + y * a.conjugate()))
+        members.append(ProductVector(locs))
+    return complement_projector(build_product_set(members))
 
 
 def complement_reference(s: ProductSet) -> ExactMatrix:

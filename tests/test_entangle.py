@@ -35,6 +35,7 @@ from oracles import (
     rand_scalar,
     rand_vector,
     random_grouped_tensor,
+    rotated_complement,
 )
 
 CQ = ComplexRational
@@ -396,3 +397,23 @@ def test_attached_kernel_set_is_revalidated():
     imaginary = build_product_set([ProductVector([LocalState.pair(CQ(0, 1), 0)])])
     d = density_from_matrix((2,), outer(w, w), kernel_product_set=imaginary)
     assert entangle._kernel_product_basis(d) is not imaginary
+
+
+def test_range_scan_takes_attached_kernel_set_without_elimination(monkeypatch):
+    """A 5-qubit complement keeps its generating set: the scan re-checks it
+    against the matrix and certifies from it, so neither rref (the nullspace
+    fallback) nor bareiss_rank runs."""
+    from upblab import _kernels
+
+    d = rotated_complement(random.Random(3), 2)
+    calls = []
+    for name in ("rref", "bareiss_rank"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        )
+    assert entangle._kernel_product_basis(d) is d.kernel_product_set
+    result = entangle.range_product_scan(d)
+    assert result.verdict == "none_certified"
+    assert not result.certificate.extendible
+    assert calls == []

@@ -8,7 +8,9 @@ from upblab import _kernels
 from upblab.errors import NotHermitianError, NotPsdError
 from upblab.linalg import (
     ExactMatrix,
+    annihilates,
     as_vector,
+    cleared,
     inner,
     matrix_rank,
     nullspace_basis,
@@ -18,6 +20,7 @@ from upblab.linalg import (
     quadratic_form,
     range_quadratic_form,
     solve_consistent,
+    sparse_cleared_rows,
     verify_psd_certificate,
 )
 from upblab.product import shifts_upb
@@ -250,3 +253,38 @@ def test_rank_and_nullity_match_sympy_oracle():
         assert k_rank == rank
         assert tuple(k_pivots) == tuple(pivots)
         assert [[_qq_i(t) for t in row] for row in k_rows[:rank]] == reduced.to_list()[:rank]
+
+
+def test_sparse_annihilates_agrees_with_apply():
+    """annihilates over sparse cleared rows decides M x == 0 exactly as
+    ExactMatrix.apply does, for sparse and dense matrices and for vectors
+    inside and outside the kernel; a vector of another length is refused."""
+    rng = random.Random(12)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = ExactMatrix.from_rows(
+            [[rand_scalar(rng) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        )
+        sparse = sparse_cleared_rows(m)
+        vectors = [rand_vector(rng, cols)]
+        kernel = nullspace_basis(m)
+        if kernel:
+            x = [ComplexRational(0)] * cols
+            for k in kernel:
+                c = rand_scalar(rng)
+                x = [a + c * b for a, b in zip(x, k)]
+            vectors.append(tuple(x))
+            # one coordinate off: outside the kernel unless that column is zero
+            j = rng.randrange(cols)
+            vectors.append(tuple(a + 1 if i == j else a for i, a in enumerate(kernel[0])))
+        for x in vectors:
+            expected = all(e.is_zero() for e in m.apply(x))
+            assert annihilates(sparse, cleared(x)) is expected
+            outcomes[expected] += 1
+        assert not annihilates(sparse, cleared(rand_vector(rng, cols + 1)))
+        if cols > 1:
+            assert not annihilates(sparse, cleared(rand_vector(rng, cols - 1)))
+    assert min(outcomes.values()) > 50

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,50 @@ def test_phase_key_groups_match_equality():
             except MixedRepresentationError:
                 continue
             assert eq == (u.phase_key() == v.phase_key())
+
+
+def test_orthogonal_exact_agrees_with_complex_rational_arithmetic():
+    """The integer decision equals the zero test of conj(ua) va + conj(ub) vb
+    computed with ComplexRational, on pair locals with zero coordinates and
+    mixed denominators and on the convertible angles 0 and 1/2."""
+    rng = random.Random(31)
+
+    def coordinate():
+        if rng.random() < 0.3:
+            return ComplexRational(0)
+        return ComplexRational(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 9)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 9)),
+        )
+
+    def local():
+        r = rng.random()
+        if r < 0.1:
+            return LocalState.angle(0)
+        if r < 0.2:
+            return LocalState.angle(Fraction(1, 2))
+        a, b = coordinate(), coordinate()
+        return LocalState.pair(a, b) if a or b else LocalState.pair(0, coordinate() or 1)
+
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        u = local()
+        if rng.random() < 0.4:
+            # a scaled perpendicular, so that both outcomes are common
+            x, y = local_perp(u).vec2()
+            c = coordinate() or ComplexRational(1, 1)
+            v = LocalState.pair(c * x, c * y)
+        else:
+            v = local()
+        ua, ub = u.vec2()
+        va, vb = v.vec2()
+        expected = (ua.conjugate() * va + ub.conjugate() * vb).is_zero()
+        assert orthogonal_exact(u, v) is expected
+        assert orthogonal_exact(v, u) is expected
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 300
+    for generic in (LocalState.angle(Fraction(1, 5)), LocalState.angle(Fraction(3, 8))):
+        with pytest.raises(ApproximateComparisonError):
+            orthogonal_exact(LocalState.pair(ComplexRational(1, 2), Fraction(1, 3)), generic)
+        with pytest.raises(ApproximateComparisonError):
+            orthogonal_exact(generic, LocalState.ket(1))
