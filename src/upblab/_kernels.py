@@ -2,7 +2,9 @@
 
 * ``rref``           -- reduced row echelon form with per-step reduction
 * ``bareiss_rank``   -- fraction-free rank over Gaussian integers
-* ``ldl_hermitian``  -- pivoted symmetric elimination with certificates
+* ``ldl_hermitian``  -- pivoted symmetric elimination with certificates; the
+                        Schur update runs over the pivot row's nonzero
+                        multipliers and forms each Hermitian pair once
 
 Matrices are lists of rows; each entry is a reduced triple ``(p, q, r)``
 meaning ``(p + q*i)/r`` with ``r > 0`` and ``gcd(p, q, r) = 1``.
@@ -136,7 +138,8 @@ def ldl_hermitian(rows, n):
     the pivot; if the active diagonal is all zero, any nonzero off-diagonal
     entry also yields a negativity witness (a PSD matrix with a zero
     diagonal entry has the whole row zero).  The verdict is "psd" exactly
-    when elimination leaves a zero block.
+    when elimination leaves a zero block.  The input must be exactly
+    Hermitian: the update writes each W_ji as the conjugate of W_ij.
 
     Returns a dict with keys:
       verdict   -- "psd" | "neg_diag" | "zero_diag"
@@ -232,22 +235,25 @@ def ldl_hermitian(rows, n):
             if e[0] != 0 or e[1] != 0:
                 frow.append((k, cq_scale_rat(e, dden, dnum)))
         # Schur update over the nonzero multipliers only: an entry whose row
-        # or column multiplier is zero does not change.  Each updated entry
-        # W_ij - conj(f_i) d f_j is formed over one common denominator and
-        # reduced once.
-        fcols = [(j, fp, fq, fr) for j, (fp, fq, fr) in frow]
-        for i, (ap, aq, ar) in frow:
+        # or column multiplier is zero does not change.  The Schur complement
+        # is Hermitian, so each updated entry W_ij - conj(f_i) d f_j is formed
+        # for j >= i only, over one common denominator and reduced once, and
+        # its conjugate is written to W_ji.
+        fcols = [(j, W[j], fp, fq, fr) for j, (fp, fq, fr) in frow]
+        for a, (i, Wi, ap, aq, ar) in enumerate(fcols):
             # coef_i = conj(f_i) * d
             cp, cq, cr = cq_make(ap * dnum, -aq * dnum, ar * dden)
-            Wi = W[i]
-            for j, fp, fq, fr in fcols:
+            for j, Wj, fp, fq, fr in fcols[a:]:
                 wp, wq, wr = Wi[j]
                 den = cr * fr
                 x = wp * den - wr * (cp * fp - cq * fq)
                 y = wq * den - wr * (cp * fq + cq * fp)
                 z = wr * den
                 g = gcd(x, y, z)
-                Wi[j] = (x // g, y // g, z // g) if g > 1 else (x, y, z)
+                if g > 1:
+                    x, y, z = x // g, y // g, z // g
+                Wi[j] = (x, y, z)
+                Wj[i] = (x, -y, z)
         steps.append((p, frow))
         order.append(p)
         pivots.append((dnum, dden))

@@ -518,14 +518,18 @@ def save(path, obj) -> None:
         fh.write(canonical_json(doc))
 
 
-def load(path):
+def load(path, kind=None):
     """Load a document and rebuild the exactly verified object; malformed
-    JSON or text that is not UTF-8 raises ParseError."""
+    JSON or text that is not UTF-8 raises ParseError.  With ``kind`` given,
+    a document of another kind raises ParseError before any of it is
+    parsed or verified."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}", str(path)) from None
+    if kind is not None and isinstance(doc, dict) and doc.get("kind") != kind:
+        raise ParseError(f"{path} holds a {doc.get('kind')!r} document, not {kind!r}", "kind")
     return from_doc(doc)
 
 

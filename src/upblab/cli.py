@@ -27,7 +27,6 @@ from .blocks import opb_from_blocks, opb_to_blocks
 from .product import ProductSet, extend_or_certify, is_proper
 from .search import scan
 from .states import (
-    DensityOp,
     birank,
     complement_projector,
     ppt_report,
@@ -57,19 +56,9 @@ def _emit(args, report: dict, text_lines) -> None:
 
 def _load_product_set(path) -> ProductSet:
     try:
-        obj = catalog.load(path)
+        return catalog.load(path, "product_set")
     except VerificationError as exc:
         raise _Exit(1, f"refuted: not an OPS ({exc})")
-    if not isinstance(obj, ProductSet):
-        raise _Exit(2, f"{path} does not hold a product set")
-    return obj
-
-
-def _load_density(path) -> DensityOp:
-    obj = catalog.load(path)
-    if not isinstance(obj, DensityOp):
-        raise _Exit(2, f"{path} does not hold a density operator")
-    return obj
 
 
 def _mask_label(mask) -> str:
@@ -78,7 +67,7 @@ def _mask_label(mask) -> str:
 
 def cmd_verify(args) -> int:
     try:
-        s = catalog.load(args.file)
+        s = catalog.load(args.file, "product_set")
     except VerificationError as exc:
         report = {
             "command": "verify",
@@ -88,8 +77,6 @@ def cmd_verify(args) -> int:
         }
         _emit(args, report, [f"refuted: {exc}"])
         return 1
-    if not isinstance(s, ProductSet):
-        raise _Exit(2, f"{args.file} does not hold a product set")
     lines = [f"verified OPS: {len(s.members)} members on {s.parties} parties"]
     report = {
         "command": "verify",
@@ -149,7 +136,7 @@ def cmd_complement(args) -> int:
 
 
 def cmd_ppt(args) -> int:
-    d = _load_density(args.file)
+    d = catalog.load(args.file, "density_op")
     rep = ppt_report(d)
     lines = []
     classes = rep.classes()
@@ -173,14 +160,14 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    d = _load_density(args.file)
+    d = catalog.load(args.file, "density_op")
     r = d.rank()
     _emit(args, {"command": "rank", "rank": r}, [f"rank {r}"])
     return 0
 
 
 def cmd_birank(args) -> int:
-    d = _load_density(args.file)
+    d = catalog.load(args.file, "density_op")
     b = birank(d)
     _emit(
         args,
@@ -191,9 +178,9 @@ def cmd_birank(args) -> int:
 
 
 def cmd_subtract(args) -> int:
-    d = _load_density(args.file)
-    obj = catalog.load(args.vector)
-    if not isinstance(obj, ProductSet) or len(obj.members) != 1:
+    d = catalog.load(args.file, "density_op")
+    obj = catalog.load(args.vector, "product_set")
+    if len(obj.members) != 1:
         raise _Exit(2, f"{args.vector} must hold a product set with exactly one member")
     v = obj.members[0]
     try:
@@ -294,7 +281,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_range_scan(args) -> int:
-    d = _load_density(args.file)
+    d = catalog.load(args.file, "density_op")
     try:
         res = range_product_scan(d, budget=args.budget, seed=args.seed)
     except ValueError as exc:
@@ -319,9 +306,7 @@ def cmd_range_scan(args) -> int:
 
 
 def cmd_decompose_opb(args) -> int:
-    obj = catalog.load(args.file)
-    if not isinstance(obj, list):
-        raise _Exit(2, f"{args.file} does not hold a bipartite OPB")
+    obj = catalog.load(args.file, "bipartite_opb")
     try:
         spec = opb_to_blocks(obj)
     except (NotAnOPBError, StructureViolationError) as exc:
@@ -342,11 +327,7 @@ def cmd_decompose_opb(args) -> int:
 
 
 def cmd_gen_opb(args) -> int:
-    obj = catalog.load(args.specfile)
-    from .blocks import BlockSpec
-
-    if not isinstance(obj, BlockSpec):
-        raise _Exit(2, f"{args.specfile} does not hold a block spec")
+    obj = catalog.load(args.specfile, "block_spec")
     members = opb_from_blocks(obj)
     doc = catalog.bipartite_opb_to_doc(members)
     doc["command"] = "gen-opb"

@@ -368,13 +368,14 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """
     if not m.is_hermitian():
         raise NotHermitianError("matrix is not exactly Hermitian")
-    return _ldl_certificate(m)
+    return _ldl_certificate(m._triple_rows(), m.rows)
 
 
-def _ldl_certificate(m: ExactMatrix) -> PsdCertificate:
-    """psd_certificate for a matrix already known to be Hermitian."""
-    rec = _kernels.ldl_hermitian(m._triple_rows(), m.rows)
-    pivots = tuple(Fraction(n, d) for n, d in rec["pivots"])
+def _ldl_certificate(rows, n: int) -> PsdCertificate:
+    """psd_certificate for an n x n matrix already known to be Hermitian,
+    given as rows of reduced triples (see ``_kernels``)."""
+    rec = _kernels.ldl_hermitian(rows, n)
+    pivots = tuple(Fraction(num, den) for num, den in rec["pivots"])
     order = tuple(rec["order"])
     steps = tuple((p, tuple(frow)) for p, frow in rec["steps"])
     if rec["verdict"] == "psd":
@@ -383,7 +384,7 @@ def _ldl_certificate(m: ExactMatrix) -> PsdCertificate:
             pivots=pivots,
             order=order,
             steps=steps,
-            dim=m.rows,
+            dim=n,
             rank=len(pivots),
         )
     witness = tuple(ComplexRational.from_triple(t) for t in rec["witness"])
@@ -393,7 +394,7 @@ def _ldl_certificate(m: ExactMatrix) -> PsdCertificate:
         pivots=pivots,
         order=order,
         steps=steps,
-        dim=m.rows,
+        dim=n,
         witness=witness,
         witness_value=Fraction(vn, vd),
         zero_diag_pair=rec["pair"],

@@ -147,24 +147,49 @@ def complement_projector(s: ProductSet) -> DensityOp:
     norms = [sum(a * a for a in xr) + sum(b * b for b in xi) for xr, xi in vecs]
     big = lcm(*norms)
     weights = [big // n for n in norms]
+    # Row i of N is sum_x (w x_i) conj(x), a sum of scaled member vectors.
+    # Each member's real and imaginary coordinates are packed into one
+    # integer each, `width` bytes per coordinate (Kronecker substitution), so
+    # a row costs one multiply-add per member and part.  No entry of N
+    # exceeds sum_x w max_j (|re| + |im|)^2 in absolute value, and a slot
+    # holds that bound and a sign bit, so no slot spills into its neighbour.
+    bound = sum(
+        w * max(abs(a) + abs(b) for a, b in zip(xr, xi)) ** 2
+        for (xr, xi), w in zip(vecs, weights)
+    )
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    # Adding `half` to every slot makes each one nonnegative, so a packed
+    # row plus `bias` reads off slot by slot from its bytes.
+    bias = int.from_bytes(half.to_bytes(width, "little") * d, "little")
+
+    def pack(xs):
+        return int.from_bytes(
+            b"".join((x + half).to_bytes(width, "little") for x in xs), "little"
+        ) - bias
+
+    packed = [(xr, xi, w, pack(xr), pack(xi)) for (xr, xi), w in zip(vecs, weights)]
     # (L I - N) / (L (D - |s|)): the upper triangle, each entry reduced once,
     # and its conjugate below the diagonal
     rank = d - len(s.members)
     den = big * rank
     data = [None] * (d * d)
     for i in range(d):
-        row_re = [0] * (d - i)
-        row_im = [0] * (d - i)
-        for (xr, xi), w in zip(vecs, weights):
+        row_re = row_im = 0
+        for xr, xi, w, pr, pi in packed:
             wr, wi = w * xr[i], w * xi[i]
             if wr or wi:
-                # w x_i conj(x_j) for j >= i
-                tail_re, tail_im = xr[i:], xi[i:]
-                row_re = [t + wr * a + wi * b for t, a, b in zip(row_re, tail_re, tail_im)]
-                row_im = [t + wi * a - wr * b for t, a, b in zip(row_im, tail_re, tail_im)]
-        row_re[0] -= big
-        for j, a, b in zip(range(i, d), row_re, row_im):
-            p, q, r = cq_make(-a, -b, den)
+                # w x_i conj(x_j) in slot j
+                row_re += wr * pr + wi * pi
+                row_im += wi * pr - wr * pi
+        # entries j >= i of L I - N: slot j of a biased row is N_ij + half
+        re_bytes = (row_re + bias).to_bytes(d * width, "little")
+        im_bytes = (row_im + bias).to_bytes(d * width, "little")
+        for j in range(i, d):
+            at = j * width
+            a = half - int.from_bytes(re_bytes[at : at + width], "little")
+            b = half - int.from_bytes(im_bytes[at : at + width], "little")
+            p, q, r = cq_make(a + big if j == i else a, b, den)
             data[i * d + j] = ComplexRational.from_triple((p, q, r))
             data[j * d + i] = ComplexRational.from_triple((p, -q, r))
     # Every entry sits next to its conjugate, so the Hermitian check that
@@ -197,7 +222,10 @@ def _check_mask(mask, parties) -> frozenset:
     return mask
 
 
-@lru_cache(maxsize=64)
+# One ppt_report sweep at 8 qubits asks for 2^7 - 1 = 127 permutations in
+# the same order every time, so a smaller cache evicts each one before its
+# next use.  Full at 8 qubits it keeps 127 x 256^2 x 4 bytes, about 32 MiB.
+@lru_cache(maxsize=128)
 def _transpose_permutation(dims: tuple, mask: tuple) -> array:
     """Flat-index permutation of the partial transpose: the transposed
     matrix's entry k is the source entry perm[k].
@@ -283,10 +311,16 @@ def ppt_report(d: DensityOp) -> PptReport:
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
+    # Unbox the entries once; each class permutes the triples as
+    # partial_transpose permutes the entries, and is eliminated from them
+    ts = [e.t for e in d.matrix.data]
+    dims, dim = tuple(d.dims), d.dim
     certs = {}
     for mask in bipartition_classes(d.parties):
+        flat = list(map(ts.__getitem__, _transpose_permutation(dims, tuple(sorted(mask)))))
+        rows = [flat[k : k + dim] for k in range(0, dim * dim, dim)]
         # d.psd() checked that d is Hermitian, so each partial transpose is
-        certs[mask] = _ldl_certificate(partial_transpose(d, mask).matrix)
+        certs[mask] = _ldl_certificate(rows, dim)
     return PptReport(certificates=certs)
 
 

@@ -142,9 +142,14 @@ def random_exact_ops(rng: random.Random, parties: int) -> ProductSet:
 
 
 def rotated_complement(rng: random.Random, extra: int) -> DensityOp:
+    """The complement projector of ``rotated_set(rng, extra)``."""
+    return complement_projector(rotated_set(rng, extra))
+
+
+def rotated_set(rng: random.Random, extra: int) -> ProductSet:
     """The shifts UPB tensored with ``extra`` basis parties, parties
     permuted and each party rotated by |0> -> (a, b), |1> -> (-conj b, conj a),
-    as the benchmark builds its inputs; returns the complement projector."""
+    as the benchmark builds its inputs."""
     base = tensor_upb_opb(shifts_upb(), extra)
     n = 3 + extra
     perm = list(range(n))
@@ -163,7 +168,7 @@ def rotated_complement(rng: random.Random, extra: int) -> DensityOp:
             x, y = m.locals[perm[p]].vec2()
             locs.append(LocalState.pair(x * a - y * b.conjugate(), x * b + y * a.conjugate()))
         members.append(ProductVector(locs))
-    return complement_projector(build_product_set(members))
+    return build_product_set(members)
 
 
 def complement_reference(s: ProductSet) -> ExactMatrix:

@@ -314,6 +314,11 @@ _MALFORMED = {
         "complement",
         [(("kernel_product_set", "members", 1), [{"angle": "0"}] * 3)],
     ),
+    "kernel-not-ops-rank": (
+        "rank",
+        "complement",
+        [(("kernel_product_set", "members", 1), [{"angle": "0"}] * 3)],
+    ),
     "int-kernel-set": ("rank", "complement", [(("kernel_product_set",), 5)]),
 }
 
@@ -343,3 +348,26 @@ def test_malformed_document_exits_two(tmp_path, case):
     assert out.returncode == 2
     assert "parse error" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_wrong_kind_is_refused_before_it_is_parsed(tmp_path, monkeypatch, capsys):
+    from upblab.linalg import ExactMatrix
+
+    p = tmp_path / "rho.json"
+    save(p, fixture("shifts_complement"))
+    calls = []
+    original = ExactMatrix.is_hermitian
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "is_hermitian", counted)
+    for command in ("verify", "extend"):
+        assert main([command, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and "'density_op'" in err
+    assert calls == []
+    # the counter does see a load that parses the operator
+    assert main(["rank", str(p)]) == 0
+    assert calls and set(calls) == {8}

@@ -5,7 +5,7 @@ import random
 
 import upblab._kernels as kernels
 from upblab import states
-from upblab.linalg import ExactMatrix
+from upblab.linalg import ExactMatrix, as_vector, outer
 from upblab.scalars import ComplexRational
 
 from oracles import rand_hermitian, rand_scalar, rotated_complement
@@ -65,3 +65,25 @@ def test_ldl_output_is_pinned():
         h.update(repr(sorted(rec.items())).encode())
     assert set(verdicts) == {"psd", "neg_diag", "zero_diag"}
     assert h.hexdigest() == "88b3b44ee272e2c4d18f126c3215bed4ff0cbc3889c3c93072be8dd74040c084"
+
+
+def test_schur_update_forms_each_hermitian_pair_once(monkeypatch):
+    """The kernel reduces each updated entry with one gcd.  I + v v-dagger
+    with every v_k nonzero keeps a dense Schur complement at every step,
+    so step t updates the m(m+1)/2 pairs j >= i of its m = n - t
+    multipliers; forming both triangles would take m^2."""
+    v = as_vector([ComplexRational(1, 1), 2, ComplexRational(-1, 3), ComplexRational(0, -2), 3, 1])
+    n = len(v)
+    m = ExactMatrix.identity(n) + outer(v, v)
+    calls = []
+    real_gcd = kernels.gcd
+
+    def counted(*args):
+        calls.append(len(args))
+        return real_gcd(*args)
+
+    monkeypatch.setattr(kernels, "gcd", counted)
+    rec = kernels.ldl_hermitian(m._triple_rows(), n)
+    assert rec["verdict"] == "psd" and rec["order"] == list(range(n))
+    assert [len(frow) for _, frow in rec["steps"]] == list(range(n - 1, -1, -1))
+    assert len(calls) == sum(k * (k + 1) // 2 for k in range(1, n))

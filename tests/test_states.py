@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,10 +23,11 @@ from upblab.product import (
     standard_opb,
     tensor_upb_opb,
 )
-from upblab.qubits import LocalState
+from upblab.qubits import LocalState, local_perp
 from upblab.scalars import ComplexRational
 from upblab.states import (
     DensityOp,
+    _transpose_permutation,
     bipartition_classes,
     birank,
     complement_projector,
@@ -44,6 +46,8 @@ from oracles import (
     rand_scalar,
     rand_vector,
     random_exact_ops,
+    rotated_complement,
+    rotated_set,
 )
 
 K0, K1 = LocalState.ket(0), LocalState.ket(1)
@@ -307,16 +311,40 @@ def test_trace_preserved_by_partial_trace():
         assert partial_trace(d, keep).matrix.trace() == d.matrix.trace()
 
 
+def _wide_range_sets(rng):
+    """Proper subsets of product bases whose cleared coordinates span 40
+    bits and both signs, so that neighbouring entries of the complement
+    differ widely in size."""
+    i = ComplexRational(0, 1)
+    locals_ = [
+        LocalState.pair(2**40, -1),
+        LocalState.pair(3, -5 * i),
+        LocalState.pair(-(2**20) * i, 7),
+        K0,
+    ]
+    out = []
+    for parties in (2, 3, 3, 4):
+        bases = [(u, local_perp(u)) for u in (rng.choice(locals_) for _ in range(parties))]
+        strings = list(itertools.product(range(2), repeat=parties))
+        chosen = rng.sample(strings, rng.randint(1, len(strings) - 1))
+        out.append(
+            build_product_set(
+                [ProductVector([bases[p][b] for p, b in enumerate(bits)]) for bits in chosen]
+            )
+        )
+    return out
+
+
 def test_complement_matches_exact_matrix_reference():
     rng = random.Random(2024)
-    angles = 0
-    for _ in range(25):
-        s = random_exact_ops(rng, rng.randint(1, 4))
-        angles += any(l.is_angle() for m in s.members for l in m.locals)
+    sets = [random_exact_ops(rng, rng.randint(1, 4)) for _ in range(25)]
+    angles = sum(any(l.is_angle() for m in s.members for l in m.locals) for s in sets)
+    assert angles > 0  # the sets do exercise angle locals
+    sets += _wide_range_sets(rng) + [rotated_set(rng, 2)]
+    for s in sets:
         c = complement_projector(s)
         assert c.matrix == complement_reference(s)
         assert c.trace_norm == 1
-    assert angles > 0  # the sets do exercise angle locals
 
 
 def test_complement_rejects_generic_angle_locals():
@@ -437,3 +465,49 @@ def test_hermiticity_is_checked_once_per_certified_operator(monkeypatch):
     report = ppt_report(d)
     assert len(report.certificates) == 7
     assert calls == [16]
+
+
+def test_transpose_permutations_of_an_8_qubit_sweep_stay_cached():
+    # a ppt_report sweep at 8 qubits asks for 127 permutations in the same
+    # order every time; a cache that holds fewer evicts each before reuse
+    dims = (2,) * 8
+    masks = [tuple(sorted(m)) for m in bipartition_classes(8)]
+    assert len(masks) == 127
+    _transpose_permutation.cache_clear()
+    try:
+        for mask in masks:
+            _transpose_permutation(dims, mask)
+        first = _transpose_permutation.cache_info()
+        for mask in masks:
+            _transpose_permutation(dims, mask)
+        second = _transpose_permutation.cache_info()
+        assert (first.hits, first.misses) == (0, 127)
+        assert (second.hits, second.misses) == (127, 127)
+    finally:
+        _transpose_permutation.cache_clear()
+
+
+def _random_entangled_state():
+    # a random pure state on a qutrit and two qubits is entangled across
+    # every cut
+    return pure_density(rand_vector(random.Random(31), 12), (2, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "make, ppt",
+    [
+        (lambda: rotated_complement(random.Random(17), 2), True),
+        (bell_projector, False),
+        (_random_entangled_state, False),
+    ],
+    ids=["rotated-5q-complement", "bell", "random-entangled"],
+)
+def test_ppt_report_certificates_match_partial_transpose(make, ppt):
+    # ppt_report permutes the unboxed entries itself; every certificate must
+    # be the one partial_transpose and psd_certificate give for its class
+    d = make()
+    rep = ppt_report(d)
+    assert list(rep.certificates) == bipartition_classes(d.parties)
+    for mask, cert in rep.certificates.items():
+        assert cert == psd_certificate(partial_transpose(d, mask).matrix)
+    assert rep.is_ppt == ppt
