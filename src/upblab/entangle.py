@@ -27,12 +27,12 @@ from .errors import (
 )
 from .linalg import (
     ExactMatrix,
+    _range_quadratic_form,
     annihilates,
     as_vector,
     kron_vec,
     matrix_rank,
     nullspace_basis,
-    solve_consistent,
     sparse_cleared_rows,
 )
 from .product import (
@@ -206,8 +206,8 @@ def _heuristic_scan(d: DensityOp, budget: int, seed: int) -> RangeScanResult:
         if best >= 1 - 1e-9:
             pv = _rationalize_product(best_state)
             if pv is not None:
-                flat = pv.flatten()
-                if solve_consistent(d.matrix, flat) is not None:
+                # the same range decision subtract_product makes
+                if _range_quadratic_form(d.psd(), pv.flatten()) is not None:
                     return RangeScanResult(
                         verdict="found",
                         witness=pv,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import _kernels
 from .errors import NotHermitianError, NotPsdError
-from .scalars import CQ0, CQ1, ComplexRational
+from .scalars import CQ0, CQ1, CQ_ZERO, ComplexRational, cq_make
 
 Vector = tuple[ComplexRational, ...]
 
@@ -323,6 +323,11 @@ class PsdCertificate:
 
     When ``verdict`` is "psd" the matrix equals ``sum_t d_t |l_t><l_t|``
     with ``d_t`` the recorded positive pivots; ``rank`` equals their count.
+    Step t of ``steps`` is ``(p_t, ((k, f_k), ...))``: l_t is 1 at the pivot
+    p_t, conj(f_k) at each listed k (f_k a reduced triple) and zero
+    elsewhere, in particular at every earlier pivot.  The range quadratic
+    form and the independent checkers read this layout.
+
     Otherwise ``witness`` satisfies ``<w|M|w> = witness_value < 0``;
     ``zero_diag_pair`` is set when the negativity came from a zero diagonal
     against a nonzero off-diagonal entry in the eliminated (Schur) block.
@@ -428,21 +433,43 @@ def verify_psd_certificate(m: ExactMatrix, cert: PsdCertificate) -> bool:
 def range_quadratic_form(m: ExactMatrix, v) -> Optional[Fraction]:
     """<v|M^+|v> for Hermitian PSD m, or None when v is outside range(m).
 
-    M^+ is the pseudo-inverse restricted to the range; since m is Hermitian
-    the value is independent of which exact solution of m x = v is used.
+    M^+ is the pseudo-inverse restricted to the range.  Both the range
+    question and the value are answered from m's PSD certificate (see
+    ``_range_quadratic_form``), with no second elimination.
     Raises NotHermitianError / NotPsdError when the preconditions fail.
     """
-    return _range_quadratic_form(m, psd_certificate(m), as_vector(v))
+    return _range_quadratic_form(psd_certificate(m), as_vector(v))
 
 
-def _range_quadratic_form(m: ExactMatrix, cert: PsdCertificate, v: Vector) -> Optional[Fraction]:
-    """range_quadratic_form with m's PSD certificate already in hand."""
+def _range_quadratic_form(cert: PsdCertificate, v: Vector) -> Optional[Fraction]:
+    """range_quadratic_form read from a PSD certificate alone.
+
+    With M = sum_t d_t |l_t><l_t| and each l_t zero at every earlier pivot,
+    forward substitution writes v = sum_t c_t l_t: c_t is the residual's
+    entry at pivot p_t before l_t is removed.  v is in the range exactly
+    when the final residual is zero, and then <v|M^+|v> = sum_t |c_t|^2 / d_t.
+    """
     if not cert.is_psd:
         raise NotPsdError("matrix is not positive semidefinite")
-    x = solve_consistent(m, v)
-    if x is None:
+    if len(v) != cert.dim:
+        raise ValueError("shape mismatch")
+    r = [x.t for x in v]
+    acc = Fraction(0)
+    for d, (p, frow) in zip(cert.pivots, cert.steps):
+        cp, cq, cr = r[p]
+        if cp == 0 and cq == 0:
+            continue
+        r[p] = CQ_ZERO
+        # r_k -= c conj(f_k), over one denominator and reduced once
+        for k, (fp, fq, fr) in frow:
+            rp, rq, rr = r[k]
+            den = cr * fr
+            r[k] = cq_make(
+                rp * den - rr * (cp * fp + cq * fq),
+                rq * den - rr * (cq * fp - cp * fq),
+                rr * den,
+            )
+        acc += Fraction((cp * cp + cq * cq) * d.denominator, cr * cr * d.numerator)
+    if any(x[0] or x[1] for x in r):
         return None
-    val = inner(v, x)
-    if not val.is_real():
-        raise AssertionError("quadratic form of a Hermitian solve must be real")
-    return val.re
+    return acc

@@ -4,7 +4,8 @@ Operators are Hermitian matrices with an explicit party-dimension vector
 and an explicit trace; unnormalized operators are first class, and
 normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
-through the certified LDL* elimination, run at most once per operator.
+through the certified LDL* elimination, run at most once per operator, and
+range questions are answered from that one certificate.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from .linalg import (
     as_vector,
     inner,
     matrix_rank,
-    outer,
     projector,
     psd_certificate,
     range_quadratic_form,  # noqa: F401  (re-exported)
 )
 from .product import ProductSet, ProductVector
-from .scalars import CQ0, ComplexRational, cq_make
+from .scalars import CQ0, ComplexRational, cq_make, cq_scale_rat
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,15 @@ class DensityOp:
     the kernel, when the operator was built as a complement projector.
 
     The PSD certificate is computed on first use and kept; operators derived
-    with ``dataclasses.replace`` start without one."""
+    with ``dataclasses.replace`` start without one.  Its Hermiticity check is
+    skipped for operators that ``density_from_matrix`` has already checked."""
 
     dims: tuple
     matrix: ExactMatrix
     trace_norm: Fraction
     kernel_product_set: Optional[ProductSet] = None
     _psd: Optional[PsdCertificate] = field(default=None, init=False, repr=False, compare=False)
+    _hermitian: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = prod(self.dims)
@@ -79,7 +81,11 @@ class DensityOp:
 
     def psd(self) -> PsdCertificate:
         if self._psd is None:
-            object.__setattr__(self, "_psd", psd_certificate(self.matrix))
+            if self._hermitian:
+                cert = _ldl_certificate(self.matrix._triple_rows(), self.dim)
+            else:
+                cert = psd_certificate(self.matrix)
+            object.__setattr__(self, "_psd", cert)
         return self._psd
 
     def normalized(self) -> "DensityOp":
@@ -104,12 +110,14 @@ def density_from_matrix(dims, matrix: ExactMatrix, kernel_product_set=None) -> D
     if not matrix.is_hermitian():
         raise NotHermitianError("density operators must be exactly Hermitian")
     tr = matrix.trace()
-    return DensityOp(
+    out = DensityOp(
         dims=tuple(dims),
         matrix=matrix,
         trace_norm=tr.re,
         kernel_product_set=kernel_product_set,
     )
+    object.__setattr__(out, "_hermitian", True)
+    return out
 
 
 def pure_density(vector, dims) -> DensityOp:
@@ -345,8 +353,10 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
 
     ``v`` may be a ProductVector or a flat coordinate vector; it must lie in
     the range of ``d``.  The weight is 1 / <v|d^+|v>, at which the rank
-    drops by exactly one; both facts are re-verified exactly before
-    returning.  Raises NotInRangeError / NotPsdError.
+    drops by exactly one.  Range membership and the weight are read from
+    d's PSD certificate, with no second elimination; positivity and the
+    rank drop of the result are re-verified exactly before returning.
+    Raises NotInRangeError / NotPsdError.
     """
     if isinstance(v, ProductVector):
         flat = v.flatten()
@@ -356,16 +366,37 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
         raise ValueError("vector length does not match the operator")
     if all(x.is_zero() for x in flat):
         raise ValueError("cannot subtract the zero vector")
-    q = _range_quadratic_form(d.matrix, d.psd(), flat)
-    if q is None:
+    form = _range_quadratic_form(d.psd(), flat)
+    if form is None:
         raise NotInRangeError("vector is not in the range of the operator")
-    weight = Fraction(1) / q
+    weight = Fraction(1) / form
     norm2 = inner(flat, flat).re
-    result = d.matrix - outer(flat, flat).scale(ComplexRational(weight))
+    # M - weight |v><v|: the upper triangle, each entry M_ij - u_i conj(v_j)
+    # with u = weight v over one denominator and reduced once, and its
+    # conjugate below the diagonal.  Rows and columns where v is zero keep
+    # M's entries.
+    n = d.dim
+    src = d.matrix.data
+    vt = [x.t for x in flat]
+    nz = [j for j in range(n) if vt[j][0] or vt[j][1]]
+    data = list(src)
+    for a, i in enumerate(nz):
+        up, uq, ur = cq_scale_rat(vt[i], weight.numerator, weight.denominator)
+        for j in nz[a:]:
+            vp, vq, vr = vt[j]
+            mp, mq, mr = src[i * n + j].t
+            den = ur * vr
+            p, q, r = cq_make(
+                mp * den - mr * (up * vp + uq * vq),
+                mq * den - mr * (uq * vp - up * vq),
+                mr * den,
+            )
+            data[i * n + j] = ComplexRational.from_triple((p, q, r))
+            data[j * n + i] = ComplexRational.from_triple((p, -q, r))
     rank_before = d.rank()
     out = DensityOp(
         dims=d.dims,
-        matrix=result,
+        matrix=ExactMatrix(n, n, data),
         trace_norm=d.trace_norm - weight * norm2,
     )
     cert = out.psd()

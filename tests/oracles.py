@@ -93,6 +93,27 @@ def rand_hermitian(rng: random.Random, n: int, psd: bool = False) -> ExactMatrix
     return ExactMatrix.from_rows(rows)
 
 
+def random_psd(rng: random.Random, n: int, rank: int) -> ExactMatrix:
+    """G G-dagger for a random complex n x rank matrix G, so a PSD matrix of
+    rank at most ``rank``.  G's entries have mixed denominators, and about
+    one in twelve has a numerator or a denominator near 2^40."""
+    big = 1 << 40
+
+    def part():
+        x = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 12)))
+        roll = rng.random()
+        if roll < 0.04:
+            return x + Fraction(big + rng.randint(-9, 9), rng.randint(1, 7))
+        if roll < 0.08:
+            return x + Fraction(rng.randint(1, 9), big + rng.randint(-9, 9))
+        return x
+
+    g = ExactMatrix.from_rows(
+        [[ComplexRational(part(), part()) for _ in range(rank)] for _ in range(n)]
+    )
+    return g @ g.dagger()
+
+
 def gram_schmidt(vectors):
     """Exact orthogonalization (no normalization); drops dependent vectors."""
     basis = []

@@ -27,7 +27,7 @@ from upblab.product import shifts_upb
 from upblab.scalars import ComplexRational
 from upblab.states import complement_projector
 
-from oracles import rand_hermitian, rand_scalar, rand_vector
+from oracles import rand_hermitian, rand_scalar, rand_vector, random_psd
 
 
 def test_rank_identity():
@@ -195,6 +195,28 @@ def test_range_quadratic_form_not_in_range():
 def test_range_quadratic_form_requires_psd():
     with pytest.raises(NotPsdError):
         range_quadratic_form(ExactMatrix.from_rows([[-1, 0], [0, 1]]), [1, 0])
+
+
+def test_range_quadratic_form_matches_solve_consistent():
+    # the certificate's forward substitution against the independent rref
+    # solve: v in range iff m x = v is consistent, and then <v|M^+|v> = <v|x>
+    rng = random.Random(1998)
+    outcomes = {True: 0, False: 0}
+    for _ in range(320):
+        n = rng.randint(1, 8)
+        m = random_psd(rng, n, rng.randint(1, n))
+        if rng.random() < 0.5:
+            v = m.apply(rand_vector(rng, n))  # in range
+        else:
+            v = rand_vector(rng, n)
+        x = solve_consistent(m, v)
+        expected = None if x is None else inner(v, x).re
+        assert range_quadratic_form(m, v) == expected
+        outcomes[x is not None] += 1
+        assert range_quadratic_form(m, [0] * n) == 0
+    assert min(outcomes.values()) >= 100, outcomes
+    with pytest.raises(NotPsdError):
+        range_quadratic_form(random_psd(rng, 4, 2) - ExactMatrix.identity(4), [1, 0, 0, 0])
 
 
 def test_range_form_subtraction_drops_rank():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -272,6 +273,60 @@ def test_subtraction_reconstructs_exactly():
     assert out.trace_norm + weight * inner(v, v).re == d.trace_norm
 
 
+def _wide_denominator_two_by_n():
+    """Two separable 2xN states whose entries carry denominators near 2^40,
+    each with its first product summand."""
+    big = 2**40
+    out = []
+    for n, offsets in ((3, (3, 7, 15)), (4, (1, 9, 27, 35))):
+        mats = ExactMatrix.zeros(2 * n, 2 * n)
+        keep = None
+        for t, k in enumerate(offsets):
+            a = (ComplexRational(Fraction(big + k, big - k), 1), ComplexRational(t + 1))
+            b = [ComplexRational(Fraction((-1) ** j * (j + t + 1), big + k + j)) for j in range(n)]
+            v = tuple(x * y for x in a for y in b)
+            mats = mats + projector(v).scale(ComplexRational(Fraction(t + 1, big + 1)))
+            if keep is None:
+                keep = v
+        out.append((density_from_matrix((2, n), mats), keep))
+    return out
+
+
+def _subtraction_corpus():
+    # the acceptance suite's 100 separable 2xN states (same seed and draws)
+    rng = random.Random(606)
+    corpus = []
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        corpus.append(random_separable_two_by_n(rng, n, rng.randint(2, 5)))
+    return corpus + _wide_denominator_two_by_n()
+
+
+# SHA-256 of (weight, result triples, trace) over _subtraction_corpus, as the
+# boxed outer/scale/subtract construction computed them
+SUBTRACTION_DIGEST = "61c016332fb0ed5e5669c4ebdc98e046334283cbdcff6f5b1ebace3d67aeb964"
+
+
+def test_subtraction_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    for d, v in _subtraction_corpus():
+        out, weight = subtract_product(d, v)
+        triples = [e.t for e in out.matrix.data]
+        h.update(repr((str(weight), triples, str(out.trace_norm))).encode())
+    assert h.hexdigest() == SUBTRACTION_DIGEST
+
+
+def test_subtraction_is_hermitian_and_matches_the_boxed_reference():
+    rng = random.Random(606)
+    corpus = [random_separable_two_by_n(rng, rng.randint(2, 8), 3) for _ in range(10)]
+    for d, v in corpus + _wide_denominator_two_by_n():
+        out, weight = subtract_product(d, v)
+        n = out.dim
+        m = out.matrix
+        assert all(m.at(j, i) == m.at(i, j).conjugate() for i in range(n) for j in range(i, n))
+        assert m == d.matrix - outer(v, v).scale(ComplexRational(weight))
+
+
 def test_separable_subtraction_drops_both_ranks():
     rng = random.Random(77)
     for _ in range(10):
@@ -434,8 +489,9 @@ def test_subtract_product_reuses_the_certificate(monkeypatch):
     out, _ = subtract_product(d, v)
     after = birank(out)
     assert after.rank == before.rank - 1
-    # LDL of d and of the result, one solve, one Bareiss per transpose rank
-    assert counts == {"ldl_hermitian": 2, "rref": 1, "bareiss_rank": 2}
+    # LDL of d and of the result, one Bareiss per transpose rank; the range
+    # question is answered from d's LDL, with no solve
+    assert counts == {"ldl_hermitian": 2, "bareiss_rank": 2}
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -465,6 +521,31 @@ def test_hermiticity_is_checked_once_per_certified_operator(monkeypatch):
     report = ppt_report(d)
     assert len(report.certificates) == 7
     assert calls == [16]
+
+
+def test_operators_from_density_from_matrix_are_not_checked_again(monkeypatch):
+    from upblab.catalog import density_to_doc, fixture, from_doc
+
+    doc = density_to_doc(fixture("shifts_complement"))
+    calls = []
+    original = ExactMatrix.is_hermitian
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "is_hermitian", counted)
+    # the loader checks the matrix; rank() certifies it without a second check
+    assert from_doc(doc).rank() == 4
+    assert calls == [8]
+    # one check for the input as it is built, one for the subtraction's
+    # result, which is built directly
+    calls.clear()
+    d, v = random_separable_two_by_n(random.Random(5), 3, 3)
+    birank(d)
+    out, _ = subtract_product(d, v)
+    assert out.rank() == d.rank() - 1
+    assert calls == [6, 6]
 
 
 def test_transpose_permutations_of_an_8_qubit_sweep_stay_cached():
