@@ -90,9 +90,12 @@ def annihilates(sparse_rows, x) -> bool:
 
 
 class ExactMatrix:
-    """A dense rows x cols matrix of complex rationals, stored row-major."""
+    """A dense rows x cols matrix of complex rationals, stored row-major.
 
-    __slots__ = ("rows", "cols", "data")
+    ``_psd`` holds the matrix's PSD certificate once one has been computed
+    (see ``psd_certificate``); the entries never change, so it stays valid."""
+
+    __slots__ = ("rows", "cols", "data", "_psd")
 
     def __init__(self, rows: int, cols: int, data):
         data = tuple(data)
@@ -101,6 +104,7 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_psd", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -369,11 +373,14 @@ class PsdCertificate:
 def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """Decide PSD-ness of a Hermitian matrix with a checkable certificate.
 
-    Raises NotHermitianError when the Hermitian precondition fails.
+    The certificate is computed once per matrix and kept on it.  Raises
+    NotHermitianError when the Hermitian precondition fails.
     """
-    if not m.is_hermitian():
-        raise NotHermitianError("matrix is not exactly Hermitian")
-    return _ldl_certificate(m._triple_rows(), m.rows)
+    if m._psd is None:
+        if not m.is_hermitian():
+            raise NotHermitianError("matrix is not exactly Hermitian")
+        object.__setattr__(m, "_psd", _ldl_certificate(m._triple_rows(), m.rows))
+    return m._psd
 
 
 def _ldl_certificate(rows, n: int) -> PsdCertificate:

@@ -4,8 +4,8 @@ Operators are Hermitian matrices with an explicit party-dimension vector
 and an explicit trace; unnormalized operators are first class, and
 normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
-through the certified LDL* elimination, run at most once per operator, and
-range questions are answered from that one certificate.
+through the certified LDL* elimination, run at most once per matrix, and
+rank and range questions are answered from that one certificate.
 """
 
 from __future__ import annotations
@@ -47,16 +47,18 @@ class DensityOp:
     parties.  ``kernel_product_set`` optionally records a product basis of
     the kernel, when the operator was built as a complement projector.
 
-    The PSD certificate is computed on first use and kept; operators derived
-    with ``dataclasses.replace`` start without one.  Its Hermiticity check is
-    skipped for operators that ``density_from_matrix`` has already checked."""
+    The PSD certificate is computed on first use and kept on the matrix.  Its
+    Hermiticity check is skipped for operators known to be Hermitian: those
+    that ``density_from_matrix`` has checked, and those built from them by
+    ``partial_transpose`` and ``subtract_product``."""
 
     dims: tuple
     matrix: ExactMatrix
     trace_norm: Fraction
     kernel_product_set: Optional[ProductSet] = None
-    _psd: Optional[PsdCertificate] = field(default=None, init=False, repr=False, compare=False)
     _hermitian: bool = field(default=False, init=False, repr=False, compare=False)
+    # mask -> partial transpose, filled by partial_transpose
+    _transposes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = prod(self.dims)
@@ -72,21 +74,20 @@ class DensityOp:
         return prod(self.dims)
 
     def rank(self) -> int:
-        """Exact rank: the certificate's pivot count when the operator is
-        PSD, a separate elimination otherwise."""
+        """Exact rank: the LDL certificate's pivot count when the operator is
+        PSD, a fraction-free (Bareiss) elimination otherwise."""
         cert = self.psd()
         if cert.is_psd:
             return cert.rank
         return matrix_rank(self.matrix)
 
     def psd(self) -> PsdCertificate:
-        if self._psd is None:
-            if self._hermitian:
-                cert = _ldl_certificate(self.matrix._triple_rows(), self.dim)
-            else:
-                cert = psd_certificate(self.matrix)
-            object.__setattr__(self, "_psd", cert)
-        return self._psd
+        m = self.matrix
+        if m._psd is None:
+            if not self._hermitian:
+                return psd_certificate(m)
+            object.__setattr__(m, "_psd", _ldl_certificate(m._triple_rows(), m.rows))
+        return m._psd
 
     def normalized(self) -> "DensityOp":
         if self.trace_norm == 1:
@@ -256,13 +257,21 @@ def _transpose_permutation(dims: tuple, mask: tuple) -> array:
 def partial_transpose(d: DensityOp, mask) -> DensityOp:
     """Transpose the tensor factors in ``mask`` (0-based), exactly.
 
-    An involution; preserves Hermiticity of Hermitian inputs.
+    An involution; preserves Hermiticity of Hermitian inputs, so an operator
+    known to be Hermitian gives one known to be Hermitian.  The transpose is
+    kept on ``d``: the same ``d`` and mask give the same operator, whose
+    certificate is then computed at most once.
     """
     mask = _check_mask(mask, d.parties)
-    perm = _transpose_permutation(tuple(d.dims), tuple(sorted(mask)))
-    src = d.matrix.data
-    m = ExactMatrix(d.dim, d.dim, tuple(map(src.__getitem__, perm)))
-    return replace(d, matrix=m, kernel_product_set=None)
+    out = d._transposes.get(mask)
+    if out is None:
+        perm = _transpose_permutation(tuple(d.dims), tuple(sorted(mask)))
+        src = d.matrix.data
+        m = ExactMatrix(d.dim, d.dim, tuple(map(src.__getitem__, perm)))
+        out = DensityOp(dims=d.dims, matrix=m, trace_norm=d.trace_norm)
+        object.__setattr__(out, "_hermitian", d._hermitian)
+        d._transposes[mask] = out
+    return out
 
 
 def partial_trace(d: DensityOp, keep) -> DensityOp:
@@ -339,13 +348,14 @@ class BirankRecord:
 
 
 def birank(d: DensityOp) -> BirankRecord:
-    """(rank, rank of the partial transpose on the first party)."""
+    """(rank, rank of the partial transpose on the first party).
+
+    Each rank is read from its operator's LDL certificate when that operator
+    is PSD, and comes from a fraction-free (Bareiss) elimination otherwise.
+    """
     if d.parties < 2:
         raise BadMaskError("birank needs at least two parties")
-    return BirankRecord(
-        rank=d.rank(),
-        pt_rank=matrix_rank(partial_transpose(d, {0}).matrix),
-    )
+    return BirankRecord(rank=d.rank(), pt_rank=partial_transpose(d, {0}).rank())
 
 
 def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
@@ -399,6 +409,8 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
         matrix=ExactMatrix(n, n, data),
         trace_norm=d.trace_norm - weight * norm2,
     )
+    # each entry was written next to its conjugate
+    object.__setattr__(out, "_hermitian", True)
     cert = out.psd()
     if not cert.is_psd:
         raise AssertionError("extremal subtraction lost positivity")

@@ -1,13 +1,19 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from upblab import _kernels
-from upblab.errors import BadMaskError, NotInRangeError, SpansEverythingError
+from upblab.errors import (
+    BadMaskError,
+    NotHermitianError,
+    NotInRangeError,
+    SpansEverythingError,
+)
 from upblab.linalg import (
     ExactMatrix,
     inner,
@@ -489,9 +495,84 @@ def test_subtract_product_reuses_the_certificate(monkeypatch):
     out, _ = subtract_product(d, v)
     after = birank(out)
     assert after.rank == before.rank - 1
-    # LDL of d and of the result, one Bareiss per transpose rank; the range
-    # question is answered from d's LDL, with no solve
-    assert counts == {"ldl_hermitian": 2, "bareiss_rank": 2}
+    assert psd_certificate(partial_transpose(out, {0}).matrix).is_psd
+    # one LDL each for d, its transpose, the result and the result's
+    # transpose: both transposes are PSD, so their ranks come from their
+    # certificates with no Bareiss; the range question is answered from d's
+    # LDL, with no solve; the closing certificate is the one birank(out) made
+    assert counts == {"ldl_hermitian": 4}
+
+
+def test_birank_matches_the_bareiss_oracle():
+    # PPT inputs read the transpose rank from its LDL certificate, NPT ones
+    # fall back to Bareiss; either way it is the rank of the transpose
+    rng = random.Random(88)
+    ppt = [
+        random_separable_two_by_n(rng, rng.randint(2, 6), rng.randint(1, 5))[0]
+        for _ in range(20)
+    ]
+    npt = [pure_density(rand_vector(rng, 2 * n), (2, n)) for n in (2, 2, 3, 3, 3)]
+    npt.append(pure_density([1, 0, 0, 1], (2, 2)))
+    for d, is_ppt in [(d, True) for d in ppt] + [(d, False) for d in npt]:
+        b = birank(d)
+        assert partial_transpose(d, {0}).psd().is_psd == is_ppt
+        assert b.rank == matrix_rank(d.matrix)
+        assert b.pt_rank == matrix_rank(partial_transpose(d, {0}).matrix)
+
+
+def _hermitian_on_three_qubits(rng):
+    m = outer(rand_vector(rng, 8), rand_vector(rng, 8))
+    return density_from_matrix((2, 2, 2), m + m.dagger())
+
+
+def test_kept_transposes_are_per_mask():
+    d = _hermitian_on_three_qubits(random.Random(21))
+    assert partial_transpose(d, {0}) is partial_transpose(d, [0])
+    first, second = partial_transpose(d, {0}), partial_transpose(d, {1})
+    assert first.matrix != second.matrix
+    for mask, pt in (({0}, first), ({1}, second)):
+        assert pt.matrix == partial_transpose_entrywise(d.matrix, d.dims, mask)
+
+
+def test_replaced_matrix_is_transposed_and_certified_afresh():
+    d = bell_projector()
+    assert not partial_transpose(d, {0}).psd().is_psd
+    assert d.rank() == 1
+    a, b = rand_vector(random.Random(3), 2), rand_vector(random.Random(4), 2)
+    m2 = outer(a, a).kron(outer(b, b)) + ExactMatrix.identity(4)
+    d2 = replace(d, matrix=m2)
+    pt = partial_transpose(d2, {0})
+    assert pt.matrix == partial_transpose_entrywise(m2, d2.dims, {0})
+    assert pt.psd().is_psd and d2.rank() == pt.rank() == 4
+    # nor does the Hermitian mark follow a replaced matrix
+    rng = random.Random(5)
+    m3 = ExactMatrix(4, 4, [rand_scalar(rng) for _ in range(16)])
+    with pytest.raises(NotHermitianError):
+        replace(d, matrix=m3).psd()
+
+
+def test_transpose_of_an_unchecked_operator_is_still_checked():
+    rng = random.Random(8)
+    m = ExactMatrix(6, 6, [rand_scalar(rng) for _ in range(36)])
+    d = DensityOp(dims=(2, 3), matrix=m, trace_norm=Fraction(1))
+    with pytest.raises(NotHermitianError):
+        partial_transpose(d, {0}).psd()
+    with pytest.raises(NotHermitianError):
+        birank(d)
+
+
+def test_kept_certificates_revalidate_against_their_matrix():
+    d, v = random_separable_two_by_n(random.Random(12), 4, 3)
+    birank(d)
+    out, _ = subtract_product(d, v)
+    birank(out)
+    bell_pt = partial_transpose(bell_projector(), {0})
+    bell_pt.rank()
+    for op in (d, partial_transpose(d, {0}), out, partial_transpose(out, {0}), bell_pt):
+        m = op.matrix
+        assert m._psd is not None and psd_certificate(m) is m._psd
+        assert verify_psd_certificate(m, m._psd)
+    assert not bell_pt.matrix._psd.is_psd
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -538,14 +619,14 @@ def test_operators_from_density_from_matrix_are_not_checked_again(monkeypatch):
     # the loader checks the matrix; rank() certifies it without a second check
     assert from_doc(doc).rank() == 4
     assert calls == [8]
-    # one check for the input as it is built, one for the subtraction's
-    # result, which is built directly
+    # one check for the input as it is built; its transpose and the
+    # subtraction's result are Hermitian by construction
     calls.clear()
     d, v = random_separable_two_by_n(random.Random(5), 3, 3)
     birank(d)
     out, _ = subtract_product(d, v)
     assert out.rank() == d.rank() - 1
-    assert calls == [6, 6]
+    assert calls == [6]
 
 
 def test_transpose_permutations_of_an_8_qubit_sweep_stay_cached():
