@@ -61,12 +61,14 @@ def sparse_cleared_rows(m: ExactMatrix) -> tuple[int, list]:
     as by ``cleared``, as ``(column, re, im)`` integer triples.
 
     This is the form ``annihilates`` takes; the zero entries, which cannot
-    change M x, are left out.
+    change M x, are left out.  Only the nonzero entries are read: a zero's
+    denominator is 1, so it leaves the row's common denominator as it is.
     """
     rows = []
     for i in range(m.rows):
-        re, im = cleared(m.row(i))
-        rows.append([(j, a, b) for j, (a, b) in enumerate(zip(re, im)) if a or b])
+        nz = [(j, e) for j, e in enumerate(m.row(i)) if e.t[0] or e.t[1]]
+        re, im = cleared([e for _, e in nz])
+        rows.append([(j, a, b) for (j, _), a, b in zip(nz, re, im)])
     return m.cols, rows
 
 

@@ -38,9 +38,12 @@ from .qubits import (
 
 
 class ProductVector:
-    """An n-party product vector of single-qubit locals."""
+    """An n-party product vector of single-qubit locals.
 
-    __slots__ = ("locals",)
+    ``_cleared`` keeps the result of ``cleared_flatten`` once computed; it
+    takes no part in equality or hashing."""
+
+    __slots__ = ("locals", "_cleared")
 
     def __init__(self, locals):
         locals = tuple(locals)
@@ -49,6 +52,7 @@ class ProductVector:
         if not all(isinstance(l, LocalState) for l in locals):
             raise TypeError("locals must be LocalState instances")
         object.__setattr__(self, "locals", locals)
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductVector is immutable")
@@ -69,19 +73,21 @@ class ProductVector:
             vec = kron_vec(vec, l.vec2())
         return vec
 
-    def cleared_flatten(self) -> tuple[list[int], list[int]]:
+    def cleared_flatten(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Real and imaginary parts of a positive integer multiple of
         ``flatten()``, built from each local with its denominators cleared;
-        raises for generic angle locals."""
-        re, im = [1], [0]
-        for l in self.locals:
-            (ar, br), (ai, bi) = cleared(l.vec2())
-            loc = ((ar, ai), (br, bi))
-            re, im = (
-                [x * c - y * e for x, y in zip(re, im) for c, e in loc],
-                [x * e + y * c for x, y in zip(re, im) for c, e in loc],
-            )
-        return re, im
+        raises for generic angle locals.  Computed once and kept."""
+        if self._cleared is None:
+            re, im = [1], [0]
+            for l in self.locals:
+                (ar, br), (ai, bi) = cleared(l.vec2())
+                loc = ((ar, ai), (br, bi))
+                re, im = (
+                    [x * c - y * e for x, y in zip(re, im) for c, e in loc],
+                    [x * e + y * c for x, y in zip(re, im) for c, e in loc],
+                )
+            object.__setattr__(self, "_cleared", (tuple(re), tuple(im)))
+        return self._cleared
 
     def phase_key(self):
         return tuple(l.phase_key() for l in self.locals)

@@ -5,7 +5,9 @@ and an explicit trace; unnormalized operators are first class, and
 normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
 through the certified LDL* elimination, run at most once per matrix, and
-rank and range questions are answered from that one certificate.
+rank and range questions are answered from that one certificate.  The PPT
+sweep moves only the nonzero entries into each partial transpose, and the
+complement projector computes only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .linalg import (
     range_quadratic_form,  # noqa: F401  (re-exported)
 )
 from .product import ProductSet, ProductVector
-from .scalars import CQ0, ComplexRational, cq_make, cq_scale_rat
+from .scalars import CQ0, CQ_ZERO, ComplexRational, cq_make, cq_scale_rat
 
 
 @dataclass(frozen=True)
@@ -178,11 +180,12 @@ def complement_projector(s: ProductSet) -> DensityOp:
         ) - bias
 
     packed = [(xr, xi, w, pack(xr), pack(xi)) for (xr, xi), w in zip(vecs, weights)]
-    # (L I - N) / (L (D - |s|)): the upper triangle, each entry reduced once,
-    # and its conjugate below the diagonal
+    # (L I - N) / (L (D - |s|)): the upper triangle, each nonzero entry
+    # reduced once, and its conjugate below the diagonal.  A zero entry
+    # keeps the shared CQ0; a diagonal entry is tested only after L is added
     rank = d - len(s.members)
     den = big * rank
-    data = [None] * (d * d)
+    data = [CQ0] * (d * d)
     for i in range(d):
         row_re = row_im = 0
         for xr, xi, w, pr, pi in packed:
@@ -198,9 +201,12 @@ def complement_projector(s: ProductSet) -> DensityOp:
             at = j * width
             a = half - int.from_bytes(re_bytes[at : at + width], "little")
             b = half - int.from_bytes(im_bytes[at : at + width], "little")
-            p, q, r = cq_make(a + big if j == i else a, b, den)
-            data[i * d + j] = ComplexRational.from_triple((p, q, r))
-            data[j * d + i] = ComplexRational.from_triple((p, -q, r))
+            if j == i:
+                a += big
+            if a or b:
+                p, q, r = cq_make(a, b, den)
+                data[i * d + j] = ComplexRational.from_triple((p, q, r))
+                data[j * d + i] = ComplexRational.from_triple((p, -q, r))
     # Every entry sits next to its conjugate, so the Hermitian check that
     # psd() makes below is the only one needed
     m = ExactMatrix(d, d, data)
@@ -231,25 +237,43 @@ def _check_mask(mask, parties) -> frozenset:
     return mask
 
 
-# One ppt_report sweep at 8 qubits asks for 2^7 - 1 = 127 permutations in
-# the same order every time, so a smaller cache evicts each one before its
-# next use.  Full at 8 qubits it keeps 127 x 256^2 x 4 bytes, about 32 MiB.
+# One ppt_report sweep at 8 qubits asks for 2^7 - 1 = 127 splits in the same
+# order every time, so a smaller cache evicts each one before its next use.
+# Full at 8 qubits it keeps 127 x 2 x 256 offsets.
+@lru_cache(maxsize=128)
+def _transpose_split(dims: tuple, mask: tuple) -> tuple:
+    """Offsets (u, m), each indexed by flat index: a = u[a] + m[a], with u[a]
+    the offset of a's unmasked digits and m[a] that of its masked digits.
+
+    The partial transpose moves entry (i, j) to (u[i] + m[j], u[j] + m[i]).
+    """
+    u = [0] * prod(dims)
+    m = list(u)
+    masked = party_offsets(dims, mask)
+    for a in party_offsets(dims, [p for p in range(len(dims)) if p not in mask]):
+        for b in masked:
+            u[a + b] = a
+            m[a + b] = b
+    return tuple(u), tuple(m)
+
+
+# Only partial_transpose reads the permutations.  Full at 8 qubits this cache
+# would keep 127 x 256^2 x 4 bytes, about 32 MiB, which is why ppt_report
+# moves the nonzero entries through _transpose_split instead.
 @lru_cache(maxsize=128)
 def _transpose_permutation(dims: tuple, mask: tuple) -> array:
     """Flat-index permutation of the partial transpose: the transposed
     matrix's entry k is the source entry perm[k].
 
-    With u, u' offsets of the unmasked parties and m, m' of the masked ones,
-    entry (u + m, u' + m') of the transpose is entry (u + m', u' + m).
+    The partial transpose is an involution, so entry (i, j) of the transpose
+    is entry (u[i] + m[j], u[j] + m[i]) of the source (see _transpose_split).
     """
-    dim = prod(dims)
-    rest = party_offsets(dims, [p for p in range(len(dims)) if p not in mask])
-    # (u, m) for each flat index u + m, in index order
-    split = sorted((u + m, u, m) for u in rest for m in party_offsets(dims, mask))
-    cols = [m * dim + u for _, u, m in split]
+    u, m = _transpose_split(dims, mask)
+    dim = len(u)
+    cols = [b * dim + a for a, b in zip(u, m)]
     perm = array("I")
-    for _, u, m in split:
-        base = u * dim + m
+    for a, b in zip(u, m):
+        base = a * dim + b
         perm.extend([base + c for c in cols])
     return perm
 
@@ -324,18 +348,27 @@ def bipartition_classes(parties: int):
 
 def ppt_report(d: DensityOp) -> PptReport:
     """Certify the partial transpose of every bipartition class of a PSD
-    operator.  Raises NotPsdError when the input itself is not PSD."""
+    operator.  Raises NotPsdError when the input itself is not PSD.
+
+    Each certificate is the one ``psd_certificate`` gives for the class's
+    ``partial_transpose``.  Only the nonzero entries are moved: each class
+    places them, as reduced triples, in fresh rows of zeros, which go to the
+    elimination as they are."""
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
-    # Unbox the entries once; each class permutes the triples as
-    # partial_transpose permutes the entries, and is eliminated from them
-    ts = [e.t for e in d.matrix.data]
     dims, dim = tuple(d.dims), d.dim
+    nonzero = [
+        (k // dim, k % dim, t)
+        for k, t in enumerate(e.t for e in d.matrix.data)
+        if t[0] or t[1]
+    ]
     certs = {}
     for mask in bipartition_classes(d.parties):
-        flat = list(map(ts.__getitem__, _transpose_permutation(dims, tuple(sorted(mask)))))
-        rows = [flat[k : k + dim] for k in range(0, dim * dim, dim)]
+        u, m = _transpose_split(dims, tuple(sorted(mask)))
+        rows = [[CQ_ZERO] * dim for _ in range(dim)]
+        for i, j, t in nonzero:
+            rows[u[i] + m[j]][u[j] + m[i]] = t
         # d.psd() checked that d is Hermitian, so each partial transpose is
         certs[mask] = _ldl_certificate(rows, dim)
     return PptReport(certificates=certs)

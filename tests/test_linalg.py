@@ -310,3 +310,14 @@ def test_sparse_annihilates_agrees_with_apply():
         if cols > 1:
             assert not annihilates(sparse, cleared(rand_vector(rng, cols - 1)))
     assert min(outcomes.values()) > 50
+
+
+def test_sparse_cleared_rows_of_zero_rows_are_empty():
+    # a zero row reads no entries, so its scale is 1 and it lists none
+    m = ExactMatrix.from_rows(
+        [[Fraction(1, 2), ComplexRational(0, Fraction(1, 3)), 0], [0, 0, 0], [0, 5, 0]]
+    )
+    assert sparse_cleared_rows(m) == (3, [[(0, 3, 0), (1, 0, 2)], [], [(1, 5, 0)]])
+    assert sparse_cleared_rows(ExactMatrix.zeros(2, 4)) == (4, [[], []])
+    x = cleared(rand_vector(random.Random(5), 4))
+    assert annihilates(sparse_cleared_rows(ExactMatrix.zeros(2, 4)), x)

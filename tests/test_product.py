@@ -225,3 +225,29 @@ def test_mixed_kind_comparison_fails_loudly():
     d = ProductVector([K1, LocalState.pair(1, 1)])
     graph = verify_ops([c, d])
     assert graph.parties_for(0, 1) == frozenset({0})
+
+
+def test_cleared_flatten_is_kept_and_immutable():
+    from upblab.linalg import cleared, kron_vec
+
+    v = ProductVector([LocalState.pair(1, 2), LocalState.pair(3, -1), PLUS])
+    re, im = v.cleared_flatten()
+    assert v.cleared_flatten() is v.cleared_flatten()
+    assert (re, im) == ProductVector(v.locals).cleared_flatten()
+    # kept as tuples, so a caller cannot change what later callers read
+    assert isinstance(re, tuple) and isinstance(im, tuple)
+    with pytest.raises(TypeError):
+        re[0] = 0
+    # a positive integer multiple of flatten(), local by local
+    want = (1,)
+    for l in v.locals:
+        want = kron_vec(want, cleared(l.vec2())[0])
+    assert re == want and not any(im)
+
+
+def test_kept_coordinates_leave_equality_and_hashing_alone():
+    a = ProductVector([K0, LocalState.pair(1, 2)])
+    b = ProductVector([K0, LocalState.pair(1, 2)])
+    a.cleared_flatten()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -3,6 +3,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ from upblab.product import (
     tensor_upb_opb,
 )
 from upblab.qubits import LocalState, local_perp
-from upblab.scalars import ComplexRational
+from upblab.scalars import CQ0, ComplexRational
 from upblab.states import (
     DensityOp,
     _transpose_permutation,
+    _transpose_split,
     bipartition_classes,
     birank,
     complement_projector,
@@ -80,6 +82,9 @@ def test_complement_of_three_basis_vectors_is_pure():
     c = complement_projector(build_product_set(keep))
     assert c.rank() == 1
     assert c.matrix == pure_density(ProductVector([K1, K1]).flatten(), (2, 2)).matrix
+    # three diagonal entries are zero, as are all off-diagonal ones: each
+    # is the shared zero, not a fresh one
+    assert sum(e is CQ0 for e in c.matrix.data) == 15
 
 
 def test_complement_full_basis_rejected():
@@ -629,24 +634,48 @@ def test_operators_from_density_from_matrix_are_not_checked_again(monkeypatch):
     assert calls == [6]
 
 
-def test_transpose_permutations_of_an_8_qubit_sweep_stay_cached():
-    # a ppt_report sweep at 8 qubits asks for 127 permutations in the same
-    # order every time; a cache that holds fewer evicts each before reuse
+def test_transpose_splits_of_an_8_qubit_sweep_stay_cached():
+    # a ppt_report sweep at 8 qubits asks for 127 index splits, 2 x 256
+    # offsets each, in the same order every time; a cache that holds fewer
+    # evicts each before reuse.  The sweep builds no dim^2 permutation.
     dims = (2,) * 8
     masks = [tuple(sorted(m)) for m in bipartition_classes(8)]
     assert len(masks) == 127
-    _transpose_permutation.cache_clear()
+    d = density_from_matrix(dims, ExactMatrix.identity(256))
+    _transpose_split.cache_clear()
+    permutations = _transpose_permutation.cache_info()
     try:
+        assert ppt_report(d).is_ppt
+        first = _transpose_split.cache_info()
         for mask in masks:
-            _transpose_permutation(dims, mask)
-        first = _transpose_permutation.cache_info()
-        for mask in masks:
-            _transpose_permutation(dims, mask)
-        second = _transpose_permutation.cache_info()
-        assert (first.hits, first.misses) == (0, 127)
+            u, m = _transpose_split(dims, mask)
+            assert len(u) == len(m) == 256
+        second = _transpose_split.cache_info()
+        assert (first.hits, first.misses, first.currsize) == (0, 127, 127)
         assert (second.hits, second.misses) == (127, 127)
+        assert _transpose_permutation.cache_info() == permutations
     finally:
-        _transpose_permutation.cache_clear()
+        _transpose_split.cache_clear()
+
+
+def test_transpose_split_matches_entrywise_transpose_and_permutation():
+    # every mask, the empty and the full one included
+    shapes = [(2,) * n for n in range(1, 6)] + [(2, 3, 2), (3, 2, 2, 2)]
+    for dims in shapes:
+        dim = prod(dims)
+        # distinct entries, so each one's destination is pinned down
+        m = ExactMatrix(dim, dim, [ComplexRational(k, -k) for k in range(dim * dim)])
+        for r in range(len(dims) + 1):
+            for mask in itertools.combinations(range(len(dims)), r):
+                u, w = _transpose_split(dims, mask)
+                assert [a + b for a, b in zip(u, w)] == list(range(dim))
+                moved = [None] * (dim * dim)
+                for i in range(dim):
+                    for j in range(dim):
+                        moved[(u[i] + w[j]) * dim + u[j] + w[i]] = m.at(i, j)
+                assert ExactMatrix(dim, dim, moved) == partial_transpose_entrywise(m, dims, mask)
+                perm = _transpose_permutation(dims, mask)
+                assert [m.data[k] for k in perm] == moved
 
 
 def _random_entangled_state():
@@ -655,18 +684,51 @@ def _random_entangled_state():
     return pure_density(rand_vector(random.Random(31), 12), (2, 3, 2))
 
 
+def _separable_qubit_qutrit_qubit():
+    # a mixture of two product states on a qubit, a qutrit and a qubit
+    rng = random.Random(41)
+    terms = []
+    for _ in range(2):
+        a, b, c = (rand_vector(rng, k) for k in (2, 3, 2))
+        terms.append(outer(a, a).kron(outer(b, b)).kron(outer(c, c)))
+    return density_from_matrix((2, 3, 2), terms[0] + terms[1])
+
+
+def _entangled_two_qutrits():
+    return pure_density(rand_vector(random.Random(43), 9), (3, 3))
+
+
+def _state_with_a_zero_row():
+    # row and column 5 of a three-qubit pure state are zero
+    v = list(rand_vector(random.Random(47), 8))
+    v[5] = ComplexRational(0)
+    return pure_density(v, (2, 2, 2))
+
+
 @pytest.mark.parametrize(
     "make, ppt",
     [
         (lambda: rotated_complement(random.Random(17), 2), True),
         (bell_projector, False),
         (_random_entangled_state, False),
+        (_separable_qubit_qutrit_qubit, True),
+        (_entangled_two_qutrits, False),
+        (lambda: complement_projector(tensor_upb_opb(shifts_upb(), 2)), True),
+        (_state_with_a_zero_row, False),
     ],
-    ids=["rotated-5q-complement", "bell", "random-entangled"],
+    ids=[
+        "rotated-5q-complement",
+        "bell",
+        "random-entangled",
+        "separable-2x3x2",
+        "entangled-3x3",
+        "unrotated-5q-complement",
+        "zero-row",
+    ],
 )
 def test_ppt_report_certificates_match_partial_transpose(make, ppt):
-    # ppt_report permutes the unboxed entries itself; every certificate must
-    # be the one partial_transpose and psd_certificate give for its class
+    # ppt_report moves the nonzero entries itself; every certificate must be
+    # the one partial_transpose and psd_certificate give for its class
     d = make()
     rep = ppt_report(d)
     assert list(rep.certificates) == bipartition_classes(d.parties)
