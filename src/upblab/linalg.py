@@ -332,7 +332,7 @@ class PsdCertificate:
     Step t of ``steps`` is ``(p_t, ((k, f_k), ...))``: l_t is 1 at the pivot
     p_t, conj(f_k) at each listed k (f_k a reduced triple) and zero
     elsewhere, in particular at every earlier pivot.  The range quadratic
-    form and the independent checkers read this layout.
+    form and ``verify_psd_certificate`` read this layout.
 
     Otherwise ``witness`` satisfies ``<w|M|w> = witness_value < 0``;
     ``zero_diag_pair`` is set when the negativity came from a zero diagonal
@@ -341,7 +341,6 @@ class PsdCertificate:
 
     verdict: str  # "psd" | "not_psd"
     pivots: tuple[Fraction, ...]
-    order: tuple[int, ...]
     steps: tuple
     dim: int
     rank: Optional[int] = None
@@ -352,24 +351,6 @@ class PsdCertificate:
     @property
     def is_psd(self) -> bool:
         return self.verdict == "psd"
-
-    def elimination_vectors(self) -> list[Vector]:
-        """The vectors l_t of the recorded factorization M = sum d_t |l_t><l_t|."""
-        out = []
-        for p, frow in self.steps:
-            v = [CQ0] * self.dim
-            v[p] = CQ1
-            for k, f in frow:
-                v[k] = ComplexRational.from_triple((f[0], -f[1], f[2]))
-            out.append(tuple(v))
-        return out
-
-    def reconstruction(self) -> ExactMatrix:
-        """Rebuild sum_t d_t |l_t><l_t| from the record (PSD case)."""
-        acc = ExactMatrix.zeros(self.dim, self.dim)
-        for d, l in zip(self.pivots, self.elimination_vectors()):
-            acc = acc + outer(l, l).scale(ComplexRational(d))
-        return acc
 
 
 def psd_certificate(m: ExactMatrix) -> PsdCertificate:
@@ -390,13 +371,11 @@ def _ldl_certificate(rows, n: int) -> PsdCertificate:
     given as rows of reduced triples (see ``_kernels``)."""
     rec = _kernels.ldl_hermitian(rows, n)
     pivots = tuple(Fraction(num, den) for num, den in rec["pivots"])
-    order = tuple(rec["order"])
     steps = tuple((p, tuple(frow)) for p, frow in rec["steps"])
     if rec["verdict"] == "psd":
         return PsdCertificate(
             verdict="psd",
             pivots=pivots,
-            order=order,
             steps=steps,
             dim=n,
             rank=len(pivots),
@@ -406,7 +385,6 @@ def _ldl_certificate(rows, n: int) -> PsdCertificate:
     return PsdCertificate(
         verdict="not_psd",
         pivots=pivots,
-        order=order,
         steps=steps,
         dim=n,
         witness=witness,
@@ -423,20 +401,42 @@ def quadratic_form(m: ExactMatrix, v: Sequence[ComplexRational]) -> ComplexRatio
 def verify_psd_certificate(m: ExactMatrix, cert: PsdCertificate) -> bool:
     """Re-validate a certificate independently of the elimination code.
 
-    PSD: all pivots positive and the recorded factorization reproduces m.
-    Not PSD: the witness is nonzero and <w|M|w> equals the recorded
-    negative value.
+    PSD: positive pivots, ``rank`` their count, steps laid out as in
+    ``PsdCertificate``, and sum_t k_t g_t g_t* = L M over Gaussian integers,
+    for l_t = g_t / c_t and k_t = L d_t / c_t^2.  Not PSD: a nonzero witness
+    with <w|M|w> the recorded negative value.  Malformed ones are refuted.
     """
-    if cert.is_psd:
-        if any(d <= 0 for d in cert.pivots):
+    n = m.rows
+    if m.cols != n or cert.dim != n:
+        return False
+    if not cert.is_psd:
+        w = cert.witness
+        if w is None or len(w) != n or all(x.is_zero() for x in w):
             return False
-        return cert.reconstruction() == m
-    if cert.witness is None or all(x.is_zero() for x in cert.witness):
+        val = quadratic_form(m, w)
+        return val.is_real() and val.re < 0 and val.re == cert.witness_value
+    if not cert.rank == len(cert.pivots) == len(cert.steps):
         return False
-    val = quadratic_form(m, cert.witness)
-    if not val.is_real():
-        return False
-    return val.re < 0 and val.re == cert.witness_value
+    terms, free = [], set(range(n))  # free: the indices not pivoted yet
+    for d, (p, frow) in zip(cert.pivots, cert.steps):
+        idx = [p] + [k for k, _ in frow]
+        c = lcm(*(f[2] for _, f in frow))  # l_t = g_t / c_t
+        if d <= 0 or not c or len(set(idx)) < len(idx) or not free.issuperset(idx):
+            return False
+        free.remove(p)
+        g = [(p, c, 0)] + [(k, a * (c // r), -b * (c // r)) for k, (a, b, r) in frow]
+        terms.append((Fraction(d, c * c), g))
+    big = lcm(*(w.denominator for w, _ in terms))
+    re, im = [0] * (n * n), [0] * (n * n)
+    for w, g in terms:
+        kt = big // w.denominator * w.numerator
+        for i, a, b in g:  # row i gains k_t g_i conj(g_j)
+            ka, kb, row = kt * a, kt * b, i * n
+            for j, x, y in g:
+                re[row + j] += ka * x + kb * y
+                im[row + j] += kb * x - ka * y
+    ts = (e.t for e in m.data)
+    return all(x * r == big * p and y * r == big * q for x, y, (p, q, r) in zip(re, im, ts))
 
 
 def range_quadratic_form(m: ExactMatrix, v) -> Optional[Fraction]:

@@ -39,7 +39,7 @@ from upblab.states import (
     subtract_product,
 )
 
-from oracles import oracle_extendible, rand_vector, random_feasible_ops
+from oracles import oracle_extendible, rand_vector, random_feasible_ops, rotated_complement
 from test_blocks import random_block_spec
 
 K0 = LocalState.ket(0)
@@ -372,4 +372,23 @@ def test_exact_vs_float_psd_crosscheck():
         120.0,
         f"200 Hermitian matrices ({psd_count} PSD): certificates re-validated; "
         f"float eigenvalue sign agreed on all {compared} decisive cases",
+    )
+
+
+def test_rotated_six_qubit_certificates_recheck():
+    t0 = time.monotonic()
+    d = rotated_complement(random.Random(1), 3)
+    rep = ppt_report(d)
+    assert rep.is_ppt and len(rep.certificates) == 31
+    assert verify_psd_certificate(d.matrix, d.psd())
+    for mask, cert in rep.certificates.items():
+        assert verify_psd_certificate(partial_transpose(d, mask).matrix, cert), mask
+        # every partial transpose of a complement keeps its rank
+        assert cert.rank == d.rank(), mask
+    _report(
+        "rotated 6-qubit certificate re-check",
+        t0,
+        5.0,
+        f"complement of rank {d.rank()} and its 31 partial transposes: "
+        "every PSD certificate re-validated over Gaussian integers",
     )

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from upblab.linalg import (
     verify_psd_certificate,
 )
 from upblab.product import shifts_upb
-from upblab.scalars import ComplexRational
+from upblab.scalars import CQ0, ComplexRational
 from upblab.states import complement_projector
 
 from oracles import rand_hermitian, rand_scalar, rand_vector, random_psd
@@ -147,6 +148,105 @@ def test_certificates_revalidate_both_ways():
             assert cert.witness is not None
             val = quadratic_form(m, cert.witness)
             assert val.re < 0
+
+
+def _certified(seed: int, trials: int, psd: bool):
+    """(matrix, certificate) pairs of random Hermitian matrices of size 2..6
+    whose certificate has the requested verdict and re-validates."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < trials:
+        n = rng.randint(2, 6)
+        m = random_psd(rng, n, rng.randint(1, n)) if psd else rand_hermitian(rng, n)
+        cert = psd_certificate(m)
+        if cert.is_psd == psd:
+            assert verify_psd_certificate(m, cert)
+            out.append((m, cert))
+    return out
+
+
+def _with_step(cert, t, p, frow):
+    steps = cert.steps[:t] + ((p, tuple(frow)),) + cert.steps[t + 1 :]
+    return replace(cert, steps=steps)
+
+
+def test_psd_certificate_mutants_are_refuted():
+    """Each mutation of a valid PSD certificate is refuted, and none raises:
+    the Gaussian-integer identity catches changed values, the layout checks
+    catch indices that are out of range, negative or repeated."""
+    kinds = set()
+    for m, cert in _certified(41, 60, psd=True):
+        n, rank = m.rows, cert.rank
+        t = rank - 1
+        p, frow = cert.steps[t]
+        pivots = cert.pivots
+        mutants = {
+            "doubled pivot": replace(cert, pivots=pivots[:t] + (2 * pivots[t],)),
+            "dropped step": replace(cert, pivots=pivots[:t], steps=cert.steps[:t], rank=t),
+            "rank too high": replace(cert, rank=rank + 1),
+            "rank too low": replace(cert, rank=rank - 1),
+            "wrong dim": replace(cert, dim=n + 1),
+            "pivot out of range": _with_step(cert, t, n, frow),
+            "negative pivot index": _with_step(cert, t, p - n, frow),
+            # one step twice at half weight: the identity holds, the rank not
+            "repeated step": replace(
+                cert,
+                pivots=pivots[:t] + (pivots[t] / 2,) * 2,
+                steps=cert.steps + (cert.steps[t],),
+                rank=rank + 1,
+            ),
+        }
+        # the first step with multipliers, and its first non-real multiplier
+        for s, (q, fs) in enumerate(cert.steps):
+            if not fs:
+                continue
+            (k, f), rest = fs[0], list(fs[1:])
+            mutants["multiplier index out of range"] = _with_step(cert, s, q, [(n, f)] + rest)
+            mutants["negative multiplier index"] = _with_step(cert, s, q, [(k - n, f)] + rest)
+            mutants["multiplier at the pivot"] = _with_step(cert, s, q, [(q, f)] + rest)
+            for j, (kj, (a, b, r)) in enumerate(fs):
+                if b:
+                    conj = fs[:j] + ((kj, (a, -b, r)),) + fs[j + 1 :]
+                    mutants["conjugated multiplier"] = _with_step(cert, s, q, conj)
+                    break
+            break
+        for kind, bad in mutants.items():
+            assert verify_psd_certificate(m, bad) is False, kind
+        kinds.update(mutants)
+    assert "conjugated multiplier" in kinds and "negative multiplier index" in kinds
+
+
+def test_not_psd_certificate_mutants_are_refuted():
+    for m, cert in _certified(42, 60, psd=False):
+        w, n = cert.witness, m.rows
+        mutants = {
+            "witness value": replace(cert, witness_value=cert.witness_value - 1),
+            "long witness": replace(cert, witness=w + (CQ0,)),
+            "short witness": replace(cert, witness=w[:-1]),
+            "zero witness": replace(cert, witness=(CQ0,) * n),
+            "no witness": replace(cert, witness=None),
+            "wrong dim": replace(cert, dim=n - 1),
+        }
+        for kind, bad in mutants.items():
+            assert verify_psd_certificate(m, bad) is False, kind
+
+
+def test_checker_needs_no_kernel_and_no_scalar_arithmetic(monkeypatch):
+    """Certificates re-validate with every elimination kernel disabled, and
+    PSD ones also with ComplexRational arithmetic disabled: the checker is
+    code that did not produce the certificate."""
+    psd = _certified(43, 30, psd=True)
+    not_psd = _certified(44, 30, psd=False)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the checker must not call this")
+
+    for name in ("ldl_hermitian", "bareiss_rank", "rref"):
+        monkeypatch.setattr(_kernels, name, boom)
+    assert all(verify_psd_certificate(m, cert) for m, cert in not_psd)
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "conjugate"):
+        monkeypatch.setattr(ComplexRational, name, boom)
+    assert all(verify_psd_certificate(m, cert) for m, cert in psd)
 
 
 def test_psd_agrees_with_float_eigenvalues():

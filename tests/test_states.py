@@ -580,7 +580,7 @@ def test_kept_certificates_revalidate_against_their_matrix():
     assert not bell_pt.matrix._psd.is_psd
 
 
-@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
 def test_ppt_report_certificates_revalidate(extra):
     d = complement_projector(tensor_upb_opb(shifts_upb(), extra))
     assert verify_psd_certificate(d.matrix, d.psd())
