@@ -8,7 +8,7 @@ other.
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from upblab.linalg import ExactMatrix, as_vector, inner, projector
 from upblab.product import (
@@ -278,3 +278,79 @@ def random_grouped_tensor(rng: random.Random, dims):
             x = x * f[_join([ds[p] for p in g], [dims[p] for p in g])]
         v.append(x)
     return tuple(v)
+
+
+def _triple(z):
+    """A (re, im) pair of Fractions as the reduced triple (p, q, r)."""
+    re, im = z
+    r = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return (re.numerator * (r // re.denominator), im.numerator * (r // im.denominator), r)
+
+
+def ldl_reference(rows, n):
+    """Pivoted LDL* of a Hermitian matrix given as triple rows, over pairs of
+    Fractions, with the kernel's pivot rule and record layout: the first
+    negative active diagonal gives "neg_diag"; otherwise the first positive
+    one is the pivot; an all-zero active diagonal gives "zero_diag" at the
+    first nonzero active pair (i < j), or "psd" when there is none.  It
+    forms the whole Schur complement densely, so it shares no update order
+    with the kernel, and it calls nothing from ``upblab``."""
+    W = [[(Fraction(p, r), Fraction(q, r)) for p, q, r in row] for row in rows]
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    act = list(range(n))
+    order, pivots, steps = [], [], []
+
+    def record(verdict, u=None, pair=None, value=None):
+        witness = None
+        if u is not None:
+            for p, frow in reversed(steps):
+                s = zero
+                for k, f in frow:
+                    fu = mul(f, u[k])
+                    s = (s[0] + fu[0], s[1] + fu[1])
+                u[p] = (u[p][0] - s[0], u[p][1] - s[1])
+            witness = [_triple(x) for x in u]
+        return {
+            "verdict": verdict,
+            "order": order,
+            "pivots": pivots,
+            "steps": [(p, [(k, _triple(f)) for k, f in frow]) for p, frow in steps],
+            "witness": witness,
+            "pair": pair,
+            "value": value,
+        }
+
+    while True:
+        diag = [(i, W[i][i][0]) for i in act]
+        neg = [i for i, x in diag if x < 0]
+        if neg:
+            u = [zero] * n
+            u[neg[0]] = one
+            x = W[neg[0]][neg[0]][0]
+            return record("neg_diag", u, value=(x.numerator, x.denominator))
+        pos = [i for i, x in diag if x > 0]
+        if not pos:
+            for a, i in enumerate(act):
+                for j in act[a + 1 :]:
+                    if W[i][j] != zero:
+                        u = [zero] * n
+                        u[i] = one
+                        u[j] = (-W[i][j][0], W[i][j][1])
+                        p, q, r = _triple(W[i][j])
+                        return record("zero_diag", u, (i, j), (-2 * (p * p + q * q), r * r))
+            return record("psd")
+        p = pos[0]
+        act.remove(p)
+        d = W[p][p][0]
+        frow = [(k, (W[p][k][0] / d, W[p][k][1] / d)) for k in act if W[p][k] != zero]
+        for i in act:
+            for j in act:
+                c = mul(W[i][p], W[p][j])
+                W[i][j] = (W[i][j][0] - c[0] / d, W[i][j][1] - c[1] / d)
+        steps.append((p, frow))
+        order.append(p)
+        pivots.append((d.numerator, d.denominator))

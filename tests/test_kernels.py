@@ -2,13 +2,20 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import upblab._kernels as kernels
 from upblab import states
-from upblab.linalg import ExactMatrix, as_vector, outer
+from upblab.linalg import ExactMatrix, as_vector, outer, verify_psd_certificate
 from upblab.scalars import ComplexRational
 
-from oracles import rand_hermitian, rand_scalar, rotated_complement
+from oracles import (
+    ldl_reference,
+    rand_hermitian,
+    rand_scalar,
+    random_psd,
+    rotated_complement,
+)
 
 
 def test_rref_does_not_mutate_input():
@@ -67,14 +74,7 @@ def test_ldl_output_is_pinned():
     assert h.hexdigest() == "88b3b44ee272e2c4d18f126c3215bed4ff0cbc3889c3c93072be8dd74040c084"
 
 
-def test_schur_update_forms_each_hermitian_pair_once(monkeypatch):
-    """The kernel reduces each updated entry with one gcd.  I + v v-dagger
-    with every v_k nonzero keeps a dense Schur complement at every step,
-    so step t updates the m(m+1)/2 pairs j >= i of its m = n - t
-    multipliers; forming both triangles would take m^2."""
-    v = as_vector([ComplexRational(1, 1), 2, ComplexRational(-1, 3), ComplexRational(0, -2), 3, 1])
-    n = len(v)
-    m = ExactMatrix.identity(n) + outer(v, v)
+def _count_gcd(monkeypatch):
     calls = []
     real_gcd = kernels.gcd
 
@@ -83,7 +83,117 @@ def test_schur_update_forms_each_hermitian_pair_once(monkeypatch):
         return real_gcd(*args)
 
     monkeypatch.setattr(kernels, "gcd", counted)
-    rec = kernels.ldl_hermitian(m._triple_rows(), n)
-    assert rec["verdict"] == "psd" and rec["order"] == list(range(n))
-    assert [len(frow) for _, frow in rec["steps"]] == list(range(n - 1, -1, -1))
-    assert len(calls) == sum(k * (k + 1) // 2 for k in range(1, n))
+    return calls
+
+
+def test_schur_update_forms_each_hermitian_pair_once(monkeypatch):
+    """I + v v-dagger with every v_k nonzero keeps a dense Schur complement
+    at every step, so step t updates the m(m+1)/2 pairs j >= i of its
+    m = n - t multipliers; forming both triangles would take m^2.  With v
+    scaled by 2^-300 every denominator passes _REDUCE_BITS, so each update
+    reduces with one gcd and the gcd calls count the updates.  The same
+    matrix with small entries reduces no update at all."""
+    v = [ComplexRational(1, 1), 2, ComplexRational(-1, 3), ComplexRational(0, -2), 3, 1]
+    n = len(v)
+    calls = _count_gcd(monkeypatch)
+    scale = ComplexRational(Fraction(1, 1 << 300))
+    pairs = sum(k * (k + 1) // 2 for k in range(1, n))
+    for w, reduced in ((v, 0), ([scale * x for x in v], pairs)):
+        m = ExactMatrix.identity(n) + outer(as_vector(w), as_vector(w))
+        calls.clear()
+        rec = kernels.ldl_hermitian(m._triple_rows(), n)
+        assert rec["verdict"] == "psd" and rec["order"] == list(range(n))
+        assert [len(frow) for _, frow in rec["steps"]] == list(range(n - 1, -1, -1))
+        assert calls == [3] * reduced
+
+
+def _with_schur(rng, h):
+    """A matrix whose first pivot is a positive rational and whose Schur
+    complement after it is exactly ``h``."""
+    a = ComplexRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    b = [rand_scalar(rng) for _ in range(h.rows)]
+    rows = [[a] + b]
+    for i in range(h.rows):
+        bi = b[i].conjugate()
+        rows.append([bi] + [bi * b[j] / a + h.at(i, j) for j in range(h.rows)])
+    return ExactMatrix.from_rows(rows)
+
+
+def _traced_ldl(monkeypatch, rows, n):
+    """Run the kernel and report, per pivot read and for the offending
+    entry of a failure, whether the kernel read it unreduced.  The kernel
+    calls cq_make once per pivot read, once per multiplier's coefficient and
+    once for the failure's offending entry, in that order."""
+    unreduced = []
+    real_make = kernels.cq_make
+
+    def traced(*t):
+        out = real_make(*t)
+        unreduced.append(out != t)
+        return out
+
+    monkeypatch.setattr(kernels, "cq_make", traced)
+    rec = kernels.ldl_hermitian(rows, n)
+    monkeypatch.setattr(kernels, "cq_make", real_make)
+    pivots, k = [], 0
+    for _, frow in rec["steps"]:
+        pivots.append(unreduced[k])
+        k += 1 + len(frow)
+    offender = unreduced[k] if rec["verdict"] != "psd" else None
+    assert k + (offender is not None) == len(unreduced)
+    return rec, pivots, offender
+
+
+def test_ldl_matches_fraction_reference_across_the_reduce_threshold(monkeypatch):
+    """Schur entries are reduced only when read or past _REDUCE_BITS, and
+    the record must not show it: over big-entry PSD and indefinite matrices
+    whose denominators cross the threshold mid-elimination, and over
+    small-entry failures whose offending entry is read unreduced, the whole
+    record equals a Fraction-arithmetic LDL that shares no code with the
+    kernel."""
+    rng = random.Random(20261019)
+    gcd_calls = _count_gcd(monkeypatch)
+    big = [random_psd(rng, n, rng.randint(1, n)) for n in range(2, 13) for _ in range(3)]
+    big += [
+        random_psd(rng, n, rng.randint(1, n)) - random_psd(rng, n, rng.randint(1, n))
+        for n in range(2, 11)
+    ]
+    offenders = {"neg_diag": [], "zero_diag": []}
+    while min(len(v) for v in offenders.values()) < 12:
+        k = rng.randint(1, 5)
+        h = rand_hermitian(rng, k)
+        if rng.random() < 0.5:
+            # a zero diagonal leaves only the off-diagonal test
+            h = ExactMatrix.from_rows(
+                [[h.at(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
+            )
+        m = _with_schur(rng, h)
+        # the inputs are reduced, so an unreduced offender came from an update
+        rec, _, offender = _traced_ldl(monkeypatch, m._triple_rows(), m.rows)
+        if offender:
+            offenders[rec["verdict"]].append(m)
+    verdicts = {}
+    unreduced_pivots = 0
+    for m in big + offenders["neg_diag"] + offenders["zero_diag"]:
+        rows = m._triple_rows()
+        rec, pivots, _ = _traced_ldl(monkeypatch, rows, m.rows)
+        assert rec == ldl_reference(rows, m.rows)
+        verdicts[rec["verdict"]] = verdicts.get(rec["verdict"], 0) + 1
+        unreduced_pivots += sum(pivots)
+    assert set(verdicts) == {"psd", "neg_diag", "zero_diag"}
+    assert unreduced_pivots > 0
+    # the big-entry matrices took their denominators past the threshold
+    assert len(gcd_calls) > 0
+
+
+def test_rotated_six_qubit_report_reduces_no_schur_update(monkeypatch):
+    """Denominators of a rotated 6-qubit complement stay below
+    _REDUCE_BITS, so its PPT report runs no Schur gcd, and every
+    certificate still re-checks."""
+    calls = _count_gcd(monkeypatch)
+    d = rotated_complement(random.Random(1), 3)
+    rep = states.ppt_report(d)
+    assert calls == []
+    assert len(rep.certificates) == 31
+    for mask, cert in rep.certificates.items():
+        assert verify_psd_certificate(states.partial_transpose(d, mask).matrix, cert), mask
