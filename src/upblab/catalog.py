@@ -359,6 +359,8 @@ def density_from_doc(doc: dict) -> DensityOp:
         _parse_int(x, f"dims[{p}]", 1)
         for p, x in enumerate(_parse_list(doc.get("dims"), "dims", None))
     ]
+    if not dims:
+        raise ParseError("a density operator needs at least one party", "dims")
     dim = prod(dims)
     entries = []
     for i, row in enumerate(_parse_list(doc.get("matrix"), "matrix", dim)):
@@ -383,6 +385,12 @@ def density_from_doc(doc: dict) -> DensityOp:
                     f"member {i} is not annihilated by the matrix",
                     "kernel_product_set",
                 )
+        # members of the right length can still factor over other parties
+        if kernel.dims != tuple(dims):
+            raise ParseError(
+                f"dims {list(kernel.dims)} differ from the operator's dims {dims}",
+                "kernel_product_set",
+            )
     d = density_from_matrix(dims, m, kernel_product_set=kernel)
     stored = doc.get("trace")
     if stored is not None and _parse_rat(stored, "trace") != d.trace_norm:

@@ -185,6 +185,8 @@ def cmd_subtract(args) -> int:
     v = obj.members[0]
     try:
         out, weight = subtract_product(d, v)
+    except ValueError as exc:
+        raise _Exit(2, f"invalid subtract request: {exc}")
     except NotInRangeError:
         _emit(
             args,

@@ -1,8 +1,9 @@
 """Range-criterion tools: product vectors in the range of a PSD operator,
 Schmidt rank, and exact two-term decompositions of tripartite tensors.
 
-The scanner has an exact branch and a heuristic branch.  Exact: when the
-kernel is spanned by a known or detected orthogonal set of product vectors,
+The scanner takes qubit parties only and has an exact branch and a
+heuristic branch.  Exact: when the kernel is spanned by a known or detected
+orthogonal set of product vectors (the empty set for a full-rank operator),
 "product vector in the range" is equivalent to "extension of that set", so
 the covering search decides it with a certificate either way.  Heuristic:
 alternating single-party maximization of the range overlap from random
@@ -18,9 +19,9 @@ from math import prod
 from typing import Optional
 
 from .errors import (
-    ApproximateComparisonError,
     BadCutError,
     DegenerateSplitError,
+    NonQubitPartyError,
     NotPsdError,
     NotRankTwoError,
     VerificationError,
@@ -69,7 +70,6 @@ class RangeScanResult:
     certificate: Optional[ExtendDecision] = None
     best_overlap: Optional[float] = None
     iterations: int = 0
-    seed: Optional[int] = None
 
 
 def product_vector_from_flat(v, n: int) -> Optional[ProductVector]:
@@ -108,8 +108,6 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
                 return s
     if nullity == 0:
         return ProductSet(parties=d.parties, members=(), verified=True)
-    if set(d.dims) != {2}:
-        return None
     basis = nullspace_basis(d.matrix)
     members = []
     for vec in basis:
@@ -124,47 +122,36 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
 
 
 def range_product_scan(d: DensityOp, budget: int = 64, seed: int = 0) -> RangeScanResult:
-    """Search for a nonzero product vector in the range of a PSD operator.
+    """Search for a nonzero product vector in the range of a PSD operator
+    on qubit parties.
 
     ``budget`` counts random restarts of the heuristic branch; ``seed``
     makes the run reproducible.  The verdict "none_certified" is only ever
     produced from an exact unextendibility certificate for a product basis
-    of the kernel.  Raises ValueError for a negative budget.
+    of the kernel.  Raises ValueError for a negative budget and
+    NonQubitPartyError, before any elimination, unless every party is a
+    qubit.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if set(d.dims) != {2}:
+        raise NonQubitPartyError("the range scan is implemented for qubit parties only")
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("range scan requires a PSD operator")
     kernel = _kernel_product_basis(d)
-    if kernel is not None:
-        if not kernel.members:
-            witness = ProductVector([LocalState.ket(0)] * d.parties) if set(d.dims) == {2} else None
-            if witness is not None:
-                return RangeScanResult(verdict="found", witness=witness, seed=seed)
-            # non-qubit full-range operator: any basis vector works, but there
-            # is no qubit product structure to report; fall through.
-        else:
-            decision = extend_or_certify(kernel)
-            if decision.extendible:
-                return RangeScanResult(
-                    verdict="found", witness=decision.witness, seed=seed
-                )
-            return RangeScanResult(
-                verdict="none_certified", certificate=decision, seed=seed
-            )
-    return _heuristic_scan(d, budget, seed)
+    if kernel is None:
+        return _heuristic_scan(d, budget, seed)
+    decision = extend_or_certify(kernel)
+    if decision.extendible:
+        return RangeScanResult(verdict="found", witness=decision.witness)
+    return RangeScanResult(verdict="none_certified", certificate=decision)
 
 
 def _heuristic_scan(d: DensityOp, budget: int, seed: int) -> RangeScanResult:
     import numpy as np
 
-    if set(d.dims) != {2}:
-        raise ApproximateComparisonError(
-            "heuristic range scan is implemented for qubit parties only"
-        )
     n = d.parties
-    dim = d.dim
     m = d.matrix.to_numpy()
     vals, vecs = np.linalg.eigh(m)
     tol = max(abs(vals)) * 1e-12 if len(vals) else 0.0
@@ -191,8 +178,7 @@ def _heuristic_scan(d: DensityOp, budget: int, seed: int) -> RangeScanResult:
                     cols_j.append(z)
                 E = np.stack(cols_j, axis=1)
                 Mj = E.conj().T @ proj @ E
-                w, u = np.linalg.eigh(Mj)
-                locs[j] = u[:, -1]
+                locs[j] = np.linalg.eigh(Mj)[1][:, -1]
             z = np.array([1.0 + 0j])
             for k in range(n):
                 z = np.kron(z, locs[k])
@@ -213,13 +199,9 @@ def _heuristic_scan(d: DensityOp, budget: int, seed: int) -> RangeScanResult:
                         witness=pv,
                         best_overlap=best,
                         iterations=total_sweeps,
-                        seed=seed,
                     )
     return RangeScanResult(
-        verdict="none_heuristic",
-        best_overlap=best,
-        iterations=total_sweeps,
-        seed=seed,
+        verdict="none_heuristic", best_overlap=best, iterations=total_sweeps
     )
 
 

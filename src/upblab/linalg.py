@@ -95,9 +95,11 @@ class ExactMatrix:
     """A dense rows x cols matrix of complex rationals, stored row-major.
 
     ``_psd`` holds the matrix's PSD certificate once one has been computed
-    (see ``psd_certificate``); the entries never change, so it stays valid."""
+    (see ``psd_certificate``), and ``_hermitian`` marks a matrix known to be
+    exactly Hermitian, whose certificate then needs no Hermiticity check;
+    the entries never change, so both stay valid."""
 
-    __slots__ = ("rows", "cols", "data", "_psd")
+    __slots__ = ("rows", "cols", "data", "_psd", "_hermitian")
 
     def __init__(self, rows: int, cols: int, data):
         data = tuple(data)
@@ -107,6 +109,7 @@ class ExactMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_psd", None)
+        object.__setattr__(self, "_hermitian", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -356,11 +359,12 @@ class PsdCertificate:
 def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """Decide PSD-ness of a Hermitian matrix with a checkable certificate.
 
-    The certificate is computed once per matrix and kept on it.  Raises
-    NotHermitianError when the Hermitian precondition fails.
+    The certificate is computed once per matrix and kept on it; a matrix
+    marked Hermitian is not checked again.  Raises NotHermitianError when
+    the Hermitian precondition fails.
     """
     if m._psd is None:
-        if not m.is_hermitian():
+        if not (m._hermitian or m.is_hermitian()):
             raise NotHermitianError("matrix is not exactly Hermitian")
         object.__setattr__(m, "_psd", _ldl_certificate(m._triple_rows(), m.rows))
     return m._psd

@@ -50,15 +50,14 @@ class DensityOp:
     the kernel, when the operator was built as a complement projector.
 
     The PSD certificate is computed on first use and kept on the matrix.  Its
-    Hermiticity check is skipped for operators known to be Hermitian: those
-    that ``density_from_matrix`` has checked, and those built from them by
-    ``partial_transpose`` and ``subtract_product``."""
+    Hermiticity check is skipped for matrices marked Hermitian (see
+    ``ExactMatrix``): those that ``density_from_matrix`` has checked, and
+    those built from them by ``partial_transpose`` and ``subtract_product``."""
 
     dims: tuple
     matrix: ExactMatrix
     trace_norm: Fraction
     kernel_product_set: Optional[ProductSet] = None
-    _hermitian: bool = field(default=False, init=False, repr=False, compare=False)
     # mask -> partial transpose, filled by partial_transpose
     _transposes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -84,12 +83,7 @@ class DensityOp:
         return matrix_rank(self.matrix)
 
     def psd(self) -> PsdCertificate:
-        m = self.matrix
-        if m._psd is None:
-            if not self._hermitian:
-                return psd_certificate(m)
-            object.__setattr__(m, "_psd", _ldl_certificate(m._triple_rows(), m.rows))
-        return m._psd
+        return psd_certificate(self.matrix)
 
     def normalized(self) -> "DensityOp":
         if self.trace_norm == 1:
@@ -112,15 +106,13 @@ class DensityOp:
 def density_from_matrix(dims, matrix: ExactMatrix, kernel_product_set=None) -> DensityOp:
     if not matrix.is_hermitian():
         raise NotHermitianError("density operators must be exactly Hermitian")
-    tr = matrix.trace()
-    out = DensityOp(
+    object.__setattr__(matrix, "_hermitian", True)
+    return DensityOp(
         dims=tuple(dims),
         matrix=matrix,
-        trace_norm=tr.re,
+        trace_norm=matrix.trace().re,
         kernel_product_set=kernel_product_set,
     )
-    object.__setattr__(out, "_hermitian", True)
-    return out
 
 
 def pure_density(vector, dims) -> DensityOp:
@@ -292,8 +284,8 @@ def partial_transpose(d: DensityOp, mask) -> DensityOp:
         perm = _transpose_permutation(tuple(d.dims), tuple(sorted(mask)))
         src = d.matrix.data
         m = ExactMatrix(d.dim, d.dim, tuple(map(src.__getitem__, perm)))
+        object.__setattr__(m, "_hermitian", d.matrix._hermitian)
         out = DensityOp(dims=d.dims, matrix=m, trace_norm=d.trace_norm)
-        object.__setattr__(out, "_hermitian", d._hermitian)
         d._transposes[mask] = out
     return out
 
@@ -348,12 +340,15 @@ def bipartition_classes(parties: int):
 
 def ppt_report(d: DensityOp) -> PptReport:
     """Certify the partial transpose of every bipartition class of a PSD
-    operator.  Raises NotPsdError when the input itself is not PSD.
+    operator.  Raises BadMaskError for fewer than two parties, where there
+    is no cut, and NotPsdError when the input itself is not PSD.
 
     Each certificate is the one ``psd_certificate`` gives for the class's
     ``partial_transpose``.  Only the nonzero entries are moved: each class
     places them, as reduced triples, in fresh rows of zeros, which go to the
     elimination as they are."""
+    if d.parties < 2:
+        raise BadMaskError("ppt_report needs at least two parties")
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
@@ -437,13 +432,10 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
             data[i * n + j] = ComplexRational.from_triple((p, q, r))
             data[j * n + i] = ComplexRational.from_triple((p, -q, r))
     rank_before = d.rank()
-    out = DensityOp(
-        dims=d.dims,
-        matrix=ExactMatrix(n, n, data),
-        trace_norm=d.trace_norm - weight * norm2,
-    )
+    m = ExactMatrix(n, n, data)
     # each entry was written next to its conjugate
-    object.__setattr__(out, "_hermitian", True)
+    object.__setattr__(m, "_hermitian", True)
+    out = DensityOp(dims=d.dims, matrix=m, trace_norm=d.trace_norm - weight * norm2)
     cert = out.psd()
     if not cert.is_psd:
         raise AssertionError("extremal subtraction lost positivity")

@@ -210,6 +210,23 @@ def test_tampered_kernel_set_rejected():
             from_doc(doc)
 
 
+@pytest.mark.parametrize("dims", [[2, 4], [4, 2], [8]])
+def test_kernel_set_over_other_parties_rejected(dims):
+    # the 3-qubit kernel set fits the 8 x 8 matrix but not these parties
+    doc = density_to_doc(fixture("shifts_complement"))
+    doc["dims"] = dims
+    with pytest.raises(ParseError, match="differ from the operator's dims"):
+        from_doc(doc)
+
+
+def test_density_without_parties_rejected():
+    one = as_vector([1])
+    doc = density_to_doc(density_from_matrix((1,), outer(one, one)))
+    doc["dims"] = []
+    with pytest.raises(ParseError, match="at least one party"):
+        from_doc(doc)
+
+
 def test_tampered_trace_rejected():
     doc = density_to_doc(fixture("shifts_complement"))
     doc["trace"] = "2"

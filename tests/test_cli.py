@@ -371,3 +371,55 @@ def test_wrong_kind_is_refused_before_it_is_parsed(tmp_path, monkeypatch, capsys
     # the counter does see a load that parses the operator
     assert main(["rank", str(p)]) == 0
     assert calls and set(calls) == {8}
+
+
+def _request(tmp_path, case):
+    """argv for a malformed request, and the text its error message names."""
+    from upblab.catalog import density_to_doc
+    from upblab.linalg import ExactMatrix
+    from upblab.states import density_from_matrix
+
+    if case == "subtract-wrong-length":
+        rho = tmp_path / "rho.json"
+        save(rho, fixture("rank5_pptes_4q"))
+        vec = tmp_path / "vec.json"
+        save(vec, build_product_set([ProductVector([LocalState.ket(0)] * 3)]))
+        return ["subtract", str(rho), str(vec)], "invalid subtract request"
+    if case == "ppt-one-party":
+        doc = density_to_doc(density_from_matrix((4,), ExactMatrix.identity(4)))
+        command, expect = "ppt", "BadMaskError"
+    elif case == "ppt-no-parties":
+        doc = density_to_doc(density_from_matrix((1,), ExactMatrix.identity(1)))
+        doc["dims"] = []
+        command, expect = "ppt", "parse error"
+    else:
+        # the shifts complement read over other parties
+        doc = density_to_doc(fixture("shifts_complement"))
+        doc["dims"] = [int(x) for x in case.split("-")[-1].split("x")]
+        command, expect = "range-scan", "parse error"
+        if case.startswith("no-kernel"):
+            del doc["kernel_product_set"]
+            expect = "NonQubitPartyError"
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    return [command, str(p)], expect
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "kernel-dims-2x4",
+        "kernel-dims-4x2",
+        "kernel-dims-8",
+        "no-kernel-dims-2x4",
+        "ppt-one-party",
+        "ppt-no-parties",
+        "subtract-wrong-length",
+    ],
+)
+def test_malformed_request_exits_two_with_nothing_on_stdout(tmp_path, capsys, case):
+    argv, expect = _request(tmp_path, case)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert expect in captured.err

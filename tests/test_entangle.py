@@ -14,7 +14,12 @@ from upblab.entangle import (
     rank2_tripartite_decompose,
     schmidt_rank,
 )
-from upblab.errors import BadCutError, DegenerateSplitError, NotRankTwoError
+from upblab.errors import (
+    BadCutError,
+    DegenerateSplitError,
+    NonQubitPartyError,
+    NotRankTwoError,
+)
 from upblab.linalg import (
     ExactMatrix,
     as_vector,
@@ -27,7 +32,7 @@ from upblab.linalg import (
 from upblab.product import ProductVector, shifts_upb
 from upblab.qubits import LocalState
 from upblab.scalars import ComplexRational
-from upblab.states import complement_projector, density_from_matrix
+from upblab.states import complement_projector, density_from_matrix, pure_density
 
 from oracles import (
     flattening_entrywise,
@@ -69,6 +74,44 @@ def test_scan_full_rank_returns_some_product_vector():
     d = density_from_matrix((2, 2), ExactMatrix.identity(4).scale(CQ(Fraction(1, 4))))
     res = range_product_scan(d)
     assert res.verdict == "found"
+
+
+def test_full_rank_scan_finds_the_all_zero_product():
+    # the empty kernel set extends by |0...0>; no certificate is involved
+    d = density_from_matrix((2, 2, 2), ExactMatrix.identity(8))
+    res = range_product_scan(d)
+    assert res.verdict == "found" and res.certificate is None
+    assert res.witness.flatten() == ProductVector([LocalState.ket(0)] * 3).flatten()
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (4, 2), (8,)])
+def test_scan_refuses_a_qubit_kernel_set_on_other_parties(dims):
+    # the shifts complement's matrix and kernel set, read over other parties:
+    # every 4-dim subspace of 2 (x) 4 holds a product vector, and on a single
+    # 8-dim party every vector is one, so no certificate may be claimed
+    s = shifts_upb()
+    d = density_from_matrix(dims, complement_projector(s).matrix, kernel_product_set=s)
+    with pytest.raises(NonQubitPartyError):
+        range_product_scan(d)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 4), (6,)])
+def test_scan_refuses_non_qubit_parties_before_any_elimination(monkeypatch, dims):
+    from math import prod
+
+    from upblab import _kernels
+
+    n = prod(dims)
+    d = pure_density(rand_vector(random.Random(n), n), dims)
+    calls = []
+    for name in ("ldl_hermitian", "bareiss_rank", "rref"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        )
+    with pytest.raises(NonQubitPartyError):
+        range_product_scan(d)
+    assert calls == []
 
 
 def test_scan_heuristic_confirms_exactly():

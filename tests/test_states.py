@@ -186,6 +186,13 @@ def test_bipartition_classes_counts():
     assert len(bipartition_classes(5)) == 15
 
 
+def test_ppt_report_needs_a_cut():
+    for dims in [(4,), ()]:
+        d = density_from_matrix(dims, ExactMatrix.identity(prod(dims)))
+        with pytest.raises(BadMaskError):
+            ppt_report(d)
+
+
 def test_ppt_report_shifts_complement():
     rep = ppt_report(complement_projector(shifts_upb()))
     assert len(rep.certificates) == 3
