@@ -356,7 +356,7 @@ def density_to_doc(d: DensityOp) -> dict:
 
 def density_from_doc(doc: dict) -> DensityOp:
     dims = [
-        _parse_int(x, f"dims[{p}]", 1)
+        _parse_int(x, f"dims[{p}]", 2)
         for p, x in enumerate(_parse_list(doc.get("dims"), "dims", None))
     ]
     if not dims:

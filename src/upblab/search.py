@@ -9,7 +9,10 @@ is 2-colorable.  Realization hands each connected component a fresh
 rational angle q (its color classes get q and q + 1/2), which keeps all
 later orthogonality decisions exact.
 
-Realization runs in two stages.  ``label_template`` draws every angle as an
+Realization runs in stages.  Sampling records each party's graph as one
+neighbour bitmask per member, and feasibility is decided on those masks
+before any labelling randomness is used: a draw with an odd cycle at any
+party draws no angle.  ``label_template`` then draws every angle as an
 integer numerator over a fixed denominator; distinct numerators are
 distinct phase classes, so the labels alone decide extendibility with the
 covering search of ``upblab.product``.  The scan decides each draw on its
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -42,11 +45,26 @@ SCAN_NOTE = "evidence-grade randomized scan; finding nothing is not a proof"
 
 @dataclass(frozen=True)
 class Template:
-    """A witness-party choice for every unordered member pair."""
+    """A witness-party choice for every unordered member pair.
+
+    ``neighbours[p][i]`` is the bitmask of the members that member i must
+    be orthogonal to at party p.  It is derived from ``witness_choice``
+    (filled while sampling, or once here for a template built by hand) and
+    takes no part in equality or repr.
+    """
 
     parties: int
     size: int
     witness_choice: dict  # (i, j) with i < j -> party index
+    neighbours: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.neighbours is None:
+            masks = [[0] * self.size for _ in range(self.parties)]
+            for (i, j), p in self.witness_choice.items():
+                masks[p][i] |= 1 << j
+                masks[p][j] |= 1 << i
+            object.__setattr__(self, "neighbours", tuple(masks))
 
     def party_edges(self, p: int):
         return [pair for pair, q in self.witness_choice.items() if q == p]
@@ -65,45 +83,64 @@ def sample_template(parties: int, size: int, rng: random.Random, balanced: bool 
     counts when ``balanced`` is set."""
     choice = {}
     counts = [0] * parties
+    masks = [[0] * size for _ in range(parties)]
+    randrange = rng.randrange
     for i in range(size):
+        bit_i = 1 << i
         for j in range(i + 1, size):
             if balanced:
                 low = min(counts)
                 pool = [p for p in range(parties) if counts[p] == low]
-                p = pool[rng.randrange(len(pool))]
+                p = pool[randrange(len(pool))]
+                counts[p] += 1
             else:
-                p = rng.randrange(parties)
-            counts[p] += 1
+                p = randrange(parties)
             choice[(i, j)] = p
-    return Template(parties=parties, size=size, witness_choice=choice)
+            row = masks[p]
+            row[i] |= 1 << j
+            row[j] |= bit_i
+    return Template(parties=parties, size=size, witness_choice=choice, neighbours=tuple(masks))
 
 
-def _two_color(size: int, edges) -> Optional[list]:
-    """Components and 2-colorings: list of (component members, colors dict),
-    or None on an odd cycle.  Isolated members get singleton components."""
-    adj = {i: [] for i in range(size)}
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    color = {}
+def _two_color(neighbours) -> Optional[list]:
+    """Components and 2-colorings of the graph given by one neighbour
+    bitmask per member: (component mask, color-1 mask) pairs in order of
+    each component's smallest member, or None on an odd cycle.  Isolated
+    members are singleton components."""
     comps = []
-    for start in range(size):
-        if start in color:
-            continue
-        comp = [start]
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    comp.append(w)
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-        comps.append((comp, {m: color[m] for m in comp}))
+    unseen = (1 << len(neighbours)) - 1
+    while unseen:
+        # breadth-first by layers; ``same`` holds the members colored like
+        # the current layer, ``other`` the rest of the component so far
+        layer = unseen & -unseen
+        same, other = layer, 0
+        odd = False
+        while layer:
+            reach = 0
+            while layer:
+                low = layer & -layer
+                reach |= neighbours[low.bit_length() - 1]
+                layer ^= low
+            if reach & same:
+                return None
+            layer = reach & ~other
+            same, other = other | layer, same
+            odd = not odd
+        comp = same | other
+        comps.append((comp, same if odd else other))
+        unseen &= ~comp
     return comps
+
+
+def _colorings(t: Template):
+    """Every party's 2-coloring, or Infeasible at the first odd cycle."""
+    colorings = []
+    for p, neighbours in enumerate(t.neighbours):
+        comps = _two_color(neighbours)
+        if comps is None:
+            return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
+        colorings.append(comps)
+    return colorings
 
 
 # Angles are a/64 for integer numerators a in [0, 64); a fresh draw is
@@ -122,23 +159,34 @@ def label_template(t: Template, seed: int):
     numerator exactly when their locals are phase-equal, and are orthogonal
     at a party exactly when their numerators differ by 32.  Deterministic
     for a given (template, seed).
+
+    Every party is colored before any angle is drawn, so an odd cycle is
+    reported even where an earlier party would run out of angles.  Angles
+    can only run out once a party has 32 or more components.
     """
+    colorings = _colorings(t)
+    if isinstance(colorings, Infeasible):
+        return colorings
+    return _label(t, colorings, seed)
+
+
+def _label(t: Template, colorings, seed: int):
+    """Draw one angle per component, party by party, from ``Random(seed)``."""
     rng = random.Random(seed)
     grid = [[0] * t.parties for _ in range(t.size)]
-    for p in range(t.parties):
-        comps = _two_color(t.size, t.party_edges(p))
-        if comps is None:
-            return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
+    for p, comps in enumerate(colorings):
         used = set()
-        for comp, colors in comps:
+        for comp, ones in comps:
             a = _fresh_angle(rng, used)
             if a is None:
                 return Infeasible(reason=f"party {p} ran out of non-colliding angles")
             perp = (a + _HALF) % _ANGLE_DENOM
             used.add(a)
             used.add(perp)
-            for m in comp:
-                grid[m][p] = a if colors[m] == 0 else perp
+            while comp:
+                low = comp & -comp
+                grid[low.bit_length() - 1][p] = perp if low & ones else a
+                comp ^= low
     return grid
 
 
@@ -195,11 +243,15 @@ class ScanReport:
 
 
 def _scan_unit(parties: int, size: int, seed: int, unit: int, balanced: bool):
-    """One deterministic work unit: sample, label, decide; only an
-    unextendible draw is materialized."""
+    """One deterministic work unit: sample, color, label, decide; only an
+    unextendible draw is materialized.  An infeasible draw stops at its
+    coloring and draws no label seed."""
     rng = random.Random(seed + unit)
     t = sample_template(parties, size, rng, balanced=balanced)
-    grid = label_template(t, seed=rng.randrange(1 << 30))
+    colorings = _colorings(t)
+    if isinstance(colorings, Infeasible):
+        return ("infeasible", None)
+    grid = _label(t, colorings, rng.randrange(1 << 30))
     if isinstance(grid, Infeasible):
         return ("infeasible", None)
     assignment, _ = covering_search(grid, class_masks(grid, parties), parties)
@@ -219,7 +271,9 @@ def scan(
 
     Deterministic for fixed arguments: unit u always runs with seed
     ``seed + u``.  Raises ValueError for a request outside
-    1 <= size <= 2^parties, parties >= 1, budget >= 0.
+    1 <= size <= 2^parties, parties >= 1, budget >= 0, seed >= 0
+    (``Random`` seeds from the absolute value, so a negative seed would
+    repeat units).
     """
     if parties < 1:
         raise ValueError("need at least one party")
@@ -229,6 +283,8 @@ def scan(
         raise ValueError("size exceeds the space dimension")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     started = time.monotonic()
     feasible = 0
     extendible = 0

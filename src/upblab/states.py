@@ -338,17 +338,26 @@ def bipartition_classes(parties: int):
     return out
 
 
+def _check_cut(d: DensityOp, what: str) -> None:
+    """Raise BadMaskError unless every bipartition of d splits off
+    something: two or more parties, each of dimension 2 or more."""
+    if d.parties < 2:
+        raise BadMaskError(f"{what} needs at least two parties")
+    if min(d.dims) < 2:
+        raise BadMaskError(f"{what} needs parties of dimension 2 or more, got dims {list(d.dims)}")
+
+
 def ppt_report(d: DensityOp) -> PptReport:
     """Certify the partial transpose of every bipartition class of a PSD
-    operator.  Raises BadMaskError for fewer than two parties, where there
-    is no cut, and NotPsdError when the input itself is not PSD.
+    operator.  Raises BadMaskError for fewer than two parties or a party of
+    dimension 1, where some cut splits off nothing, and NotPsdError when
+    the input itself is not PSD.
 
     Each certificate is the one ``psd_certificate`` gives for the class's
     ``partial_transpose``.  Only the nonzero entries are moved: each class
     places them, as reduced triples, in fresh rows of zeros, which go to the
     elimination as they are."""
-    if d.parties < 2:
-        raise BadMaskError("ppt_report needs at least two parties")
+    _check_cut(d, "ppt_report")
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
@@ -380,9 +389,9 @@ def birank(d: DensityOp) -> BirankRecord:
 
     Each rank is read from its operator's LDL certificate when that operator
     is PSD, and comes from a fraction-free (Bareiss) elimination otherwise.
+    Raises BadMaskError for fewer than two parties or a party of dimension 1.
     """
-    if d.parties < 2:
-        raise BadMaskError("birank needs at least two parties")
+    _check_cut(d, "birank")
     return BirankRecord(rank=d.rank(), pt_rank=partial_transpose(d, {0}).rank())
 
 

@@ -54,6 +54,35 @@ def random_feasible_ops(rng: random.Random, parties: int, size: int) -> ProductS
             return out
 
 
+def two_color_by_dict(size: int, edges):
+    """Components and 2-colorings of a graph on ``size`` members, by
+    adjacency dicts: list of (component members, colors dict), or None on
+    an odd cycle.  Isolated members get singleton components."""
+    adj = {i: [] for i in range(size)}
+    for (i, j) in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    color = {}
+    comps = []
+    for start in range(size):
+        if start in color:
+            continue
+        comp = [start]
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    comp.append(w)
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+        comps.append((comp, {m: color[m] for m in comp}))
+    return comps
+
+
 def rand_fraction(rng: random.Random, span: int = 3, den: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 

@@ -149,8 +149,9 @@ def test_search_reports(tmp_path, capsys):
         ["--qubits", "3", "--size", "0"],
         ["--qubits", "0", "--size", "1"],
         ["--qubits", "3", "--size", "4", "--budget", "-5"],
+        ["--qubits", "4", "--size", "6", "--seed", "-100"],
     ],
-    ids=["size-above-dimension", "size-zero", "qubits-zero", "negative-budget"],
+    ids=["size-above-dimension", "size-zero", "qubits-zero", "negative-budget", "negative-seed"],
 )
 def test_search_rejects_invalid_request(request_args, capsys):
     assert main(["search", *request_args]) == 2
@@ -388,6 +389,10 @@ def _request(tmp_path, case):
     if case == "ppt-one-party":
         doc = density_to_doc(density_from_matrix((4,), ExactMatrix.identity(4)))
         command, expect = "ppt", "BadMaskError"
+    elif case in ("ppt-unit-dim", "birank-unit-dim"):
+        # the 4 x 4 identity over a party of dimension 1 and one of 4
+        doc = density_to_doc(density_from_matrix((1, 4), ExactMatrix.identity(4)))
+        command, expect = case.split("-")[0], "parse error"
     elif case == "ppt-no-parties":
         doc = density_to_doc(density_from_matrix((1,), ExactMatrix.identity(1)))
         doc["dims"] = []
@@ -414,6 +419,8 @@ def _request(tmp_path, case):
         "no-kernel-dims-2x4",
         "ppt-one-party",
         "ppt-no-parties",
+        "ppt-unit-dim",
+        "birank-unit-dim",
         "subtract-wrong-length",
     ],
 )

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,11 +10,14 @@ from upblab.product import class_masks, covering_search, extend_or_certify
 from upblab.search import (
     Infeasible,
     Template,
+    _two_color,
     label_template,
     realize_template,
     sample_template,
     scan,
 )
+
+from oracles import two_color_by_dict
 
 
 def shifts_pattern_template() -> Template:
@@ -61,6 +65,50 @@ def test_two_member_template():
     s = realize_template(t, seed=3)
     assert not isinstance(s, Infeasible)
     assert len(s.members) == 2
+
+
+def test_two_color_agrees_with_the_dict_oracle():
+    # Random graphs on 1..40 members across a hidden bipartition, some with
+    # edges inside it that close odd cycles.
+    rng = random.Random(17)
+    seen = {"odd": 0, "colored": 0, "isolated": 0}
+    for _ in range(800):
+        size = rng.randint(1, 40)
+        side = [rng.randrange(2) for _ in range(size)]
+        inside = rng.choice((0.0, 0.05, 0.3))
+        edges = set()
+        for _ in range(rng.randint(0, 2 * size) if size > 1 else 0):
+            i, j = sorted(rng.sample(range(size), 2))
+            if side[i] != side[j] or rng.random() < inside:
+                edges.add((i, j))
+        neighbours = [0] * size
+        for i, j in edges:
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+        expected = two_color_by_dict(size, sorted(edges))
+        got = _two_color(neighbours)
+        if expected is None:
+            assert got is None
+            seen["odd"] += 1
+            continue
+        seen["colored"] += 1
+        seen["isolated"] += any(len(comp) == 1 for comp, _ in expected)
+        assert got == [
+            (sum(1 << m for m in comp), sum(1 << m for m in comp if colors[m]))
+            for comp, colors in expected
+        ]
+    assert min(seen.values()) >= 100, seen
+
+
+def test_template_built_by_hand_derives_its_neighbours():
+    rng = random.Random(8)
+    for balanced in (False, True):
+        t = sample_template(4, 9, rng, balanced=balanced)
+        by_hand = Template(parties=4, size=9, witness_choice=dict(t.witness_choice))
+        assert by_hand == t and "neighbours" not in repr(t)
+        assert by_hand.neighbours == t.neighbours
+    # the derived masks take no part in equality
+    assert Template(2, 2, {(0, 1): 0}, neighbours=([0, 0], [0, 0])) == Template(2, 2, {(0, 1): 0})
 
 
 def test_scan_reproducible_byte_for_byte():
@@ -113,48 +161,69 @@ def test_balanced_sampling_respects_choice_count():
     assert max(counts) - min(counts) <= 1
 
 
-def test_label_decision_agrees_with_the_realized_set():
-    # The scan decides each draw on its angle numerators; the decision and
-    # its branch count must be those of the exact realized set.
+def _label_draws():
+    """2,400 seeded (parties, template, label seed) draws over small shapes,
+    uniform and balanced."""
     shapes = [(3, 4), (3, 5), (4, 6), (4, 8), (5, 6), (4, 11)]
     rng = random.Random(2024)
-    feasible = unextendible = 0
     for parties, size in shapes:
         for balanced in (False, True):
             for _ in range(200):
                 t = sample_template(parties, size, rng, balanced=balanced)
-                seed = rng.randrange(1 << 30)
-                grid = label_template(t, seed)
-                realized = realize_template(t, seed)
-                if isinstance(grid, Infeasible):
-                    assert realized == grid
-                    continue
-                feasible += 1
-                # numerators are exactly the phase classes at every party
-                keys = [[l.phase_key() for l in m.locals] for m in realized.members]
-                for by_label, by_key in zip(
-                    class_masks(grid, parties), class_masks(keys, parties)
-                ):
-                    assert sorted(by_label.values()) == sorted(by_key.values())
-                assignment, branches = covering_search(
-                    grid, class_masks(grid, parties), parties
-                )
-                decision = extend_or_certify(realized)
-                assert (assignment is not None) == decision.extendible
-                assert branches == decision.branches_explored
-                unextendible += assignment is None
+                yield parties, t, rng.randrange(1 << 30)
+
+
+def test_label_decision_agrees_with_the_realized_set():
+    # The scan decides each draw on its angle numerators; the decision and
+    # its branch count must be those of the exact realized set.
+    feasible = unextendible = 0
+    for parties, t, seed in _label_draws():
+        grid = label_template(t, seed)
+        realized = realize_template(t, seed)
+        if isinstance(grid, Infeasible):
+            assert realized == grid
+            continue
+        feasible += 1
+        # numerators are exactly the phase classes at every party
+        keys = [[l.phase_key() for l in m.locals] for m in realized.members]
+        for by_label, by_key in zip(class_masks(grid, parties), class_masks(keys, parties)):
+            assert sorted(by_label.values()) == sorted(by_key.values())
+        assignment, branches = covering_search(grid, class_masks(grid, parties), parties)
+        decision = extend_or_certify(realized)
+        assert (assignment is not None) == decision.extendible
+        assert branches == decision.branches_explored
+        unextendible += assignment is None
     assert feasible >= 800
     assert unextendible > 0
 
 
-# Canonical reports recorded before the scan decided draws on labels.
+def test_label_outputs_are_pinned():
+    # Grids and Infeasible reasons of the draws above, recorded before
+    # feasibility was decided ahead of the angle draws.
+    h = hashlib.sha256()
+    for _, t, seed in _label_draws():
+        out = label_template(t, seed)
+        h.update((out.reason if isinstance(out, Infeasible) else repr(out)).encode() + b"\n")
+    assert h.hexdigest() == "effe51c66d31dfb079a1d7e2b479ae068ecef93fcf5ed9084642e231da655d07"
+
+
+# Canonical reports recorded before the scan decided draws on labels; the
+# balanced and all-infeasible ones before it decided them on bitmasks.
 _PINNED_SCANS = [
     ((3, 4, 1000, 7), (601, 594, 7), "46f03194dd5c1fc8d9fed0fa75e606316937999865c60c94920b8e2bc460dc41"),
     ((4, 6, 300, 5), (80, 80, 0), "a032270296e327e5bef2438fc982cc45757f0129f249f905ae95c1997a8e816f"),
+    ((3, 4, 1000, 7, True), (1000, 825, 175), "260b8fe2bf1661bbe4d8fb5f21aa4718370121d8cfc6492e2ca4fa4a2be8c56d"),
+    ((4, 6, 300, 5, True), (212, 212, 0), "62e4ffd78668b4cc81eaf58295e82774a1a7d628c2c91f1ca07fb38f57543041"),
+    ((4, 11, 2000, 41), (0, 0, 0), "1f8f7fd7a2d131c6af0d71aaa683ca03807a16414bf6afcd69b92a40feccbd1f"),
+    ((5, 27, 500, 52), (0, 0, 0), "c4824f35f8277ecfbaea700bdce9199f284fbff5732dd877b902306706c88a47"),
 ]
 
 
-@pytest.mark.parametrize("args, counts, digest", _PINNED_SCANS, ids=["3q-size4", "4q-size6"])
+@pytest.mark.parametrize(
+    "args, counts, digest",
+    _PINNED_SCANS,
+    ids=["3q-size4", "4q-size6", "3q-size4-balanced", "4q-size6-balanced", "4q-size11", "5q-size27"],
+)
 def test_scan_reports_are_pinned(args, counts, digest):
     rep = scan(*args)
     assert (rep.feasible, rep.extendible, len(rep.upbs_found)) == counts
@@ -184,3 +253,25 @@ def test_scan_materializes_only_its_hits(monkeypatch):
     assert hits > 0
     # one materialization and one re-check per reported UPB
     assert counts == {"build_product_set": hits, "extend_or_certify": hits}
+
+
+@pytest.mark.parametrize("args", [(5, 27, 50, 52), (4, 11, 2000, 41)], ids=["5q-size27", "4q-size11"])
+def test_infeasible_draws_draw_no_angles(monkeypatch, args):
+    # Every draw of these shapes has an odd cycle at some party, so no angle
+    # is drawn and no label Random is seeded: one Random per unit.  At size
+    # 11 the odd cycle is often at a later party than one that can be
+    # colored.
+    calls = []
+    seeds = []
+    original = search._fresh_angle
+    monkeypatch.setattr(search, "_fresh_angle", lambda *a: calls.append(a) or original(*a))
+
+    def counting_random(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(search, "random", SimpleNamespace(Random=counting_random))
+    rep = scan(*args)
+    assert rep.feasible == 0
+    assert calls == []
+    assert len(seeds) == rep.budget

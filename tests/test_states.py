@@ -187,10 +187,13 @@ def test_bipartition_classes_counts():
 
 
 def test_ppt_report_needs_a_cut():
-    for dims in [(4,), ()]:
+    # a party of dimension 1 leaves a cut that splits off nothing
+    for dims in [(4,), (), (1, 4), (4, 1), (2, 1, 2)]:
         d = density_from_matrix(dims, ExactMatrix.identity(prod(dims)))
         with pytest.raises(BadMaskError):
             ppt_report(d)
+        with pytest.raises(BadMaskError):
+            birank(d)
 
 
 def test_ppt_report_shifts_complement():
