@@ -208,20 +208,18 @@ _FIXTURES = {
 }
 
 
+_STANDARD_OPBS = {f"standard_opb_{n}": n for n in range(1, 9)}
+
+
 def fixture_names() -> list:
-    return sorted(_FIXTURES) + [f"standard_opb_{n}" for n in range(1, 9)]
+    return sorted(_FIXTURES) + list(_STANDARD_OPBS)
 
 
 def fixture(name: str):
-    """Construct a named, exactly verified example object."""
-    if name.startswith("standard_opb_"):
-        try:
-            n = int(name.rsplit("_", 1)[1])
-        except ValueError:
-            raise UnknownFixtureError(name)
-        if 1 <= n <= 8:
-            return standard_opb(n)
-        raise UnknownFixtureError(name)
+    """Construct a named, exactly verified example object; ``name`` must be
+    one of ``fixture_names()``."""
+    if name in _STANDARD_OPBS:
+        return standard_opb(_STANDARD_OPBS[name])
     try:
         builder, _ = _FIXTURES[name]
     except KeyError:
@@ -230,7 +228,7 @@ def fixture(name: str):
 
 
 def fixture_description(name: str) -> str:
-    if name.startswith("standard_opb_"):
+    if name in _STANDARD_OPBS:
         return "the computational-basis product basis"
     return _FIXTURES[name][1]
 
@@ -296,7 +294,8 @@ def _parse_list(obj, where: str, length) -> list:
 
 
 def _parse_int(obj, where: str, least: int) -> int:
-    if not isinstance(obj, int) or obj < least:
+    # JSON true and false load as bool, a subclass of int
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < least:
         raise ParseError(f"expected an integer >= {least}, got {obj!r}", where)
     return obj
 

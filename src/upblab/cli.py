@@ -50,8 +50,11 @@ def _emit(args, report: dict, text_lines) -> None:
         if path == "-":
             sys.stdout.write(payload)
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise _Exit(2, f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_product_set(path) -> ProductSet:
@@ -416,8 +419,8 @@ def main(argv=None) -> int:
     except _Exit as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -82,8 +82,11 @@ class LocalState:
         """Canonical key: equal keys exactly when equal up to phase.
 
         Pair states are normalized so the first nonzero coordinate is 1.
-        Angle states at q in {0, 1/2} share the pair keys; other angles can
-        never be phase-equal to a rational pair.
+        Angle states at q in {0, 1/2} share the pair keys.  Other angles
+        keep angle keys, although some are phase-equal to a rational pair:
+        1/4 and 3/4 are proportional to (1, 1) and (1, -1).  So keys are
+        comparable only among locals of one representation at a party, and
+        ``verify_ops`` refuses a party that mixes a pair with such an angle.
         """
         if self.kind == "angle" and not self.convertible():
             return ("angle", self.q)

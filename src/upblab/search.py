@@ -5,19 +5,18 @@ A template fixes, for every member pair, one party that must witness their
 orthogonality.  Per party this induces a constraint graph on the members;
 orthogonality at a qubit party forces the two locals into the two halves of
 a perp-pair, so a template is realizable exactly when every per-party graph
-is 2-colorable.  Realization hands each connected component a fresh
-rational angle q (its color classes get q and q + 1/2), which keeps all
-later orthogonality decisions exact.
+is 2-colorable.
 
-Realization runs in stages.  Sampling records each party's graph as one
-neighbour bitmask per member, and feasibility is decided on those masks
-before any labelling randomness is used: a draw with an odd cycle at any
-party draws no angle.  ``label_template`` then draws every angle as an
-integer numerator over a fixed denominator; distinct numerators are
-distinct phase classes, so the labels alone decide extendibility with the
-covering search of ``upblab.product``.  The scan decides each draw on its
-labels and materializes, verifies and re-checks exact product sets only for
-the unextendible hits it reports.
+A template is kept as one neighbour bitmask per member and party.  Each
+feasible draw gets canonical (class, side) labels: at every party, each
+connected component is one phase class, numbered by its smallest member,
+and its two colors are the class's two sides.  Member i in component c gets
+the label c on its smallest member's side and c + size on the other, and
+label a is realized as the angle a / (2 size), so the two sides of a class
+are exactly 1/2 apart and distinct classes get distinct angles.  The labels
+alone decide extendibility with the covering search of ``upblab.product``.
+The scan decides each draw on its labels and materializes, verifies and
+re-checks exact product sets only for the unextendible hits it reports.
 
 The scan is evidence-grade: it reports what a random sample of templates
 produced and proves nothing by absence.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -48,32 +47,17 @@ class Template:
     """A witness-party choice for every unordered member pair.
 
     ``neighbours[p][i]`` is the bitmask of the members that member i must
-    be orthogonal to at party p.  It is derived from ``witness_choice``
-    (filled while sampling, or once here for a template built by hand) and
-    takes no part in equality or repr.
+    be orthogonal to at party p; every pair is set at exactly one party.
     """
 
     parties: int
     size: int
-    witness_choice: dict  # (i, j) with i < j -> party index
-    neighbours: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.neighbours is None:
-            masks = [[0] * self.size for _ in range(self.parties)]
-            for (i, j), p in self.witness_choice.items():
-                masks[p][i] |= 1 << j
-                masks[p][j] |= 1 << i
-            object.__setattr__(self, "neighbours", tuple(masks))
-
-    def party_edges(self, p: int):
-        return [pair for pair, q in self.witness_choice.items() if q == p]
+    neighbours: tuple  # per party, one bitmask per member
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Realization obstruction: some per-party graph is not 2-colorable or
-    the angle supply was exhausted by collisions."""
+    """Realization obstruction: some per-party graph is not 2-colorable."""
 
     reason: str
 
@@ -81,7 +65,6 @@ class Infeasible:
 def sample_template(parties: int, size: int, rng: random.Random, balanced: bool = False) -> Template:
     """Uniform witness choices, or biased toward balanced per-party edge
     counts when ``balanced`` is set."""
-    choice = {}
     counts = [0] * parties
     masks = [[0] * size for _ in range(parties)]
     randrange = rng.randrange
@@ -95,18 +78,18 @@ def sample_template(parties: int, size: int, rng: random.Random, balanced: bool 
                 counts[p] += 1
             else:
                 p = randrange(parties)
-            choice[(i, j)] = p
             row = masks[p]
             row[i] |= 1 << j
             row[j] |= bit_i
-    return Template(parties=parties, size=size, witness_choice=choice, neighbours=tuple(masks))
+    return Template(parties=parties, size=size, neighbours=tuple(map(tuple, masks)))
 
 
 def _two_color(neighbours) -> Optional[list]:
     """Components and 2-colorings of the graph given by one neighbour
     bitmask per member: (component mask, color-1 mask) pairs in order of
     each component's smallest member, or None on an odd cycle.  Isolated
-    members are singleton components."""
+    members are singleton components, and a component's smallest member
+    is never in its color-1 mask."""
     comps = []
     unseen = (1 << len(neighbours)) - 1
     while unseen:
@@ -132,94 +115,57 @@ def _two_color(neighbours) -> Optional[list]:
     return comps
 
 
-def _colorings(t: Template):
-    """Every party's 2-coloring, or Infeasible at the first odd cycle."""
-    colorings = []
+def label_template(t: Template):
+    """Canonical (class, side) labels of a template, or Infeasible.
+
+    Returns a grid with one row per member and one integer per party.  At
+    each party the components of the constraint graph are numbered 0, 1,
+    ... by their smallest members; a member of component c gets c on its
+    smallest member's side and c + size on the other.  Members share a
+    label exactly when they share a phase class in the realization, and
+    are orthogonal at a party exactly when their labels differ by size.
+    """
+    size = t.size
+    columns = []
     for p, neighbours in enumerate(t.neighbours):
         comps = _two_color(neighbours)
         if comps is None:
             return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
-        colorings.append(comps)
-    return colorings
-
-
-# Angles are a/64 for integer numerators a in [0, 64); a fresh draw is
-# rejected while it collides with a numerator already used at the same
-# party or with its perp, (a + 32) % 64.
-_ANGLE_DENOM = 64
-_HALF = _ANGLE_DENOM // 2
-_MAX_ANGLE_TRIES = 200
-
-
-def label_template(t: Template, seed: int):
-    """Angle numerators of the realization of a template, or Infeasible.
-
-    Returns a grid with one row per member and one integer per party: the
-    member's local at that party is the angle state a / 64.  Members share a
-    numerator exactly when their locals are phase-equal, and are orthogonal
-    at a party exactly when their numerators differ by 32.  Deterministic
-    for a given (template, seed).
-
-    Every party is colored before any angle is drawn, so an odd cycle is
-    reported even where an earlier party would run out of angles.  Angles
-    can only run out once a party has 32 or more components.
-    """
-    colorings = _colorings(t)
-    if isinstance(colorings, Infeasible):
-        return colorings
-    return _label(t, colorings, seed)
-
-
-def _label(t: Template, colorings, seed: int):
-    """Draw one angle per component, party by party, from ``Random(seed)``."""
-    rng = random.Random(seed)
-    grid = [[0] * t.parties for _ in range(t.size)]
-    for p, comps in enumerate(colorings):
-        used = set()
-        for comp, ones in comps:
-            a = _fresh_angle(rng, used)
-            if a is None:
-                return Infeasible(reason=f"party {p} ran out of non-colliding angles")
-            perp = (a + _HALF) % _ANGLE_DENOM
-            used.add(a)
-            used.add(perp)
+        column = [0] * size
+        for c, (comp, ones) in enumerate(comps):
             while comp:
                 low = comp & -comp
-                grid[low.bit_length() - 1][p] = perp if low & ones else a
+                column[low.bit_length() - 1] = c + size if low & ones else c
                 comp ^= low
-    return grid
-
-
-def _fresh_angle(rng: random.Random, used) -> Optional[int]:
-    for _ in range(_MAX_ANGLE_TRIES):
-        a = rng.randrange(_ANGLE_DENOM)
-        if a not in used:
-            return a
-    return None
+        columns.append(column)
+    return list(zip(*columns))
 
 
 def _materialize(t: Template, grid):
-    """The verified all-angle OPS a label grid stands for.  Its witness
-    graph must contain every chosen witness of the template."""
-    members = [
-        ProductVector([LocalState.angle(Fraction(a, _ANGLE_DENOM)) for a in row])
-        for row in grid
-    ]
-    s = build_product_set(members)
-    for (i, j), p in t.witness_choice.items():
-        if p not in s.witness_graph.parties_for(i, j):
-            raise AssertionError("realized set lost a template witness")
+    """The verified all-angle OPS a label grid stands for: label a is the
+    angle a / (2 size).  Its witness graph must contain every chosen
+    witness of the template."""
+    denom = 2 * t.size
+    s = build_product_set(
+        [ProductVector([LocalState.angle(Fraction(a, denom)) for a in row]) for row in grid]
+    )
+    for p, neighbours in enumerate(t.neighbours):
+        for i, mask in enumerate(neighbours):
+            while mask:
+                low = mask & -mask
+                if p not in s.witness_graph.parties_for(i, low.bit_length() - 1):
+                    raise AssertionError("realized set lost a template witness")
+                mask ^= low
     return s
 
 
-def realize_template(t: Template, seed: int):
+def realize_template(t: Template):
     """Realize a template as a verified all-angle OPS, or return Infeasible.
 
-    Deterministic for a given (template, seed): the labels of
-    ``label_template``, materialized.  The witness graph of the result
-    contains every chosen witness of the template.
+    The canonical labels of ``label_template``, materialized.  The witness
+    graph of the result contains every chosen witness of the template.
     """
-    grid = label_template(t, seed)
+    grid = label_template(t)
     if isinstance(grid, Infeasible):
         return grid
     return _materialize(t, grid)
@@ -243,15 +189,10 @@ class ScanReport:
 
 
 def _scan_unit(parties: int, size: int, seed: int, unit: int, balanced: bool):
-    """One deterministic work unit: sample, color, label, decide; only an
-    unextendible draw is materialized.  An infeasible draw stops at its
-    coloring and draws no label seed."""
-    rng = random.Random(seed + unit)
-    t = sample_template(parties, size, rng, balanced=balanced)
-    colorings = _colorings(t)
-    if isinstance(colorings, Infeasible):
-        return ("infeasible", None)
-    grid = _label(t, colorings, rng.randrange(1 << 30))
+    """One deterministic work unit: sample, label, decide; only an
+    unextendible draw is materialized."""
+    t = sample_template(parties, size, random.Random(seed + unit), balanced=balanced)
+    grid = label_template(t)
     if isinstance(grid, Infeasible):
         return ("infeasible", None)
     assignment, _ = covering_search(grid, class_masks(grid, parties), parties)

@@ -20,7 +20,7 @@ from upblab.product import (
 )
 from upblab.qubits import LocalState, local_perp
 from upblab.scalars import ComplexRational
-from upblab.search import Infeasible, realize_template, sample_template
+from upblab.search import Infeasible, Template, _two_color, realize_template, sample_template
 from upblab.states import DensityOp, complement_projector
 
 
@@ -49,9 +49,56 @@ def random_feasible_ops(rng: random.Random, parties: int, size: int) -> ProductS
     """Sample templates until one realizes; returns the verified OPS."""
     while True:
         t = sample_template(parties, size, rng)
-        out = realize_template(t, seed=rng.randrange(1 << 30))
+        # the draw once seeded the template's labels; it stays so that every
+        # seeded corpus keeps sampling the same templates
+        rng.randrange(1 << 30)
+        out = realize_template(t)
         if not isinstance(out, Infeasible):
             return out
+
+
+def template_from_witnesses(parties: int, size: int, choice) -> Template:
+    """The template whose pair (i, j), i < j, is witnessed at party
+    ``choice[(i, j)]``."""
+    masks = [[0] * size for _ in range(parties)]
+    for (i, j), p in choice.items():
+        masks[p][i] |= 1 << j
+        masks[p][j] |= 1 << i
+    return Template(parties=parties, size=size, neighbours=tuple(map(tuple, masks)))
+
+
+def label_by_random_angles(t: Template, seed: int):
+    """The scan's former labelling: one random angle numerator a in [0, 64)
+    per component and party, drawn from ``Random(seed)`` and redrawn while
+    it collides with a numerator used at that party or with its perp
+    (a + 32) % 64; the color-1 side gets the perp.  Infeasible on an odd
+    cycle (every party is colored first) or when 200 draws in a row
+    collide, which takes 32 or more components at one party."""
+    colorings = []
+    for p, neighbours in enumerate(t.neighbours):
+        comps = _two_color(neighbours)
+        if comps is None:
+            return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
+        colorings.append(comps)
+    rng = random.Random(seed)
+    grid = [[0] * t.parties for _ in range(t.size)]
+    for p, comps in enumerate(colorings):
+        used = set()
+        for comp, ones in comps:
+            for _ in range(200):
+                a = rng.randrange(64)
+                if a not in used:
+                    break
+            else:
+                return Infeasible(reason=f"party {p} ran out of non-colliding angles")
+            perp = (a + 32) % 64
+            used.add(a)
+            used.add(perp)
+            while comp:
+                low = comp & -comp
+                grid[low.bit_length() - 1][p] = perp if low & ones else a
+                comp ^= low
+    return grid
 
 
 def two_color_by_dict(size: int, edges):

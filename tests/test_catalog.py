@@ -235,14 +235,13 @@ def test_tampered_trace_rejected():
 
 
 def test_angle_product_set_roundtrips(tmp_path):
-    from upblab.search import Infeasible, Template, realize_template
+    from upblab.search import Infeasible, realize_template
+    from oracles import template_from_witnesses
 
-    t = Template(
-        parties=3,
-        size=4,
-        witness_choice={(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2},
+    t = template_from_witnesses(
+        3, 4, {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
     )
-    s = realize_template(t, seed=12)
+    s = realize_template(t)
     assert not isinstance(s, Infeasible)
     p = tmp_path / "angles.json"
     save(p, s)

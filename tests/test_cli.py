@@ -266,6 +266,33 @@ def test_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "rank"])
+def test_directory_as_input_exits_two(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read {tmp_path}" in captured.err
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    # the verdict is printed, but the report it promised was not written
+    assert main(["fixture", "shifts", "--json", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path}" in err and "cannot read" not in err
+    assert main(["fixture", "shifts", "--json", str(tmp_path / "no-such-dir" / "out.json")]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["standard_opb_+3", "standard_opb_03", "standard_opb_ 3", "standard_opb_3 ", "standard_opb_9"]
+)
+def test_fixture_accepts_only_listed_names(capsys, name):
+    assert main(["fixture", name, "--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown fixture" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "rank"])
 @pytest.mark.parametrize("content", [b'{"kind": "product_set", ', b"\xff\xfe{"])
 def test_malformed_json_is_parse_error(tmp_path, capsys, command, content):
     garbled = tmp_path / "garbled.json"
@@ -286,6 +313,9 @@ def _base_doc(name):
         return product_set_to_doc(fixture("shifts"))
     if name == "empty":
         return {"schema_version": 1, "kind": "product_set", "parties": 2, "members": []}
+    if name == "one-party":
+        members = [[{"angle": "0"}], [{"angle": "1/2"}]]
+        return {"schema_version": 1, "kind": "product_set", "parties": 1, "members": members}
     if name == "complement":
         return density_to_doc(fixture("shifts_complement"))
     spec = random_block_spec(random.Random(8), 3, 2)
@@ -304,6 +334,10 @@ _MALFORMED = {
     "no-members-verify": ("verify", "empty", []),
     "no-members-extend": ("extend", "empty", []),
     "string-parties": ("verify", "empty", [(("parties",), "2")]),
+    # JSON booleans load as Python bools, which are ints equal to 0 or 1
+    "bool-parties": ("verify", "one-party", [(("parties",), True)]),
+    "bool-block-dim": ("gen-opb", "spec", [(("block_dims", 1), True)]),
+    "bool-side2-dim": ("gen-opb", "spec", [(("side2_dim",), False)]),
     "int-qubit-bases": ("gen-opb", "spec", [(("qubit_bases",), 5)]),
     "string-block-dim": ("gen-opb", "spec", [(("block_dims", 0), "1")]),
     "string-side2-dim": ("gen-opb", "spec", [(("side2_dim",), "3")]),

@@ -135,6 +135,18 @@ def test_phase_key_groups_match_equality():
             assert eq == (u.phase_key() == v.phase_key())
 
 
+def test_phase_keys_compare_within_one_representation_only():
+    # the angle 1/4 is proportional to the pair (1, 1), yet their keys
+    # differ; verify_ops refuses a party that mixes them
+    from upblab.product import ProductVector, verify_ops
+
+    quarter, diagonal = LocalState.angle(Fraction(1, 4)), LocalState.pair(1, 1)
+    assert quarter.phase_key() != diagonal.phase_key()
+    members = [ProductVector([quarter, LocalState.ket(0)]), ProductVector([diagonal, LocalState.ket(1)])]
+    with pytest.raises(ApproximateComparisonError):
+        verify_ops(members)
+
+
 def test_orthogonal_exact_agrees_with_complex_rational_arithmetic():
     """The integer decision equals the zero test of conj(ua) va + conj(ub) vb
     computed with ComplexRational, on pair locals with zero coordinates and

@@ -1,15 +1,23 @@
 import hashlib
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from upblab import search
 from upblab.catalog import canonical_json, scan_report_to_doc
-from upblab.product import class_masks, covering_search, extend_or_certify
+from upblab.product import (
+    ProductVector,
+    build_product_set,
+    class_masks,
+    covering_search,
+    extend_or_certify,
+)
+from upblab.qubits import LocalState
 from upblab.search import (
     Infeasible,
-    Template,
+    ScanReport,
     _two_color,
     label_template,
     realize_template,
@@ -17,54 +25,66 @@ from upblab.search import (
     scan,
 )
 
-from oracles import two_color_by_dict
+from oracles import label_by_random_angles, template_from_witnesses, two_color_by_dict
+
+# one perfect matching of the four members per party
+_SHIFTS_PATTERN = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
 
 
-def shifts_pattern_template() -> Template:
-    # one perfect matching of the four members per party
-    return Template(
-        parties=3,
-        size=4,
-        witness_choice={
-            (0, 1): 0,
-            (2, 3): 0,
-            (0, 2): 1,
-            (1, 3): 1,
-            (0, 3): 2,
-            (1, 2): 2,
-        },
-    )
+def witnesses_of(t):
+    """The witness dict of a template: (i, j), i < j -> its one party."""
+    choice = {}
+    for p, neighbours in enumerate(t.neighbours):
+        for i, mask in enumerate(neighbours):
+            for j in range(i + 1, t.size):
+                if mask >> j & 1:
+                    assert (i, j) not in choice, "pair witnessed at two parties"
+                    choice[(i, j)] = p
+    return choice
 
 
 def test_realize_shifts_pattern_is_unextendible():
-    s = realize_template(shifts_pattern_template(), seed=5)
+    s = realize_template(template_from_witnesses(3, 4, _SHIFTS_PATTERN))
     assert not isinstance(s, Infeasible)
     assert s.verified and len(s.members) == 4
     assert not extend_or_certify(s).extendible
 
 
 def test_realized_witness_graph_contains_template():
-    t = shifts_pattern_template()
-    s = realize_template(t, seed=9)
-    for (i, j), p in t.witness_choice.items():
+    s = realize_template(template_from_witnesses(3, 4, _SHIFTS_PATTERN))
+    for (i, j), p in _SHIFTS_PATTERN.items():
         assert p in s.witness_graph.parties_for(i, j)
 
 
 def test_odd_cycle_is_infeasible():
-    t = Template(
-        parties=2,
-        size=3,
-        witness_choice={(0, 1): 0, (1, 2): 0, (0, 2): 0},
-    )
-    out = realize_template(t, seed=1)
-    assert isinstance(out, Infeasible)
+    t = template_from_witnesses(2, 3, {(0, 1): 0, (1, 2): 0, (0, 2): 0})
+    out = realize_template(t)
+    assert out == Infeasible(reason="party 0 constraint graph has an odd cycle")
 
 
 def test_two_member_template():
-    t = Template(parties=2, size=2, witness_choice={(0, 1): 0})
-    s = realize_template(t, seed=3)
+    s = realize_template(template_from_witnesses(2, 2, {(0, 1): 0}))
     assert not isinstance(s, Infeasible)
     assert len(s.members) == 2
+
+
+def test_template_with_many_components_realizes():
+    # 40 members on 7 parties: pair (i, j) is witnessed at 1 + the lowest
+    # bit where i and j differ, so party 0 has no edges and 40 components.
+    # Random angle numerators over 64 have only 32 perp pairs for them.
+    choice = {
+        (i, j): ((i ^ j) & -(i ^ j)).bit_length() for i in range(40) for j in range(i + 1, 40)
+    }
+    t = template_from_witnesses(7, 40, choice)
+    assert label_by_random_angles(t, 0) == Infeasible(
+        reason="party 0 ran out of non-colliding angles"
+    )
+    assert [row[0] for row in label_template(t)] == list(range(40))
+    s = realize_template(t)
+    assert not isinstance(s, Infeasible)
+    assert s.verified and len(s.members) == 40
+    for (i, j), p in choice.items():
+        assert p in s.witness_graph.parties_for(i, j)
 
 
 def test_two_color_agrees_with_the_dict_oracle():
@@ -104,11 +124,11 @@ def test_template_built_by_hand_derives_its_neighbours():
     rng = random.Random(8)
     for balanced in (False, True):
         t = sample_template(4, 9, rng, balanced=balanced)
-        by_hand = Template(parties=4, size=9, witness_choice=dict(t.witness_choice))
-        assert by_hand == t and "neighbours" not in repr(t)
-        assert by_hand.neighbours == t.neighbours
-    # the derived masks take no part in equality
-    assert Template(2, 2, {(0, 1): 0}, neighbours=([0, 0], [0, 0])) == Template(2, 2, {(0, 1): 0})
+        choice = witnesses_of(t)
+        assert len(choice) == 36
+        assert template_from_witnesses(4, 9, choice) == t
+    # the masks are the template: they decide equality
+    assert template_from_witnesses(2, 2, {(0, 1): 0}) != template_from_witnesses(2, 2, {(0, 1): 1})
 
 
 def test_scan_reproducible_byte_for_byte():
@@ -156,8 +176,8 @@ def test_scan_rejects_oversized_request():
 def test_balanced_sampling_respects_choice_count():
     rng = random.Random(4)
     t = sample_template(4, 6, rng, balanced=True)
-    assert len(t.witness_choice) == 15
-    counts = [len(t.party_edges(p)) for p in range(4)]
+    assert len(witnesses_of(t)) == 15
+    counts = [sum(bin(mask).count("1") for mask in row) // 2 for row in t.neighbours]
     assert max(counts) - min(counts) <= 1
 
 
@@ -174,17 +194,28 @@ def _label_draws():
 
 
 def test_label_decision_agrees_with_the_realized_set():
-    # The scan decides each draw on its angle numerators; the decision and
-    # its branch count must be those of the exact realized set.
+    # The scan decides each draw on its labels; the decision and its branch
+    # count must be those of the exact realized set.
     feasible = unextendible = 0
-    for parties, t, seed in _label_draws():
-        grid = label_template(t, seed)
-        realized = realize_template(t, seed)
+    for parties, t, _ in _label_draws():
+        grid = label_template(t)
+        realized = realize_template(t)
         if isinstance(grid, Infeasible):
             assert realized == grid
             continue
         feasible += 1
-        # numerators are exactly the phase classes at every party
+        # canonical: at every party, classes are numbered by first
+        # appearance, and a class's first member is on side 0
+        for p in range(parties):
+            classes = set()
+            for row in grid:
+                label = row[p]
+                if label < t.size:
+                    assert label in classes or label == len(classes)
+                    classes.add(label)
+                else:
+                    assert label - t.size in classes
+        # labels are exactly the phase classes at every party
         keys = [[l.phase_key() for l in m.locals] for m in realized.members]
         for by_label, by_key in zip(class_masks(grid, parties), class_masks(keys, parties)):
             assert sorted(by_label.values()) == sorted(by_key.values())
@@ -197,26 +228,126 @@ def test_label_decision_agrees_with_the_realized_set():
     assert unextendible > 0
 
 
+def _same_structure(grid, other, parties, size, other_size):
+    """Whether two label grids put the same member pairs in one class, and
+    the same member pairs on the two sides of a class, at every party."""
+    for p in range(parties):
+        for i, row in enumerate(grid):
+            for j in range(i + 1, len(grid)):
+                a, b = row[p], grid[j][p]
+                x, y = other[i][p], other[j][p]
+                if (a == b) != (x == y):
+                    return False
+                if ((a - b) % (2 * size) == size) != ((x - y) % (2 * other_size) == other_size):
+                    return False
+    return True
+
+
+def test_canonical_labels_agree_with_the_random_angle_oracle():
+    # The former labelling drew one random angle per component; the
+    # canonical labels must describe the same structure and give the same
+    # covering-search verdict and branch count.
+    feasible = 0
+    for parties, t, seed in _label_draws():
+        grid = label_template(t)
+        oracle = label_by_random_angles(t, seed)
+        if isinstance(grid, Infeasible):
+            assert oracle == grid
+            continue
+        feasible += 1
+        assert _same_structure(grid, oracle, parties, t.size, 32)
+        found, branches = covering_search(grid, class_masks(grid, parties), parties)
+        expected, oracle_branches = covering_search(oracle, class_masks(oracle, parties), parties)
+        assert (found is None, branches) == (expected is None, oracle_branches)
+    assert feasible >= 800
+
+
 def test_label_outputs_are_pinned():
-    # Grids and Infeasible reasons of the draws above, recorded before
-    # feasibility was decided ahead of the angle draws.
+    # Grids and Infeasible reasons of the former random-angle labelling of
+    # the draws above, recorded before feasibility was decided ahead of the
+    # angle draws; the oracle must keep reproducing them.
     h = hashlib.sha256()
     for _, t, seed in _label_draws():
-        out = label_template(t, seed)
+        out = label_by_random_angles(t, seed)
         h.update((out.reason if isinstance(out, Infeasible) else repr(out)).encode() + b"\n")
     assert h.hexdigest() == "effe51c66d31dfb079a1d7e2b479ae068ecef93fcf5ed9084642e231da655d07"
 
 
 # Canonical reports recorded before the scan decided draws on labels; the
-# balanced and all-infeasible ones before it decided them on bitmasks.
+# balanced and all-infeasible ones before it decided them on bitmasks.  The
+# two with hits were re-recorded when the scan moved to canonical labels,
+# after test_scan_hits_match_the_random_angle_oracle passed; their former
+# digests are kept there.
 _PINNED_SCANS = [
-    ((3, 4, 1000, 7), (601, 594, 7), "46f03194dd5c1fc8d9fed0fa75e606316937999865c60c94920b8e2bc460dc41"),
+    ((3, 4, 1000, 7), (601, 594, 7), "da92c1f34c4801c71b5ab23bcf8f96dbaa8fb4ca2a40879afd0d0b82b01d5ab2"),
     ((4, 6, 300, 5), (80, 80, 0), "a032270296e327e5bef2438fc982cc45757f0129f249f905ae95c1997a8e816f"),
-    ((3, 4, 1000, 7, True), (1000, 825, 175), "260b8fe2bf1661bbe4d8fb5f21aa4718370121d8cfc6492e2ca4fa4a2be8c56d"),
+    ((3, 4, 1000, 7, True), (1000, 825, 175), "62f4768842c3a3666070447a18349f92deb7f0c053a03f952063d39f284ae70c"),
     ((4, 6, 300, 5, True), (212, 212, 0), "62e4ffd78668b4cc81eaf58295e82774a1a7d628c2c91f1ca07fb38f57543041"),
     ((4, 11, 2000, 41), (0, 0, 0), "1f8f7fd7a2d131c6af0d71aaa683ca03807a16414bf6afcd69b92a40feccbd1f"),
     ((5, 27, 500, 52), (0, 0, 0), "c4824f35f8277ecfbaea700bdce9199f284fbff5732dd877b902306706c88a47"),
 ]
+
+
+def _random_angle_scan(parties, size, budget, seed, balanced=False):
+    """The former scan: unit u samples its template from Random(seed + u),
+    then labels it by random angles seeded from that Random's next
+    randrange(1 << 30), and materializes each hit over the angles a / 64."""
+    feasible = extendible = 0
+    hits = []
+    for u in range(budget):
+        rng = random.Random(seed + u)
+        t = sample_template(parties, size, rng, balanced=balanced)
+        grid = label_by_random_angles(t, rng.randrange(1 << 30))
+        if isinstance(grid, Infeasible):
+            continue
+        feasible += 1
+        if covering_search(grid, class_masks(grid, parties), parties)[0] is not None:
+            extendible += 1
+            continue
+        hits.append(
+            build_product_set(
+                [ProductVector([LocalState.angle(Fraction(a, 64)) for a in row]) for row in grid]
+            )
+        )
+    return ScanReport(
+        parties=parties,
+        size=size,
+        budget=budget,
+        seed=seed,
+        templates_tried=budget,
+        feasible=feasible,
+        ops_built=feasible,
+        extendible=extendible,
+        upbs_found=tuple(hits),
+        elapsed_s=0.0,
+    )
+
+
+def _classes(s):
+    keys = [[l.phase_key() for l in m.locals] for m in s.members]
+    return [sorted(groups.values()) for groups in class_masks(keys, s.parties)]
+
+
+@pytest.mark.parametrize(
+    "args, former_digest",
+    [
+        ((3, 4, 1000, 7), "46f03194dd5c1fc8d9fed0fa75e606316937999865c60c94920b8e2bc460dc41"),
+        ((3, 4, 1000, 7, True), "260b8fe2bf1661bbe4d8fb5f21aa4718370121d8cfc6492e2ca4fa4a2be8c56d"),
+    ],
+    ids=["3q-size4", "3q-size4-balanced"],
+)
+def test_scan_hits_match_the_random_angle_oracle(args, former_digest):
+    # The oracle reproduces the former scan byte for byte, and each UPB the
+    # scan reports has the per-party classes of the oracle's hit at the
+    # same position.
+    former = _random_angle_scan(*args)
+    text = canonical_json(scan_report_to_doc(former))
+    assert hashlib.sha256(text.encode()).hexdigest() == former_digest
+    rep = scan(*args)
+    assert (rep.feasible, rep.extendible) == (former.feasible, former.extendible)
+    assert len(rep.upbs_found) == len(former.upbs_found) > 0
+    for s, hit in zip(rep.upbs_found, former.upbs_found):
+        assert _classes(s) == _classes(hit)
 
 
 @pytest.mark.parametrize(
@@ -255,16 +386,18 @@ def test_scan_materializes_only_its_hits(monkeypatch):
     assert counts == {"build_product_set": hits, "extend_or_certify": hits}
 
 
-@pytest.mark.parametrize("args", [(5, 27, 50, 52), (4, 11, 2000, 41)], ids=["5q-size27", "4q-size11"])
-def test_infeasible_draws_draw_no_angles(monkeypatch, args):
-    # Every draw of these shapes has an odd cycle at some party, so no angle
-    # is drawn and no label Random is seeded: one Random per unit.  At size
-    # 11 the odd cycle is often at a later party than one that can be
-    # colored.
-    calls = []
+@pytest.mark.parametrize(
+    "args, feasible",
+    [((5, 27, 50, 52), False), ((4, 11, 2000, 41), False), ((5, 6, 200, 3), True)],
+    ids=["5q-size27", "4q-size11", "5q-size6"],
+)
+def test_infeasible_draws_draw_no_angles(monkeypatch, args, feasible):
+    # Labels are canonical, so a unit draws nothing after its template,
+    # feasible or not: every unit seeds exactly one Random, Random(seed + u).
+    # Every draw of the first two shapes has an odd cycle at some party (at
+    # size 11 often at a later party than one that can be colored); about
+    # two in five draws of the third are feasible.
     seeds = []
-    original = search._fresh_angle
-    monkeypatch.setattr(search, "_fresh_angle", lambda *a: calls.append(a) or original(*a))
 
     def counting_random(seed):
         seeds.append(seed)
@@ -272,6 +405,5 @@ def test_infeasible_draws_draw_no_angles(monkeypatch, args):
 
     monkeypatch.setattr(search, "random", SimpleNamespace(Random=counting_random))
     rep = scan(*args)
-    assert rep.feasible == 0
-    assert calls == []
-    assert len(seeds) == rep.budget
+    assert (rep.feasible > 0) == feasible
+    assert seeds == [rep.seed + u for u in range(rep.budget)]
