@@ -36,7 +36,7 @@ from .product import (
     ExtendDecision,
     ProductSet,
     ProductVector,
-    WitnessGraph,
+    Structure,
     build_product_set,
     extend_or_certify,
     is_proper,

@@ -300,9 +300,15 @@ def _parse_int(obj, where: str, least: int) -> int:
     return obj
 
 
-def witness_map(graph) -> dict:
-    """The witness graph as stored in documents: "i,j" -> sorted parties."""
-    return {f"{i},{j}": sorted(ws) for (i, j), ws in sorted(graph.witnesses.items())}
+def witness_map(structure) -> dict:
+    """A structure's witnesses as stored in documents: "i,j" -> sorted
+    parties."""
+    return {f"{i},{j}": sorted(ws) for (i, j), ws in structure.witnesses().items()}
+
+
+def product_vector_obj(v: ProductVector) -> list:
+    """A product vector as stored in documents: its list of locals."""
+    return [_local_obj(l) for l in v.locals]
 
 
 def product_set_to_doc(s: ProductSet) -> dict:
@@ -310,10 +316,10 @@ def product_set_to_doc(s: ProductSet) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "product_set",
         "parties": s.parties,
-        "members": [[_local_obj(l) for l in m.locals] for m in s.members],
+        "members": [product_vector_obj(m) for m in s.members],
     }
-    if s.verified and s.witness_graph is not None:
-        doc["witnesses"] = witness_map(s.witness_graph)
+    if s.verified:
+        doc["witnesses"] = witness_map(s.structure)
     return doc
 
 
@@ -332,7 +338,7 @@ def product_set_from_doc(doc: dict) -> ProductSet:
         for i, row in enumerate(members_obj)
     )
     stored = doc.get("witnesses")
-    if stored is not None and witness_map(s.witness_graph) != stored:
+    if stored is not None and witness_map(s.structure) != stored:
         raise ParseError("stored witness data disagrees with verification", "witnesses")
     return s
 

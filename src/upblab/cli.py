@@ -86,7 +86,7 @@ def cmd_verify(args) -> int:
         "verdict": "ops",
         "members": len(s.members),
         "parties": s.parties,
-        "witnesses": catalog.witness_map(s.witness_graph),
+        "witnesses": catalog.witness_map(s.structure),
     }
     _emit(args, report, lines)
     return 0
@@ -96,13 +96,10 @@ def cmd_extend(args) -> int:
     s = _load_product_set(args.file)
     decision = extend_or_certify(s)
     if decision.extendible:
-        wit = catalog.product_set_to_doc(
-            ProductSet(parties=s.parties, members=(decision.witness,))
-        )["members"][0]
         report = {
             "command": "extend",
             "verdict": "extendible",
-            "witness": wit,
+            "witness": catalog.product_vector_obj(decision.witness),
             "branches_explored": decision.branches_explored,
         }
         _emit(args, report, ["extendible: a product vector is orthogonal to every member"])
@@ -111,7 +108,7 @@ def cmd_extend(args) -> int:
         "command": "extend",
         "verdict": "unextendible",
         "branches_explored": decision.branches_explored,
-        "proper": is_proper(s) if _all_exact(s) else None,
+        "proper": is_proper(s),
     }
     _emit(
         args,
@@ -119,10 +116,6 @@ def cmd_extend(args) -> int:
         [f"unextendible (covering search exhausted, {decision.branches_explored} branches)"],
     )
     return 0
-
-
-def _all_exact(s: ProductSet) -> bool:
-    return all(l.convertible() for m in s.members for l in m.locals)
 
 
 def cmd_complement(args) -> int:
@@ -295,7 +288,7 @@ def cmd_range_scan(args) -> int:
     report = {"command": "range-scan", "verdict": res.verdict, "seed": args.seed}
     if res.verdict == "found":
         lines.append("found: an exact product vector lies in the range")
-        report["witness"] = [catalog._local_obj(l) for l in res.witness.locals]
+        report["witness"] = catalog.product_vector_obj(res.witness)
     elif res.verdict == "none_certified":
         lines.append("certified: the range contains no product vector")
         report["branches_explored"] = res.certificate.branches_explored

@@ -42,6 +42,7 @@ from .product import (
     ProductVector,
     build_product_set,
     extend_or_certify,
+    verify_ops,
 )
 from .qubits import LocalState
 from .scalars import CQ0, CQ1, ComplexRational
@@ -107,7 +108,7 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
             if all(annihilates(rows, m.cleared_flatten()) for m in s.members):
                 return s
     if nullity == 0:
-        return ProductSet(parties=d.parties, members=(), verified=True)
+        return ProductSet(parties=d.parties, members=(), structure=verify_ops(()))
     basis = nullspace_basis(d.matrix)
     members = []
     for vec in basis:
@@ -128,12 +129,14 @@ def range_product_scan(d: DensityOp, budget: int = 64, seed: int = 0) -> RangeSc
     ``budget`` counts random restarts of the heuristic branch; ``seed``
     makes the run reproducible.  The verdict "none_certified" is only ever
     produced from an exact unextendibility certificate for a product basis
-    of the kernel.  Raises ValueError for a negative budget and
+    of the kernel.  Raises ValueError for a negative budget or seed and
     NonQubitPartyError, before any elimination, unless every party is a
     qubit.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if set(d.dims) != {2}:
         raise NonQubitPartyError("the range scan is implemented for qubit parties only")
     base = d.psd()

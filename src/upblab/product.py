@@ -1,18 +1,18 @@
-"""Orthogonal product sets of qubits: verification with witnesses, the exact
-extendibility decision, and construction combinators.
+"""Orthogonal product sets of qubits: exact verification into one canonical
+structure, the exact extendibility decision, and construction combinators.
 
-Orthogonality of two product vectors means orthogonality of their locals at
-at least one party; a verified set stores, for every pair, the full set of
-parties witnessing it.
+Two product vectors are orthogonal when their locals are at some party.  At
+a qubit party a local and its (unique) perp form one phase class, orthogonal
+locals sit on the two sides of one class, and a verified set keeps one
+``Structure``: a (class, side) label per member and party.
 
 Extendibility of a qubit OPS is decided exactly by a covering search: a
-product vector z is orthogonal to member x iff z_j is the (unique) perp of
-x's local at some party j, so z exists iff one phase class per party can be
-chosen (at most one; parties may stay free) whose member groups jointly
-cover the whole set.  The search branches on the first uncovered member
-(every uncovered member has one option per unassigned party) and certifies
-exhaustion on failure.  It sees only which members share a class at each
-party, so the randomized scan runs the same search on integer labels.
+product vector z is orthogonal to member x iff z_j is the perp of x's local
+at some party j, so z exists iff one label per party can be chosen (at most
+one; parties may stay free) whose member groups jointly cover the whole set.
+The search branches on the first uncovered member (every uncovered member
+has one option per unassigned party) and certifies exhaustion on failure.
+It reads only the structure, so the scan runs it before building any set.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ from .errors import (
     NotOrthogonalError,
     NotVerifiedError,
 )
-from .linalg import ExactMatrix, cleared, kron_vec, matrix_rank
-from .qubits import (
-    KET0,
-    LocalState,
-    local_equal_up_to_phase,
-    local_perp,
-    orthogonal_exact,
-)
+from .linalg import cleared, kron_vec
+from .qubits import KET0, LocalState, local_perp, orthogonal_exact
 
 
 class ProductVector:
@@ -105,28 +99,42 @@ class ProductVector:
 
 
 @dataclass(frozen=True)
-class WitnessGraph:
-    """For each unordered member pair, the parties where their locals are
-    orthogonal.  Nonempty everywhere exactly when the set is an OPS."""
+class Structure:
+    """Canonical (class, side) labels of a qubit product set.  At each
+    party the phase classes are numbered 0, 1, ... by their first members,
+    and a member is labelled c on its class's first member's side, c + size
+    on the other: members share a label iff their locals are equal up to
+    phase, and are orthogonal at a party iff their labels differ by size.
+    """
 
-    size: int
-    parties: int
-    witnesses: dict
+    labels: tuple  # per member, one label per party
+    masks: tuple  # per party, indexed by label: the bitmask of its members
 
-    def parties_for(self, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        return self.witnesses[(i, j)]
+    def parties_for(self, i: int, j: int) -> frozenset:
+        """The parties where members i and j are orthogonal."""
+        size = len(self.labels)
+        return frozenset(
+            p for p, (a, b) in enumerate(zip(self.labels[i], self.labels[j])) if abs(a - b) == size
+        )
+
+    def witnesses(self) -> dict:
+        """(i, j), i < j -> ``parties_for(i, j)``, for every member pair."""
+        size = len(self.labels)
+        return {(i, j): self.parties_for(i, j) for i in range(size) for j in range(i + 1, size)}
 
 
 @dataclass(frozen=True)
 class ProductSet:
-    """A finite set of pairwise orthogonal product vectors (all qubits)."""
+    """A finite set of product vectors (all qubits); verified, and then
+    pairwise orthogonal, exactly when it carries its structure."""
 
     parties: int
     members: tuple
-    verified: bool = False
-    witness_graph: Optional[WitnessGraph] = None
+    structure: Optional[Structure] = None
+
+    @property
+    def verified(self) -> bool:
+        return self.structure is not None
 
     @property
     def dims(self):
@@ -139,49 +147,67 @@ class ProductSet:
         return {m.phase_key() for m in self.members}
 
 
-def verify_ops(candidate: Sequence[ProductVector]) -> WitnessGraph:
+def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
     """Check pairwise orthogonality of product vectors, exactly.
 
-    Returns the full witness graph.  Raises NotOrthogonalError or
-    DuplicateMemberError naming the first offending pair, and
-    ApproximateComparisonError if some comparison could not be done
-    exactly.
+    Returns the canonical structure.  The first pair in scan order that is
+    unwitnessed or undecidable raises: ApproximateComparisonError when some
+    party holds a pair local for one and an angle without exact coordinates
+    for the other, else DuplicateMemberError when their labels agree at
+    every party, else NotOrthogonalError.
     """
     members = list(candidate)
     if not members:
-        return WitnessGraph(size=0, parties=0, witnesses={})
+        return Structure(labels=(), masks=())
     n = members[0].parties
     if any(m.parties != n for m in members):
         raise ValueError("members disagree on the number of parties")
-    witnesses = {}
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            ws = frozenset(
-                p
-                for p in range(n)
-                if orthogonal_exact(members[i].locals[p], members[j].locals[p])
-            )
-            if not ws:
-                try:
-                    dup = all(
-                        local_equal_up_to_phase(members[i].locals[p], members[j].locals[p])
-                        for p in range(n)
-                    )
-                except ApproximateComparisonError:
-                    dup = False
-                if dup:
-                    raise DuplicateMemberError(i, j)
-                raise NotOrthogonalError(i, j)
-            witnesses[(i, j)] = ws
-    return WitnessGraph(size=len(members), parties=n, witnesses=witnesses)
+    size = len(members)
+    columns, masks, mixed = [], [], []
+    for p in range(n):
+        by_key, groups, column = {}, [0] * (2 * size), []
+        pairs = generic = 0
+        for i, m in enumerate(members):
+            l, bit = m.locals[p], 1 << i
+            key = l.phase_key()
+            if key not in by_key:
+                # a new class; each earlier one holds its key and its perp's
+                by_key[key] = len(by_key) // 2
+                by_key[local_perp(l).phase_key()] = by_key[key] + size
+            column.append(by_key[key])
+            groups[by_key[key]] |= bit
+            pairs |= bit if l.kind == "pair" else 0
+            generic |= bit if key[0] == "angle" else 0
+        columns.append(column)
+        masks.append(tuple(groups))
+        if pairs and generic:
+            mixed.append((pairs, generic))
+    full = (1 << size) - 1
+    for i in range(size):
+        bit = 1 << i
+        orth = undecided = 0
+        for column, groups in zip(columns, masks):
+            orth |= groups[(column[i] + size) % (2 * size)]
+        for pairs, generic in mixed:
+            undecided |= generic if pairs & bit else pairs if generic & bit else 0
+        bad = full & -(bit << 1) & (~orth | undecided)  # later members only
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            if undecided >> j & 1:
+                raise ApproximateComparisonError(
+                    "orthogonality of mixed representations is not exactly decidable"
+                )
+            if all(column[i] == column[j] for column in columns):
+                raise DuplicateMemberError(i, j)
+            raise NotOrthogonalError(i, j)
+    return Structure(labels=tuple(zip(*columns)), masks=tuple(masks))
 
 
 def build_product_set(members: Sequence[ProductVector]) -> ProductSet:
     """Verify a candidate and return it as a verified ProductSet."""
     members = tuple(members)
-    graph = verify_ops(members)
     n = members[0].parties if members else 0
-    return ProductSet(parties=n, members=members, verified=True, witness_graph=graph)
+    return ProductSet(parties=n, members=members, structure=verify_ops(members))
 
 
 @dataclass(frozen=True)
@@ -228,17 +254,6 @@ def covering_search(keys, classes, parties: int):
     return (assignment if search(0) else None), branches
 
 
-def class_masks(keys, parties: int):
-    """Per party: dict of class -> bitmask of the members in it."""
-    classes = [{} for _ in range(parties)]
-    for idx, row in enumerate(keys):
-        bit = 1 << idx
-        for p, key in enumerate(row):
-            groups = classes[p]
-            groups[key] = groups.get(key, 0) | bit
-    return classes
-
-
 def extend_or_certify(s: ProductSet) -> ExtendDecision:
     """Decide extendibility of a verified qubit OPS, exactly.
 
@@ -252,23 +267,18 @@ def extend_or_certify(s: ProductSet) -> ExtendDecision:
     for m in s.members:
         if len(m.locals) != s.parties:
             raise NonQubitPartyError("member arity mismatch")
-    keys = [[l.phase_key() for l in m.locals] for m in s.members]
-    classes = class_masks(keys, s.parties)
-    assignment, branches = covering_search(keys, classes, s.parties)
+    classes = s.structure.masks
+    assignment, branches = covering_search(s.structure.labels, classes, s.parties)
     if assignment is None:
         return ExtendDecision(extendible=False, witness=None, branches_explored=branches)
-    # each chosen class is represented by its first member's local
+    # each chosen label is represented by its first member's local
     reps = {}
-    for p, key in assignment.items():
-        mask = classes[p][key]
+    for p, label in assignment.items():
+        mask = classes[p][label]
         reps[p] = s.members[(mask & -mask).bit_length() - 1].locals[p]
-    locals_out = []
-    for p in range(s.parties):
-        if p in assignment:
-            locals_out.append(local_perp(reps[p]))
-        else:
-            locals_out.append(_canonical_free_local(s, p))
-    witness = ProductVector(locals_out)
+    witness = ProductVector(
+        local_perp(reps[p]) if p in reps else _canonical_free_local(s, p) for p in range(s.parties)
+    )
     _validate_extension(s, witness, assignment, classes, reps)
     return ExtendDecision(extendible=True, witness=witness, branches_explored=branches)
 
@@ -301,15 +311,14 @@ def standard_opb(n: int) -> ProductSet:
     return build_product_set(members)
 
 
-def coordinate_matrix(s: ProductSet) -> ExactMatrix:
-    """Members flattened to ambient coordinates, as rows."""
-    return ExactMatrix.from_rows([m.flatten() for m in s.members])
-
-
 def is_proper(s: ProductSet) -> bool:
     """True when the set does not span the full space (the original,
-    stricter notion of unextendibility keeps only proper sets)."""
-    return matrix_rank(coordinate_matrix(s)) < 2 ** s.parties
+    stricter notion of unextendibility keeps only proper sets).  The
+    members of a verified set are pairwise orthogonal and nonzero, hence
+    independent, so this reads the member count."""
+    if not s.verified:
+        raise NotVerifiedError("is_proper requires a verified ProductSet")
+    return len(s.members) < 2 ** s.parties
 
 
 def tensor_upb_opb(u: ProductSet, n_extra: int) -> ProductSet:

@@ -8,15 +8,16 @@ a perp-pair, so a template is realizable exactly when every per-party graph
 is 2-colorable.
 
 A template is kept as one neighbour bitmask per member and party.  Each
-feasible draw gets canonical (class, side) labels: at every party, each
-connected component is one phase class, numbered by its smallest member,
-and its two colors are the class's two sides.  Member i in component c gets
-the label c on its smallest member's side and c + size on the other, and
-label a is realized as the angle a / (2 size), so the two sides of a class
-are exactly 1/2 apart and distinct classes get distinct angles.  The labels
-alone decide extendibility with the covering search of ``upblab.product``.
-The scan decides each draw on its labels and materializes, verifies and
-re-checks exact product sets only for the unextendible hits it reports.
+feasible draw gets the canonical ``Structure`` of ``upblab.product``: at
+every party, each connected component is one phase class, numbered by its
+smallest member, and its two colors are the class's two sides.  Member i in
+component c gets the label c on its smallest member's side and c + size on
+the other, and label a is realized as the angle a / (2 size), so the two
+sides of a class are exactly 1/2 apart and distinct classes get distinct
+angles.  The structure alone decides extendibility with the covering
+search.  The scan decides each draw on its structure and materializes,
+verifies (to that very structure) and re-checks exact product sets only for
+the unextendible hits it reports.
 
 The scan is evidence-grade: it reports what a random sample of templates
 produced and proves nothing by absence.
@@ -32,8 +33,8 @@ from typing import Optional
 
 from .product import (
     ProductVector,
+    Structure,
     build_product_set,
-    class_masks,
     covering_search,
     extend_or_certify,
 )
@@ -116,59 +117,46 @@ def _two_color(neighbours) -> Optional[list]:
 
 
 def label_template(t: Template):
-    """Canonical (class, side) labels of a template, or Infeasible.
-
-    Returns a grid with one row per member and one integer per party.  At
-    each party the components of the constraint graph are numbered 0, 1,
-    ... by their smallest members; a member of component c gets c on its
-    smallest member's side and c + size on the other.  Members share a
-    label exactly when they share a phase class in the realization, and
-    are orthogonal at a party exactly when their labels differ by size.
-    """
+    """The canonical ``Structure`` of a template's realizations, or
+    Infeasible: at each party the components of the constraint graph are
+    the phase classes, and their colors the classes' sides."""
     size = t.size
-    columns = []
+    columns, masks = [], []
     for p, neighbours in enumerate(t.neighbours):
         comps = _two_color(neighbours)
         if comps is None:
             return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
-        column = [0] * size
+        column, groups = [0] * size, [0] * (2 * size)
         for c, (comp, ones) in enumerate(comps):
+            groups[c], groups[c + size] = comp & ~ones, ones
             while comp:
                 low = comp & -comp
                 column[low.bit_length() - 1] = c + size if low & ones else c
                 comp ^= low
         columns.append(column)
-    return list(zip(*columns))
+        masks.append(tuple(groups))
+    return Structure(labels=tuple(zip(*columns)), masks=tuple(masks))
 
 
-def _materialize(t: Template, grid):
-    """The verified all-angle OPS a label grid stands for: label a is the
-    angle a / (2 size).  Its witness graph must contain every chosen
-    witness of the template."""
-    denom = 2 * t.size
+def _materialize(structure: Structure):
+    """The verified all-angle OPS a structure stands for, label a realized
+    as the angle a / (2 size); it must verify to the same structure."""
+    denom = 2 * len(structure.labels)
     s = build_product_set(
-        [ProductVector([LocalState.angle(Fraction(a, denom)) for a in row]) for row in grid]
+        ProductVector(LocalState.angle(Fraction(a, denom)) for a in row) for row in structure.labels
     )
-    for p, neighbours in enumerate(t.neighbours):
-        for i, mask in enumerate(neighbours):
-            while mask:
-                low = mask & -mask
-                if p not in s.witness_graph.parties_for(i, low.bit_length() - 1):
-                    raise AssertionError("realized set lost a template witness")
-                mask ^= low
+    if s.structure != structure:
+        raise AssertionError("realized set lost its template structure")
     return s
 
 
 def realize_template(t: Template):
-    """Realize a template as a verified all-angle OPS, or return Infeasible.
-
-    The canonical labels of ``label_template``, materialized.  The witness
-    graph of the result contains every chosen witness of the template.
-    """
-    grid = label_template(t)
-    if isinstance(grid, Infeasible):
-        return grid
-    return _materialize(t, grid)
+    """Realize a template as a verified all-angle OPS, or return Infeasible:
+    the structure of ``label_template``, materialized."""
+    structure = label_template(t)
+    if isinstance(structure, Infeasible):
+        return structure
+    return _materialize(structure)
 
 
 @dataclass(frozen=True)
@@ -192,13 +180,13 @@ def _scan_unit(parties: int, size: int, seed: int, unit: int, balanced: bool):
     """One deterministic work unit: sample, label, decide; only an
     unextendible draw is materialized."""
     t = sample_template(parties, size, random.Random(seed + unit), balanced=balanced)
-    grid = label_template(t)
-    if isinstance(grid, Infeasible):
+    structure = label_template(t)
+    if isinstance(structure, Infeasible):
         return ("infeasible", None)
-    assignment, _ = covering_search(grid, class_masks(grid, parties), parties)
+    assignment, _ = covering_search(structure.labels, structure.masks, parties)
     if assignment is not None:
         return ("extendible", None)
-    return ("upb", _materialize(t, grid))
+    return ("upb", _materialize(structure))
 
 
 def scan(

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+from upblab.errors import DuplicateMemberError, NotOrthogonalError
 from upblab.linalg import ExactMatrix, as_vector, inner, projector
 from upblab.product import (
     ProductSet,
@@ -18,7 +19,7 @@ from upblab.product import (
     shifts_upb,
     tensor_upb_opb,
 )
-from upblab.qubits import LocalState, local_perp
+from upblab.qubits import LocalState, local_equal_up_to_phase, local_perp, orthogonal_exact
 from upblab.scalars import ComplexRational
 from upblab.search import Infeasible, Template, _two_color, realize_template, sample_template
 from upblab.states import DensityOp, complement_projector
@@ -43,6 +44,42 @@ def oracle_extendible(s: ProductSet) -> bool:
         if ok:
             return True
     return False
+
+
+def class_masks(keys, parties: int):
+    """Per party: dict of class -> bitmask of the members in it."""
+    classes = [{} for _ in range(parties)]
+    for idx, row in enumerate(keys):
+        bit = 1 << idx
+        for p, key in enumerate(row):
+            groups = classes[p]
+            groups[key] = groups.get(key, 0) | bit
+    return classes
+
+
+def witnesses_pairwise(members):
+    """The former verifier: ``orthogonal_exact`` on every pair and party.
+    Returns (i, j), i < j -> the parties witnessing the pair, or raises
+    what the first pair in scan order without a witness calls for:
+    ApproximateComparisonError from a comparison that cannot be made
+    exactly, DuplicateMemberError when the pair is equal up to phase at
+    every party, NotOrthogonalError otherwise."""
+    n = members[0].parties if members else 0
+    witnesses = {}
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            ws = frozenset(
+                p for p in range(n) if orthogonal_exact(members[i].locals[p], members[j].locals[p])
+            )
+            if not ws:
+                if all(
+                    local_equal_up_to_phase(members[i].locals[p], members[j].locals[p])
+                    for p in range(n)
+                ):
+                    raise DuplicateMemberError(i, j)
+                raise NotOrthogonalError(i, j)
+            witnesses[(i, j)] = ws
+    return witnesses
 
 
 def random_feasible_ops(rng: random.Random, parties: int, size: int) -> ProductSet:

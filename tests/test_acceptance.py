@@ -39,7 +39,13 @@ from upblab.states import (
     subtract_product,
 )
 
-from oracles import oracle_extendible, rand_vector, random_feasible_ops, rotated_complement
+from oracles import (
+    oracle_extendible,
+    rand_vector,
+    random_feasible_ops,
+    rotated_complement,
+    witnesses_pairwise,
+)
 from test_blocks import random_block_spec
 
 K0 = LocalState.ket(0)
@@ -137,6 +143,8 @@ def test_extendibility_oracle_equivalence():
         s = random_feasible_ops(rng, n, size)
         verdict = extend_or_certify(s).extendible
         assert verdict == oracle_extendible(s), (n, size, instances)
+        # the structure's witnesses are those of pairwise verification
+        assert s.structure.witnesses() == witnesses_pairwise(s.members), instances
         extendible_count += verdict
         instances += 1
     _report(
@@ -144,7 +152,7 @@ def test_extendibility_oracle_equivalence():
         t0,
         120.0,
         f"500 instances agree ({extendible_count} extendible, "
-        f"{500 - extendible_count} unextendible)",
+        f"{500 - extendible_count} unextendible), witness maps included",
     )
 
 

@@ -420,6 +420,10 @@ def _request(tmp_path, case):
         vec = tmp_path / "vec.json"
         save(vec, build_product_set([ProductVector([LocalState.ket(0)] * 3)]))
         return ["subtract", str(rho), str(vec)], "invalid subtract request"
+    if case == "range-scan-negative-seed":
+        rho = tmp_path / "rho.json"
+        save(rho, fixture("rank5_pptes_4q"))
+        return ["range-scan", str(rho), "--seed", "-5"], "invalid range-scan request"
     if case == "ppt-one-party":
         doc = density_to_doc(density_from_matrix((4,), ExactMatrix.identity(4)))
         command, expect = "ppt", "BadMaskError"
@@ -456,6 +460,7 @@ def _request(tmp_path, case):
         "ppt-unit-dim",
         "birank-unit-dim",
         "subtract-wrong-length",
+        "range-scan-negative-seed",
     ],
 )
 def test_malformed_request_exits_two_with_nothing_on_stdout(tmp_path, capsys, case):
@@ -464,3 +469,79 @@ def test_malformed_request_exits_two_with_nothing_on_stdout(tmp_path, capsys, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert expect in captured.err
+
+
+def _pinned_witness_cases(tmp_path):
+    """(argv, parsed report, sha256 of the report's bytes) for an
+    extendible ``extend`` with complex pair locals, one with angle locals,
+    and a ``found`` range scan; recorded before product vectors were
+    serialized through ``catalog.product_vector_obj``."""
+    import random
+
+    from oracles import rotated_set
+    from upblab.search import scan
+
+    rotated = tmp_path / "rotated.json"
+    save(rotated, build_product_set(rotated_set(random.Random(5), 0).members[1:]))
+    angles = tmp_path / "angles.json"
+    save(angles, build_product_set(scan(3, 4, 1000, 7).upbs_found[0].members[:3]))
+    rho = tmp_path / "rho.json"
+    save(rho, fixture("rank5_pptes_4q"))
+    minus_ket0 = {"pair": [["-1", "0"], ["0", "0"]]}
+    return [
+        (
+            ["extend", str(rotated)],
+            {
+                "branches_explored": 4,
+                "command": "extend",
+                "verdict": "extendible",
+                "witness": [
+                    {"pair": [["-2", "1"], ["-3", "-2"]]},
+                    {"pair": [["-2", "1"], ["3", "-2"]]},
+                    {"pair": [["-3", "6"], ["-3", "0"]]},
+                ],
+            },
+            "67ce72527116920f5d15648253025f62f5542bc9b47fbc5c18c78ea16e4d4d82",
+        ),
+        (
+            ["extend", str(angles)],
+            {
+                "branches_explored": 4,
+                "command": "extend",
+                "verdict": "extendible",
+                "witness": [{"angle": "1/2"}, {"angle": "5/8"}, {"angle": "1/8"}],
+            },
+            "aef1fb7d4c7abb92c5a191400e2e0cd40a3841ee4646697d7095a5639ce4c7d7",
+        ),
+        (
+            ["range-scan", str(rho), "--seed", "3"],
+            {"command": "range-scan", "seed": 3, "verdict": "found", "witness": [minus_ket0] * 4},
+            "423e63965f41143b400ebf403f9886e7f0c036473e237d34b2856354dd87732a",
+        ),
+    ]
+
+
+def test_witness_reports_are_pinned_byte_for_byte(tmp_path, capsys):
+    import hashlib
+
+    for argv, expected, digest in _pinned_witness_cases(tmp_path):
+        main(argv + ["--json", "-"])
+        out = capsys.readouterr().out
+        assert json.loads(out) == expected
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_extend_reports_a_scan_hit_as_proper(tmp_path, capsys):
+    # the first UPB of this scan has generic angles (1/8, 5/8, ...), which
+    # have no exact coordinates; four members cannot span 8 dimensions
+    from upblab.search import scan
+
+    p = tmp_path / "hit.json"
+    save(p, scan(3, 4, 1000, 7).upbs_found[0])
+    assert main(["extend", str(p), "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unextendible" and report["proper"] is True
+    full = tmp_path / "full.json"
+    save(full, fixture("standard_opb_3"))
+    assert main(["extend", str(full), "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["proper"] is False

@@ -460,3 +460,25 @@ def test_range_scan_takes_attached_kernel_set_without_elimination(monkeypatch):
     assert result.verdict == "none_certified"
     assert not result.certificate.extendible
     assert calls == []
+
+
+@pytest.mark.parametrize("branch", ["exact", "heuristic"])
+def test_scan_refuses_a_negative_seed_before_any_elimination(monkeypatch, branch):
+    from upblab import _kernels
+    from upblab.catalog import fixture
+
+    # the rank-5 state carries its kernel set; the Bell projector's kernel
+    # has no product basis, so only the heuristic branch could answer it
+    d = fixture("rank5_pptes_4q") if branch == "exact" else pure_density([1, 0, 0, 1], (2, 2))
+    calls = []
+    for name in ("ldl_hermitian", "bareiss_rank", "rref"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        )
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        range_product_scan(d, seed=-5)
+    assert calls == []
+    assert range_product_scan(d, budget=1, seed=0).verdict == (
+        "found" if branch == "exact" else "none_heuristic"
+    )

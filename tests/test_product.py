@@ -1,19 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from upblab.catalog import size_status
 from upblab.errors import (
+    ApproximateComparisonError,
     DuplicateMemberError,
     NotOrthogonalError,
     NotVerifiedError,
 )
-from upblab.linalg import inner, matrix_rank
+from upblab.linalg import ExactMatrix, inner, matrix_rank
 from upblab.product import (
     ProductSet,
     ProductVector,
     build_product_set,
-    coordinate_matrix,
     extend_or_certify,
     is_proper,
     shifts_upb,
@@ -23,7 +24,15 @@ from upblab.product import (
 )
 from upblab.qubits import LocalState, local_equal_up_to_phase, orthogonal_exact
 
-from oracles import oracle_extendible, random_feasible_ops
+from oracles import (
+    oracle_extendible,
+    rand_local,
+    rand_scalar,
+    random_exact_ops,
+    random_feasible_ops,
+    rotated_set,
+    witnesses_pairwise,
+)
 
 K0, K1 = LocalState.ket(0), LocalState.ket(1)
 PLUS, MINUS = LocalState.pair(1, 1), LocalState.pair(1, -1)
@@ -31,7 +40,7 @@ PLUS, MINUS = LocalState.pair(1, 1), LocalState.pair(1, -1)
 
 def test_shifts_witness_graph_matches_hand_computation():
     s = shifts_upb()
-    assert dict(s.witness_graph.witnesses) == {
+    assert s.structure.witnesses() == {
         (0, 1): frozenset({0}),
         (0, 2): frozenset({1}),
         (0, 3): frozenset({2}),
@@ -44,7 +53,7 @@ def test_shifts_witness_graph_matches_hand_computation():
 def test_standard_opb_all_pairs_witnessed():
     s = standard_opb(2)
     assert len(s.members) == 4
-    assert all(ws for ws in s.witness_graph.witnesses.values())
+    assert all(ws for ws in s.structure.witnesses().values())
 
 
 def test_verify_rejects_non_orthogonal():
@@ -94,7 +103,7 @@ def test_covering_search_branch_counts_are_pinned():
 
 
 def test_extend_requires_verified():
-    s = ProductSet(parties=3, members=shifts_upb().members, verified=False)
+    s = ProductSet(parties=3, members=shifts_upb().members)
     with pytest.raises(NotVerifiedError):
         extend_or_certify(s)
 
@@ -136,13 +145,18 @@ def test_standard_opb_small():
     ]
     s3 = standard_opb(3)
     assert len(s3.members) == 8
-    assert matrix_rank(coordinate_matrix(s3)) == 8
+    assert matrix_rank(ExactMatrix.from_rows([m.flatten() for m in s3.members])) == 8
     assert not extend_or_certify(s3).extendible
     assert not is_proper(s3)
 
 
 def test_shifts_is_proper():
     assert is_proper(shifts_upb())
+
+
+def test_is_proper_requires_verified():
+    with pytest.raises(NotVerifiedError):
+        is_proper(ProductSet(parties=3, members=shifts_upb().members))
 
 
 def test_tensor_with_extra_qubits():
@@ -213,7 +227,7 @@ def test_mixed_kind_comparison_fails_loudly():
 
     from upblab.errors import ApproximateComparisonError
 
-    # witness graphs record every witnessing party, so verification refuses
+    # a structure records every witnessing party, so verification refuses
     # any pair with an undecidable party even when another party already
     # witnesses orthogonality exactly
     a = ProductVector([K0, LocalState.angle(Fraction(1, 5))])
@@ -223,8 +237,8 @@ def test_mixed_kind_comparison_fails_loudly():
     # convertible angles are fine in mixed company
     c = ProductVector([K0, LocalState.angle(0)])
     d = ProductVector([K1, LocalState.pair(1, 1)])
-    graph = verify_ops([c, d])
-    assert graph.parties_for(0, 1) == frozenset({0})
+    structure = verify_ops([c, d])
+    assert structure.parties_for(0, 1) == frozenset({0})
 
 
 def test_cleared_flatten_is_kept_and_immutable():
@@ -251,3 +265,123 @@ def test_kept_coordinates_leave_equality_and_hashing_alone():
     a.cleared_flatten()
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def _verdict(verify, members):
+    """What a verifier makes of a candidate: its witness map, or the type
+    and pair of the error it raises."""
+    try:
+        return verify(members)
+    except (ApproximateComparisonError, DuplicateMemberError, NotOrthogonalError) as exc:
+        return type(exc), getattr(exc, "pair", None)
+
+
+def _by_structure(members):
+    return verify_ops(members).witnesses()
+
+
+def _verifier_corpus():
+    """Verified sets of every kind the library builds besides the
+    acceptance suite's 500 realized templates, which that suite checks
+    against the same oracle: every product-set fixture and kernel set, the
+    hits of the pinned scans, and random sets of rational pair and
+    convertible angle locals, rotated or not."""
+    from upblab.catalog import fixture, fixture_names
+    from upblab.search import scan
+
+    from test_search import _PINNED_SCANS
+
+    for name in fixture_names():
+        obj = fixture(name)
+        s = obj if isinstance(obj, ProductSet) else obj.kernel_product_set
+        if s is not None:
+            yield s
+    for args, (_, _, hits), _ in _PINNED_SCANS:
+        if hits:
+            yield from scan(*args).upbs_found
+    rng = random.Random(19)
+    for _ in range(60):
+        yield random_exact_ops(rng, rng.randint(1, 5))
+    for extra in (0, 1, 2):
+        yield rotated_set(rng, extra)
+
+
+def test_structure_witnesses_agree_with_the_pairwise_oracle():
+    kinds = set()
+    for s in _verifier_corpus():
+        assert s.structure.witnesses() == witnesses_pairwise(s.members)
+        assert verify_ops(s.members) == s.structure
+        # structures hold only tuples, so verified sets hash by value
+        assert hash(build_product_set(s.members)) == hash(s)
+        kinds.update(l.kind for m in s.members for l in m.locals)
+    assert kinds == {"pair", "angle"}
+
+
+def _mutants(rng, members):
+    """(edit, candidate) pairs, each candidate an edit away from an OPS: a
+    member repeated up to phase, a local replaced by a random one, or a
+    generic angle placed at one party of pair locals, alone or with a pair
+    left unwitnessed before or after the undecidable ones."""
+    members = list(members)
+    size, n = len(members), members[0].parties
+    i, p = rng.randrange(size), rng.randrange(n)
+
+    def scaled(l):
+        if l.is_angle():
+            return l
+        c = rand_scalar(rng)
+        while c.is_zero():
+            c = rand_scalar(rng)
+        return LocalState.pair(l.a * c, l.b * c)
+
+    def replaced(m, p, l):
+        return ProductVector(m.locals[:p] + (l,) + m.locals[p + 1 :])
+
+    copy = ProductVector([scaled(l) for l in members[i].locals])
+    yield "duplicate", members[: i + 1] + [copy] + members[i + 1 :]
+    yield "duplicate", members[:i] + [copy] + members[i:]
+    broken = members[:i] + [replaced(members[i], p, rand_local(rng))] + members[i + 1 :]
+    yield "replaced", broken
+    if all(m.locals[p].kind == "pair" for m in members):
+        generic = LocalState.angle(Fraction(1, 5))
+        for edit, base in (("mixed", members), ("mixed and replaced", broken)):
+            for k in (0, rng.randrange(size), size - 1):
+                yield edit, base[:k] + [replaced(base[k], p, generic)] + base[k + 1 :]
+
+
+def test_verifier_errors_agree_with_the_pairwise_oracle():
+    rng = random.Random(23)
+    bases = [shifts_upb(), tensor_upb_opb(shifts_upb(), 1), standard_opb(3)]
+    bases += [rotated_set(rng, extra) for extra in (0, 1)]
+    bases += [random_exact_ops(rng, rng.randint(2, 4)) for _ in range(30)]
+    bases = [s for s in bases if len(s.members) > 1]
+    seen = {}
+    for s in bases:
+        for _ in range(8):
+            for edit, candidate in _mutants(rng, s.members):
+                expected = _verdict(witnesses_pairwise, candidate)
+                assert _verdict(_by_structure, candidate) == expected
+                if isinstance(expected, tuple):
+                    key = (edit, expected[0].__name__)
+                    seen[key] = seen.get(key, 0) + 1
+    # each edit meets the error it should, and with a pair left unwitnessed
+    # the first offending pair decides between the two errors
+    assert min(seen.get(key, 0) for key in [
+        ("duplicate", "DuplicateMemberError"),
+        ("replaced", "NotOrthogonalError"),
+        ("mixed", "ApproximateComparisonError"),
+        ("mixed and replaced", "ApproximateComparisonError"),
+        ("mixed and replaced", "NotOrthogonalError"),
+    ]) >= 10, seen
+
+
+def test_unwitnessed_pair_before_an_undecidable_one_is_reported():
+    # members 0 and 1 are not orthogonal; the generic angle of member 2 at
+    # party 1 makes every later pair with it undecidable
+    generic = LocalState.angle(Fraction(1, 5))
+    members = [ProductVector([K0, K0]), ProductVector([K0, PLUS]), ProductVector([K1, generic])]
+    with pytest.raises(NotOrthogonalError) as exc:
+        verify_ops(members)
+    assert exc.value.pair == (0, 1)
+    with pytest.raises(ApproximateComparisonError):
+        verify_ops([members[2], members[0], members[1]])

@@ -10,7 +10,6 @@ from upblab.catalog import canonical_json, scan_report_to_doc
 from upblab.product import (
     ProductVector,
     build_product_set,
-    class_masks,
     covering_search,
     extend_or_certify,
 )
@@ -25,7 +24,7 @@ from upblab.search import (
     scan,
 )
 
-from oracles import label_by_random_angles, template_from_witnesses, two_color_by_dict
+from oracles import class_masks, label_by_random_angles, template_from_witnesses, two_color_by_dict
 
 # one perfect matching of the four members per party
 _SHIFTS_PATTERN = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
@@ -53,7 +52,7 @@ def test_realize_shifts_pattern_is_unextendible():
 def test_realized_witness_graph_contains_template():
     s = realize_template(template_from_witnesses(3, 4, _SHIFTS_PATTERN))
     for (i, j), p in _SHIFTS_PATTERN.items():
-        assert p in s.witness_graph.parties_for(i, j)
+        assert p in s.structure.parties_for(i, j)
 
 
 def test_odd_cycle_is_infeasible():
@@ -79,12 +78,12 @@ def test_template_with_many_components_realizes():
     assert label_by_random_angles(t, 0) == Infeasible(
         reason="party 0 ran out of non-colliding angles"
     )
-    assert [row[0] for row in label_template(t)] == list(range(40))
+    assert [row[0] for row in label_template(t).labels] == list(range(40))
     s = realize_template(t)
     assert not isinstance(s, Infeasible)
     assert s.verified and len(s.members) == 40
     for (i, j), p in choice.items():
-        assert p in s.witness_graph.parties_for(i, j)
+        assert p in s.structure.parties_for(i, j)
 
 
 def test_two_color_agrees_with_the_dict_oracle():
@@ -198,11 +197,12 @@ def test_label_decision_agrees_with_the_realized_set():
     # count must be those of the exact realized set.
     feasible = unextendible = 0
     for parties, t, _ in _label_draws():
-        grid = label_template(t)
+        structure = label_template(t)
         realized = realize_template(t)
-        if isinstance(grid, Infeasible):
-            assert realized == grid
+        if isinstance(structure, Infeasible):
+            assert realized == structure
             continue
+        grid = structure.labels
         feasible += 1
         # canonical: at every party, classes are numbered by first
         # appearance, and a class's first member is on side 0
@@ -228,6 +228,23 @@ def test_label_decision_agrees_with_the_realized_set():
     assert unextendible > 0
 
 
+def test_template_structure_is_the_verified_structure():
+    # The scan's structure of a draw is the one verification builds for the
+    # realized set, so the scan and verification read the same labels.
+    feasible = 0
+    for _, t, _ in _label_draws():
+        structure = label_template(t)
+        if isinstance(structure, Infeasible):
+            continue
+        feasible += 1
+        realized = realize_template(t)
+        assert structure == build_product_set(realized.members).structure
+        assert structure.labels == tuple(
+            tuple(int(l.q * 2 * t.size) for l in m.locals) for m in realized.members
+        )
+    assert feasible >= 800
+
+
 def _same_structure(grid, other, parties, size, other_size):
     """Whether two label grids put the same member pairs in one class, and
     the same member pairs on the two sides of a class, at every party."""
@@ -249,11 +266,12 @@ def test_canonical_labels_agree_with_the_random_angle_oracle():
     # covering-search verdict and branch count.
     feasible = 0
     for parties, t, seed in _label_draws():
-        grid = label_template(t)
+        structure = label_template(t)
         oracle = label_by_random_angles(t, seed)
-        if isinstance(grid, Infeasible):
-            assert oracle == grid
+        if isinstance(structure, Infeasible):
+            assert oracle == structure
             continue
+        grid = structure.labels
         feasible += 1
         assert _same_structure(grid, oracle, parties, t.size, 32)
         found, branches = covering_search(grid, class_masks(grid, parties), parties)
