@@ -550,12 +550,13 @@ def from_doc(doc: dict):
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "$")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # JSON true and 1.0 compare equal to 1 but are not integer versions
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"schema_version {version!r} is not supported (want {SCHEMA_VERSION})"
         )
     kind = doc.get("kind")
-    fn = _FROM_DOC.get(kind)
+    fn = _FROM_DOC.get(kind) if isinstance(kind, str) else None
     if fn is None:
         raise ParseError(f"unknown document kind {kind!r}", "kind")
     return fn(doc)

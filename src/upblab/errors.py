@@ -32,11 +32,9 @@ class BadCutError(BadMaskError):
 
 
 class ApproximateComparisonError(UpbLabError):
-    """An exact decision was requested but only a float comparison exists."""
-
-
-class MixedRepresentationError(UpbLabError):
-    """Two local states cannot be compared exactly across representations."""
+    """Exact coordinates were requested for a local that has none: an angle
+    state other than 0 or 1/2 (``LocalState.vec2``, ``complement_projector``).
+    Comparisons of locals never raise it."""
 
 
 class VerificationError(UpbLabError):

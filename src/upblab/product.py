@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
-    ApproximateComparisonError,
     DuplicateMemberError,
     NonQubitPartyError,
     NotOrthogonalError,
@@ -150,11 +149,10 @@ class ProductSet:
 def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
     """Check pairwise orthogonality of product vectors, exactly.
 
-    Returns the canonical structure.  The first pair in scan order that is
-    unwitnessed or undecidable raises: ApproximateComparisonError when some
-    party holds a pair local for one and an angle without exact coordinates
-    for the other, else DuplicateMemberError when their labels agree at
-    every party, else NotOrthogonalError.
+    Returns the canonical structure, labelled by the complete phase keys,
+    so locals of any representation compare exactly.  The first pair in
+    scan order that is orthogonal at no party raises: DuplicateMemberError
+    when their labels agree at every party, else NotOrthogonalError.
     """
     members = list(candidate)
     if not members:
@@ -163,10 +161,9 @@ def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
     if any(m.parties != n for m in members):
         raise ValueError("members disagree on the number of parties")
     size = len(members)
-    columns, masks, mixed = [], [], []
+    columns, masks = [], []
     for p in range(n):
         by_key, groups, column = {}, [0] * (2 * size), []
-        pairs = generic = 0
         for i, m in enumerate(members):
             l, bit = m.locals[p], 1 << i
             key = l.phase_key()
@@ -176,27 +173,16 @@ def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
                 by_key[local_perp(l).phase_key()] = by_key[key] + size
             column.append(by_key[key])
             groups[by_key[key]] |= bit
-            pairs |= bit if l.kind == "pair" else 0
-            generic |= bit if key[0] == "angle" else 0
         columns.append(column)
         masks.append(tuple(groups))
-        if pairs and generic:
-            mixed.append((pairs, generic))
     full = (1 << size) - 1
     for i in range(size):
-        bit = 1 << i
-        orth = undecided = 0
+        orth = 0
         for column, groups in zip(columns, masks):
             orth |= groups[(column[i] + size) % (2 * size)]
-        for pairs, generic in mixed:
-            undecided |= generic if pairs & bit else pairs if generic & bit else 0
-        bad = full & -(bit << 1) & (~orth | undecided)  # later members only
+        bad = full & -(2 << i) & ~orth  # later members only
         if bad:
             j = (bad & -bad).bit_length() - 1
-            if undecided >> j & 1:
-                raise ApproximateComparisonError(
-                    "orthogonality of mixed representations is not exactly decidable"
-                )
             if all(column[i] == column[j] for column in columns):
                 raise DuplicateMemberError(i, j)
             raise NotOrthogonalError(i, j)
@@ -260,7 +246,7 @@ def extend_or_certify(s: ProductSet) -> ExtendDecision:
     Extendible: returns a concrete witness, re-validated at its covering
     parties.  Unextendible: the covering search ran to exhaustion;
     ``branches_explored`` counts expanded nodes.  Unconstrained parties get
-    |0>, or the angle state 0 at a party of angle locals.
+    |0>.
     """
     if not s.verified:
         raise NotVerifiedError("extendibility requires a verified ProductSet")
@@ -277,17 +263,10 @@ def extend_or_certify(s: ProductSet) -> ExtendDecision:
         mask = classes[p][label]
         reps[p] = s.members[(mask & -mask).bit_length() - 1].locals[p]
     witness = ProductVector(
-        local_perp(reps[p]) if p in reps else _canonical_free_local(s, p) for p in range(s.parties)
+        local_perp(reps[p]) if p in reps else KET0 for p in range(s.parties)
     )
     _validate_extension(s, witness, assignment, classes, reps)
     return ExtendDecision(extendible=True, witness=witness, branches_explored=branches)
-
-
-def _canonical_free_local(s: ProductSet, p: int) -> LocalState:
-    # Keep the representation kind of the party so later comparisons stay exact.
-    if any(m.locals[p].is_angle() for m in s.members):
-        return LocalState.angle(0)
-    return KET0
 
 
 def _validate_extension(s, witness, assignment, classes, reps):
@@ -328,13 +307,12 @@ def tensor_upb_opb(u: ProductSet, n_extra: int) -> ProductSet:
     """
     if not u.verified:
         raise NotVerifiedError("tensor_upb_opb requires a verified ProductSet")
-    if n_extra == 0:
-        return u
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
-    base = extend_or_certify(u)
-    if base.extendible:
+    if extend_or_certify(u).extendible:
         raise ValueError("tensor_upb_opb requires an unextendible input")
+    if n_extra == 0:
+        return u
     members = []
     for m in u.members:
         for bits in range(1 << n_extra):

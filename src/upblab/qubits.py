@@ -10,17 +10,22 @@ Two representations are supported:
 Equality is always judged up to a global phase; for a qubit this makes the
 perpendicular state unique.
 
-The module offers exact decisions only: ``orthogonal_exact``,
-``local_equal_up_to_phase``, ``local_perp`` and ``LocalState.phase_key``.
-A generic angle (q not in {0, 1/2}) has no rational coordinates, so
-comparing it with a pair state raises instead of falling back to floats.
+One decision covers every comparison: ``LocalState.phase_key`` is a
+complete invariant, so two locals are equal up to phase exactly when their
+keys are, and u is orthogonal to v exactly when u's key is that of
+``local_perp(v)``.  It is complete across representations by Niven's
+theorem: (cos pi q, sin pi q) is proportional to a pair over Q(i) only if
+tan(pi q) is rational or infinite, which for rational q means q in
+{0, 1/4, 1/2, 3/4} (the only roots of unity in Q(i) are +-1 and +-i).
+Those four angles share the keys of (1, 0), (1, 1), (0, 1) and (1, -1);
+every other angle is never equal up to phase nor orthogonal to a pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ApproximateComparisonError, MixedRepresentationError
+from .errors import ApproximateComparisonError
 from .scalars import CQ0, CQ1, ComplexRational
 
 
@@ -79,18 +84,20 @@ class LocalState:
         )
 
     def phase_key(self):
-        """Canonical key: equal keys exactly when equal up to phase.
+        """Complete canonical key: equal keys exactly when equal up to phase,
+        whatever the representations.
 
         Pair states are normalized so the first nonzero coordinate is 1.
-        Angle states at q in {0, 1/2} share the pair keys.  Other angles
-        keep angle keys, although some are phase-equal to a rational pair:
-        1/4 and 3/4 are proportional to (1, 1) and (1, -1).  So keys are
-        comparable only among locals of one representation at a party, and
-        ``verify_ops`` refuses a party that mixes a pair with such an angle.
+        The angles 0, 1/4, 1/2 and 3/4 share the pair keys of (1, 0),
+        (1, 1), (0, 1) and (1, -1); every other angle keeps ``("angle", q)``,
+        since no pair over Q(i) is proportional to it (Niven's theorem).
         """
-        if self.kind == "angle" and not self.convertible():
+        if self.kind == "pair":
+            a, b = self.a, self.b
+        elif self.q in _PAIR_ANGLES:
+            a, b = _PAIR_ANGLES[self.q]
+        else:
             return ("angle", self.q)
-        a, b = self.vec2()
         if not a.is_zero():
             return ("pair", (CQ1.t, (b / a).t))
         return ("pair", (CQ0.t, CQ1.t))
@@ -117,33 +124,18 @@ class LocalState:
 
 KET0 = LocalState.ket(0)
 
+# the angles whose states are proportional to a pair over Q(i)
+_PAIR_ANGLES = {
+    Fraction(0): (CQ1, CQ0),
+    Fraction(1, 4): (CQ1, CQ1),
+    Fraction(1, 2): (CQ0, CQ1),
+    Fraction(3, 4): (CQ1, -CQ1),
+}
+
 
 def orthogonal_exact(u: LocalState, v: LocalState) -> bool:
-    """Exact zero test of <u|v>; raises when only a float answer exists.
-
-    With ua = (p1 + q1 i)/r1, ub = (p2 + q2 i)/r2, va = (p3 + q3 i)/r3 and
-    vb = (p4 + q4 i)/r4, <u|v> = conj(ua) va + conj(ub) vb is zero iff
-    r2 r4 conj(p1 + q1 i)(p3 + q3 i) + r1 r3 conj(p2 + q2 i)(p4 + q4 i) is,
-    so the test runs on those integers alone.
-    """
-    if u.kind == "angle" and v.kind == "angle":
-        return (v.q - u.q) % 1 == Fraction(1, 2)
-    if (u.kind == "pair" or u.convertible()) and (v.kind == "pair" or v.convertible()):
-        ua, ub = u.vec2()
-        va, vb = v.vec2()
-        p1, q1, r1 = ua.t
-        p2, q2, r2 = ub.t
-        p3, q3, r3 = va.t
-        p4, q4, r4 = vb.t
-        s = r2 * r4
-        t = r1 * r3
-        return (
-            (p1 * p3 + q1 * q3) * s + (p2 * p4 + q2 * q4) * t == 0
-            and (p1 * q3 - q1 * p3) * s + (p2 * q4 - q2 * p4) * t == 0
-        )
-    raise ApproximateComparisonError(
-        "orthogonality of mixed representations is not exactly decidable"
-    )
+    """True iff <u|v> = 0, decided exactly on the phase keys."""
+    return u.phase_key() == local_perp(v).phase_key()
 
 
 def local_perp(v: LocalState) -> LocalState:
@@ -154,17 +146,5 @@ def local_perp(v: LocalState) -> LocalState:
 
 
 def local_equal_up_to_phase(u: LocalState, v: LocalState) -> bool:
-    """True iff u = c v for some nonzero scalar c, decided exactly.
-
-    Raises MixedRepresentationError when the representations differ and
-    neither side converts exactly.
-    """
-    if u.kind == "angle" and v.kind == "angle":
-        return u.q == v.q
-    if (u.kind == "pair" or u.convertible()) and (v.kind == "pair" or v.convertible()):
-        ua, ub = u.vec2()
-        va, vb = v.vec2()
-        return (ua * vb - ub * va).is_zero()
-    raise MixedRepresentationError(
-        "no exact phase comparison between these representations"
-    )
+    """True iff u = c v for some nonzero scalar c, decided exactly."""
+    return u.phase_key() == v.phase_key()

@@ -25,6 +25,7 @@ from .errors import (
     NotHermitianError,
     NotInRangeError,
     NotPsdError,
+    NotVerifiedError,
     SpansEverythingError,
 )
 from .linalg import (
@@ -126,10 +127,12 @@ def complement_projector(s: ProductSet) -> DensityOp:
 
     Returns (I - sum_i |x_i><x_i| / <x_i|x_i>) / (D - |s|), a trace-one
     operator of rank exactly D - |s|.  The generating set is attached as
-    the kernel product basis.  Raises SpansEverythingError when the set is
-    a full basis and ApproximateComparisonError when some local has no
-    exact coordinates.
+    the kernel product basis.  Raises NotVerifiedError for an unverified
+    set, SpansEverythingError when the set is a full basis and
+    ApproximateComparisonError when some local has no exact coordinates.
     """
+    if not s.verified:
+        raise NotVerifiedError("complement_projector requires a verified ProductSet")
     if not s.members:
         raise ValueError("complement of an empty set is the identity; build it directly")
     d = prod(s.dims)

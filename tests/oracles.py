@@ -8,6 +8,7 @@ other.
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 from upblab.errors import DuplicateMemberError, NotOrthogonalError
@@ -19,7 +20,7 @@ from upblab.product import (
     shifts_upb,
     tensor_upb_opb,
 )
-from upblab.qubits import LocalState, local_equal_up_to_phase, local_perp, orthogonal_exact
+from upblab.qubits import LocalState, local_perp
 from upblab.scalars import ComplexRational
 from upblab.search import Infeasible, Template, _two_color, realize_template, sample_template
 from upblab.states import DensityOp, complement_projector
@@ -57,23 +58,98 @@ def class_masks(keys, parties: int):
     return classes
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int):
+    from sympy import Poly, QQ, Symbol, cyclotomic_poly
+
+    return Poly(cyclotomic_poly(n, Symbol("z")), Symbol("z"), domain=QQ)
+
+
+@lru_cache(maxsize=None)
+def angle_form_is_zero(q: Fraction, a: ComplexRational, b: ComplexRational) -> bool:
+    """Whether cos(pi q) a + sin(pi q) b = 0, decided exactly by sympy in
+    the cyclotomic field Q(z), z = exp(i pi / (2 m)) with q = k / m in
+    lowest terms.  There i = z^m and exp(i pi q) = z^(2k), so
+    2 i z^(2k) (cos(pi q) a + sin(pi q) b)
+    = a z^m (z^(4k) + 1) + b (z^(4k) - 1),
+    a polynomial in z that vanishes iff the cyclotomic polynomial of
+    order 4m divides it.  No phase key and no case analysis of q."""
+    from sympy import Poly, QQ
+
+    k, m = q.numerator, q.denominator
+    coeffs = {}
+    # a z^m = re(a) z^m + im(a) z^(2m), and b = re(b) + im(b) z^m
+    for shift, c, sign in ((m, a.re, 1), (2 * m, a.im, 1), (0, b.re, -1), (m, b.im, -1)):
+        coeffs[shift + 4 * k] = coeffs.get(shift + 4 * k, 0) + c
+        coeffs[shift] = coeffs.get(shift, 0) + sign * c
+    z = _cyclotomic(4 * m).gen
+    poly = Poly.from_dict(
+        {(e,): QQ(c.numerator, c.denominator) for e, c in coeffs.items() if c}, z, domain=QQ
+    )
+    return poly.rem(_cyclotomic(4 * m)).is_zero
+
+
+def orthogonal_reference(u: LocalState, v: LocalState) -> bool:
+    """<u|v> = 0, decided without phase keys.  Two angles are orthogonal
+    iff they differ by 1/2 (mod 1).  Locals with exact coordinates (pairs
+    and the angles 0 and 1/2) are decided on integers: with
+    ua = (p1 + q1 i)/r1, ub = (p2 + q2 i)/r2, va = (p3 + q3 i)/r3 and
+    vb = (p4 + q4 i)/r4, <u|v> = conj(ua) va + conj(ub) vb is zero iff
+    r2 r4 conj(p1 + q1 i)(p3 + q3 i) + r1 r3 conj(p2 + q2 i)(p4 + q4 i) is.
+    A pair against any other angle goes to ``angle_form_is_zero``."""
+    if u.is_angle() and v.is_angle():
+        return (v.q - u.q) % 1 == Fraction(1, 2)
+    if u.convertible() and v.convertible():
+        ua, ub = u.vec2()
+        va, vb = v.vec2()
+        p1, q1, r1 = ua.t
+        p2, q2, r2 = ub.t
+        p3, q3, r3 = va.t
+        p4, q4, r4 = vb.t
+        s = r2 * r4
+        t = r1 * r3
+        return (
+            (p1 * p3 + q1 * q3) * s + (p2 * p4 + q2 * q4) * t == 0
+            and (p1 * q3 - q1 * p3) * s + (p2 * q4 - q2 * p4) * t == 0
+        )
+    if u.is_angle():
+        return angle_form_is_zero(u.q, v.a, v.b)
+    return angle_form_is_zero(v.q, u.a.conjugate(), u.b.conjugate())
+
+
+def equal_up_to_phase_reference(u: LocalState, v: LocalState) -> bool:
+    """u = c v for a nonzero scalar c, decided without phase keys: equal
+    angles, a zero determinant of exact coordinates, or for a pair against
+    any other angle, a zero determinant cos(pi q) vb - sin(pi q) va."""
+    if u.is_angle() and v.is_angle():
+        return u.q == v.q
+    if u.convertible() and v.convertible():
+        ua, ub = u.vec2()
+        va, vb = v.vec2()
+        return (ua * vb - ub * va).is_zero()
+    if v.is_angle():
+        u, v = v, u
+    return angle_form_is_zero(u.q, v.b, -v.a)
+
+
 def witnesses_pairwise(members):
-    """The former verifier: ``orthogonal_exact`` on every pair and party.
-    Returns (i, j), i < j -> the parties witnessing the pair, or raises
-    what the first pair in scan order without a witness calls for:
-    ApproximateComparisonError from a comparison that cannot be made
-    exactly, DuplicateMemberError when the pair is equal up to phase at
-    every party, NotOrthogonalError otherwise."""
+    """The former verifier: ``orthogonal_reference`` on every pair and
+    party.  Returns (i, j), i < j -> the parties witnessing the pair, or
+    raises what the first pair in scan order without a witness calls for:
+    DuplicateMemberError when the pair is equal up to phase at every
+    party, NotOrthogonalError otherwise."""
     n = members[0].parties if members else 0
     witnesses = {}
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             ws = frozenset(
-                p for p in range(n) if orthogonal_exact(members[i].locals[p], members[j].locals[p])
+                p
+                for p in range(n)
+                if orthogonal_reference(members[i].locals[p], members[j].locals[p])
             )
             if not ws:
                 if all(
-                    local_equal_up_to_phase(members[i].locals[p], members[j].locals[p])
+                    equal_up_to_phase_reference(members[i].locals[p], members[j].locals[p])
                     for p in range(n)
                 ):
                     raise DuplicateMemberError(i, j)

@@ -179,9 +179,24 @@ def test_schema_version_mismatch():
         from_doc({"schema_version": 99, "kind": "product_set"})
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_schema_version_must_be_the_integer_one(version):
+    # JSON true and 1.0 compare equal to 1 in Python
+    doc = product_set_to_doc(fixture("shifts"))
+    doc["schema_version"] = version
+    with pytest.raises(SchemaVersionMismatchError):
+        from_doc(doc)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ParseError):
         from_doc({"schema_version": 1, "kind": "mystery"})
+
+
+@pytest.mark.parametrize("kind", [[], {}, None, 1])
+def test_non_string_kind_rejected(kind):
+    with pytest.raises(ParseError):
+        from_doc({"schema_version": 1, "kind": kind})
 
 
 def test_tampered_witness_data_rejected():

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,22 @@ def test_verify_ok_and_refuted(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "not_ops"
     assert report["offending_pair"] == [0, 3]
+
+
+def test_verify_decides_a_pair_against_a_generic_angle(tmp_path, capsys):
+    # a pair local and the angle 1/5 are never orthogonal, so party 0 alone
+    # witnesses the two members
+    s = build_product_set(
+        [
+            ProductVector([LocalState.ket(0), LocalState.angle(Fraction(1, 5))]),
+            ProductVector([LocalState.ket(1), LocalState.pair(1, 1)]),
+        ]
+    )
+    p = tmp_path / "mixed.json"
+    save(p, s)
+    assert main(["verify", str(p), "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "ops" and report["witnesses"] == {"0,1": [0]}
 
 
 def test_ppt_accepts_and_refutes(tmp_path, rho_file, capsys):
@@ -424,6 +441,13 @@ def _request(tmp_path, case):
         rho = tmp_path / "rho.json"
         save(rho, fixture("rank5_pptes_4q"))
         return ["range-scan", str(rho), "--seed", "-5"], "invalid range-scan request"
+    if case == "bool-schema-version":
+        # JSON true loads as a bool, which equals the version 1
+        doc = product_set_to_doc(fixture("shifts"))
+        doc["schema_version"] = True
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        return ["verify", str(p)], "schema_version True is not supported"
     if case == "ppt-one-party":
         doc = density_to_doc(density_from_matrix((4,), ExactMatrix.identity(4)))
         command, expect = "ppt", "BadMaskError"
@@ -461,6 +485,7 @@ def _request(tmp_path, case):
         "birank-unit-dim",
         "subtract-wrong-length",
         "range-scan-negative-seed",
+        "bool-schema-version",
     ],
 )
 def test_malformed_request_exits_two_with_nothing_on_stdout(tmp_path, capsys, case):

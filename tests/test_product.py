@@ -5,7 +5,6 @@ import pytest
 
 from upblab.catalog import size_status
 from upblab.errors import (
-    ApproximateComparisonError,
     DuplicateMemberError,
     NotOrthogonalError,
     NotVerifiedError,
@@ -183,6 +182,15 @@ def test_tensor_refuses_extendible_input():
     reduced = build_product_set(list(full.members)[:3])
     with pytest.raises(ValueError):
         tensor_upb_opb(reduced, 1)
+    # no extra qubits is no exception
+    with pytest.raises(ValueError, match="unextendible"):
+        tensor_upb_opb(reduced, 0)
+
+
+def test_free_party_of_an_angle_set_gets_ket0():
+    # party 0 covers the one member, so party 1, of angle locals, stays free
+    s = build_product_set([ProductVector([K0, LocalState.angle(Fraction(1, 8))])])
+    assert extend_or_certify(s).witness.locals == (K1, K0)
 
 
 def test_pigeonhole_small_sets_always_extendible():
@@ -222,18 +230,14 @@ def test_witnesses_are_orthogonal_at_some_party():
                 )
 
 
-def test_mixed_kind_comparison_fails_loudly():
-    from fractions import Fraction
-
-    from upblab.errors import ApproximateComparisonError
-
-    # a structure records every witnessing party, so verification refuses
-    # any pair with an undecidable party even when another party already
-    # witnesses orthogonality exactly
+def test_mixed_kind_comparison_is_decided():
+    # a pair local and a generic angle are never orthogonal, so the pair of
+    # members is witnessed at party 0 only, and at no party without it
     a = ProductVector([K0, LocalState.angle(Fraction(1, 5))])
     b = ProductVector([K1, LocalState.pair(1, 1)])
-    with pytest.raises(ApproximateComparisonError):
-        verify_ops([a, b])
+    assert verify_ops([a, b]).parties_for(0, 1) == frozenset({0})
+    with pytest.raises(NotOrthogonalError):
+        verify_ops([a, ProductVector([K0, LocalState.pair(1, 1)])])
     # convertible angles are fine in mixed company
     c = ProductVector([K0, LocalState.angle(0)])
     d = ProductVector([K1, LocalState.pair(1, 1)])
@@ -272,7 +276,7 @@ def _verdict(verify, members):
     and pair of the error it raises."""
     try:
         return verify(members)
-    except (ApproximateComparisonError, DuplicateMemberError, NotOrthogonalError) as exc:
+    except (DuplicateMemberError, NotOrthogonalError) as exc:
         return type(exc), getattr(exc, "pair", None)
 
 
@@ -321,7 +325,7 @@ def _mutants(rng, members):
     """(edit, candidate) pairs, each candidate an edit away from an OPS: a
     member repeated up to phase, a local replaced by a random one, or a
     generic angle placed at one party of pair locals, alone or with a pair
-    left unwitnessed before or after the undecidable ones."""
+    left unwitnessed before or after the ones it leaves unwitnessed."""
     members = list(members)
     size, n = len(members), members[0].parties
     i, p = rng.randrange(size), rng.randrange(n)
@@ -361,27 +365,27 @@ def test_verifier_errors_agree_with_the_pairwise_oracle():
             for edit, candidate in _mutants(rng, s.members):
                 expected = _verdict(witnesses_pairwise, candidate)
                 assert _verdict(_by_structure, candidate) == expected
-                if isinstance(expected, tuple):
-                    key = (edit, expected[0].__name__)
-                    seen[key] = seen.get(key, 0) + 1
-    # each edit meets the error it should, and with a pair left unwitnessed
-    # the first offending pair decides between the two errors
+                name = expected[0].__name__ if isinstance(expected, tuple) else "witnesses"
+                seen[(edit, name)] = seen.get((edit, name), 0) + 1
+    # each edit meets the error it should; a generic angle among pairs is
+    # decided, so it leaves an OPS or an unwitnessed pair
     assert min(seen.get(key, 0) for key in [
         ("duplicate", "DuplicateMemberError"),
         ("replaced", "NotOrthogonalError"),
-        ("mixed", "ApproximateComparisonError"),
-        ("mixed and replaced", "ApproximateComparisonError"),
+        ("mixed", "NotOrthogonalError"),
+        ("mixed", "witnesses"),
         ("mixed and replaced", "NotOrthogonalError"),
     ]) >= 10, seen
 
 
-def test_unwitnessed_pair_before_an_undecidable_one_is_reported():
-    # members 0 and 1 are not orthogonal; the generic angle of member 2 at
-    # party 1 makes every later pair with it undecidable
+def test_first_unwitnessed_pair_is_reported_among_mixed_locals():
+    # members 0 and 1 are not orthogonal; member 2 is witnessed against
+    # both at party 0, whatever its generic angle at party 1
     generic = LocalState.angle(Fraction(1, 5))
     members = [ProductVector([K0, K0]), ProductVector([K0, PLUS]), ProductVector([K1, generic])]
     with pytest.raises(NotOrthogonalError) as exc:
         verify_ops(members)
     assert exc.value.pair == (0, 1)
-    with pytest.raises(ApproximateComparisonError):
+    with pytest.raises(NotOrthogonalError) as exc:
         verify_ops([members[2], members[0], members[1]])
+    assert exc.value.pair == (1, 2)

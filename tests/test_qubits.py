@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upblab.errors import ApproximateComparisonError, MixedRepresentationError
+from upblab.errors import ApproximateComparisonError
 from upblab.qubits import (
     LocalState,
     local_equal_up_to_phase,
@@ -13,6 +13,8 @@ from upblab.qubits import (
     orthogonal_exact,
 )
 from upblab.scalars import ComplexRational
+
+from oracles import angle_form_is_zero, equal_up_to_phase_reference
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -50,9 +52,13 @@ def test_inner_mixed_convertible():
 
 
 def test_inner_mixed_generic_flagged():
-    # a generic angle has no exact coordinates: no float fallback, a raise
+    # a generic angle has no exact coordinates, yet its comparison with a
+    # pair is decided exactly: never orthogonal (Niven's theorem)
+    generic = LocalState.angle(Fraction(1, 5))
+    assert not orthogonal_exact(LocalState.ket(0), generic)
+    assert not orthogonal_exact(generic, LocalState.ket(1))
     with pytest.raises(ApproximateComparisonError):
-        orthogonal_exact(LocalState.ket(0), LocalState.angle(Fraction(1, 5)))
+        generic.vec2()
 
 
 def test_perp_examples():
@@ -72,9 +78,10 @@ def test_equal_up_to_phase_examples():
     )
 
 
-def test_mixed_comparison_raises():
-    with pytest.raises(MixedRepresentationError):
-        local_equal_up_to_phase(LocalState.pair(1, 1), LocalState.angle(Fraction(1, 5)))
+def test_mixed_comparison_is_decided():
+    assert not local_equal_up_to_phase(LocalState.pair(1, 1), LocalState.angle(Fraction(1, 5)))
+    assert local_equal_up_to_phase(LocalState.pair(2, 2), LocalState.angle(Fraction(1, 4)))
+    assert local_equal_up_to_phase(LocalState.angle(Fraction(3, 4)), LocalState.pair(-1, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,32 +132,35 @@ def test_phase_key_groups_match_equality():
         LocalState.angle(Fraction(1, 2)),
         LocalState.angle(0),
         LocalState.ket(0),
+        LocalState.angle(Fraction(1, 4)),
+        LocalState.pair(3, 3),
+        LocalState.angle(Fraction(1, 5)),
     ]
     for u in xs:
         for v in xs:
-            try:
-                eq = local_equal_up_to_phase(u, v)
-            except MixedRepresentationError:
-                continue
-            assert eq == (u.phase_key() == v.phase_key())
+            assert equal_up_to_phase_reference(u, v) == (u.phase_key() == v.phase_key())
 
 
-def test_phase_keys_compare_within_one_representation_only():
-    # the angle 1/4 is proportional to the pair (1, 1), yet their keys
-    # differ; verify_ops refuses a party that mixes them
+def test_quarter_angle_and_diagonal_pair_share_a_phase_class():
+    # the angle 1/4 is proportional to the pair (1, 1): one key, one label
+    from upblab.errors import DuplicateMemberError
     from upblab.product import ProductVector, verify_ops
 
     quarter, diagonal = LocalState.angle(Fraction(1, 4)), LocalState.pair(1, 1)
-    assert quarter.phase_key() != diagonal.phase_key()
+    assert quarter.phase_key() == diagonal.phase_key()
     members = [ProductVector([quarter, LocalState.ket(0)]), ProductVector([diagonal, LocalState.ket(1)])]
-    with pytest.raises(ApproximateComparisonError):
-        verify_ops(members)
+    structure = verify_ops(members)
+    assert structure.labels[0][0] == structure.labels[1][0]
+    assert structure.parties_for(0, 1) == frozenset({1})
+    with pytest.raises(DuplicateMemberError):
+        verify_ops([members[0], ProductVector([diagonal, LocalState.ket(0)])])
 
 
 def test_orthogonal_exact_agrees_with_complex_rational_arithmetic():
     """The integer decision equals the zero test of conj(ua) va + conj(ub) vb
     computed with ComplexRational, on pair locals with zero coordinates and
-    mixed denominators and on the convertible angles 0 and 1/2."""
+    mixed denominators and on the convertible angles 0 and 1/2; a generic
+    angle is never orthogonal to a pair."""
     rng = random.Random(31)
 
     def coordinate():
@@ -188,7 +198,35 @@ def test_orthogonal_exact_agrees_with_complex_rational_arithmetic():
         outcomes[expected] += 1
     assert min(outcomes.values()) > 300
     for generic in (LocalState.angle(Fraction(1, 5)), LocalState.angle(Fraction(3, 8))):
-        with pytest.raises(ApproximateComparisonError):
-            orthogonal_exact(LocalState.pair(ComplexRational(1, 2), Fraction(1, 3)), generic)
-        with pytest.raises(ApproximateComparisonError):
-            orthogonal_exact(generic, LocalState.ket(1))
+        assert not orthogonal_exact(LocalState.pair(ComplexRational(1, 2), Fraction(1, 3)), generic)
+        assert not orthogonal_exact(generic, LocalState.ket(1))
+
+
+def test_angle_comparisons_agree_with_exact_cyclotomic_arithmetic():
+    """Every angle k/m in [0, 1), m <= 24, against pairs over Q(i): the
+    phase-key decisions equal sympy's exact zero tests of
+    <angle|pair> = cos(pi q) a + sin(pi q) b and of the determinant
+    cos(pi q) b - sin(pi q) a.  Only the angles 0, 1/4, 1/2 and 3/4 are
+    ever equal up to phase or orthogonal to a pair (Niven's theorem)."""
+    corpus = [
+        LocalState.pair(1, 0),
+        LocalState.pair(0, 1),
+        LocalState.pair(1, 1),
+        LocalState.pair(1, -1),
+        LocalState.pair(ComplexRational(Fraction(1, 2), Fraction(-2, 3)), ComplexRational(Fraction(3, 5), 7)),
+        LocalState.pair(ComplexRational(0, Fraction(5, 4)), ComplexRational(Fraction(5, 4), 0)),
+        LocalState.pair(ComplexRational(Fraction(2, 9), 1), ComplexRational(Fraction(-2, 9), -1)),
+    ]
+    angles = sorted({Fraction(k, m) for m in range(1, 25) for k in range(m)})
+    decided = set()
+    for q in angles:
+        u = LocalState.angle(q)
+        for v in corpus:
+            orth = angle_form_is_zero(q, v.a, v.b)
+            eq = angle_form_is_zero(q, v.b, -v.a)
+            assert orthogonal_exact(u, v) is orth and orthogonal_exact(v, u) is orth, (q, v)
+            assert local_equal_up_to_phase(u, v) is eq and local_equal_up_to_phase(v, u) is eq, (q, v)
+            assert (u.phase_key() == v.phase_key()) is eq, (q, v)
+            if orth or eq:
+                decided.add(q)
+    assert decided == {Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}

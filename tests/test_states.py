@@ -13,6 +13,7 @@ from upblab.errors import (
     BadMaskError,
     NotHermitianError,
     NotInRangeError,
+    NotVerifiedError,
     SpansEverythingError,
 )
 from upblab.linalg import (
@@ -25,6 +26,7 @@ from upblab.linalg import (
     verify_psd_certificate,
 )
 from upblab.product import (
+    ProductSet,
     ProductVector,
     build_product_set,
     shifts_upb,
@@ -90,6 +92,17 @@ def test_complement_of_three_basis_vectors_is_pure():
 def test_complement_full_basis_rejected():
     with pytest.raises(SpansEverythingError):
         complement_projector(standard_opb(2))
+
+
+def test_complement_requires_verified(monkeypatch):
+    # |00> and |0,+> are not orthogonal; the refusal comes before any
+    # member's coordinates are read
+    s = ProductSet(2, (ProductVector.from_bits([0, 0]), ProductVector([K0, LocalState.pair(1, 1)])))
+    monkeypatch.setattr(ProductVector, "cleared_flatten", None)
+    with pytest.raises(NotVerifiedError):
+        complement_projector(s)
+    with pytest.raises(NotVerifiedError):
+        complement_projector(ProductSet(3, shifts_upb().members))
 
 
 def test_complement_eleven_member_kernel_matches_block_formula():
