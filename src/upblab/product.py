@@ -27,7 +27,7 @@ from .errors import (
     NotVerifiedError,
 )
 from .linalg import cleared, kron_vec
-from .qubits import KET0, LocalState, local_perp, orthogonal_exact
+from .qubits import _PAIR_ANGLES, KET0, LocalState, local_perp, orthogonal_exact
 
 
 class ProductVector:
@@ -67,13 +67,13 @@ class ProductVector:
         return vec
 
     def cleared_flatten(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Real and imaginary parts of a positive integer multiple of
-        ``flatten()``, built from each local with its denominators cleared;
-        raises for generic angle locals.  Computed once and kept."""
+        """Real and imaginary parts of a Gaussian-integer vector proportional,
+        by a positive real, to the member, built local by local (a quarter
+        angle from its pair); raises for generic angles.  Computed once."""
         if self._cleared is None:
             re, im = [1], [0]
             for l in self.locals:
-                (ar, br), (ai, bi) = cleared(l.vec2())
+                (ar, br), (ai, bi) = cleared(_PAIR_ANGLES.get(l.q) or l.vec2())
                 loc = ((ar, ai), (br, bi))
                 re, im = (
                     [x * c - y * e for x, y in zip(re, im) for c, e in loc],

@@ -124,12 +124,12 @@ class LocalState:
 
 KET0 = LocalState.ket(0)
 
-# the angles whose states are proportional to a pair over Q(i)
+# the angles whose states are positive multiples of a pair over Q(i)
 _PAIR_ANGLES = {
     Fraction(0): (CQ1, CQ0),
     Fraction(1, 4): (CQ1, CQ1),
     Fraction(1, 2): (CQ0, CQ1),
-    Fraction(3, 4): (CQ1, -CQ1),
+    Fraction(3, 4): (-CQ1, CQ1),
 }
 
 

@@ -7,17 +7,17 @@ orthogonality at a qubit party forces the two locals into the two halves of
 a perp-pair, so a template is realizable exactly when every per-party graph
 is 2-colorable.
 
-A template is kept as one neighbour bitmask per member and party.  Each
-feasible draw gets the canonical ``Structure`` of ``upblab.product``: at
-every party, each connected component is one phase class, numbered by its
-smallest member, and its two colors are the class's two sides.  Member i in
-component c gets the label c on its smallest member's side and c + size on
-the other, and label a is realized as the angle a / (2 size), so the two
-sides of a class are exactly 1/2 apart and distinct classes get distinct
-angles.  The structure alone decides extendibility with the covering
-search.  The scan decides each draw on its structure and materializes,
-verifies (to that very structure) and re-checks exact product sets only for
-the unextendible hits it reports.
+A template is kept as one neighbour bitmask per member and party, and its
+witnesses are drawn from the stream of ``randrange``.  One pass per party
+colors and labels a draw with the canonical ``Structure`` of
+``upblab.product``: each connected component is one phase class c,
+numbered by its smallest member, labelled c on that member's side and
+c + size on the other.  Label a is realized as the angle a / (2 size), so
+the two sides of a class are exactly 1/2 apart and distinct classes get
+distinct angles.  The structure alone decides extendibility with the
+covering search.  The scan decides each draw on its structure and
+materializes, verifies (to that very structure) and re-checks exact product
+sets only for the unextendible hits it reports.
 
 The scan is evidence-grade: it reports what a random sample of templates
 produced and proves nothing by absence.
@@ -29,7 +29,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .product import (
     ProductVector,
@@ -64,11 +63,13 @@ class Infeasible:
 
 
 def sample_template(parties: int, size: int, rng: random.Random, balanced: bool = False) -> Template:
-    """Uniform witness choices, or biased toward balanced per-party edge
+    """Uniform witness choices, each ``rng.randrange(parties)`` written out
+    (the same words of ``rng``), or biased toward balanced per-party edge
     counts when ``balanced`` is set."""
     counts = [0] * parties
     masks = [[0] * size for _ in range(parties)]
-    randrange = rng.randrange
+    randrange, getrandbits = rng.randrange, rng.getrandbits
+    k = parties.bit_length()
     for i in range(size):
         bit_i = 1 << i
         for j in range(i + 1, size):
@@ -78,61 +79,49 @@ def sample_template(parties: int, size: int, rng: random.Random, balanced: bool 
                 p = pool[randrange(len(pool))]
                 counts[p] += 1
             else:
-                p = randrange(parties)
+                p = getrandbits(k)
+                while p >= parties:
+                    p = getrandbits(k)
             row = masks[p]
             row[i] |= 1 << j
             row[j] |= bit_i
     return Template(parties=parties, size=size, neighbours=tuple(map(tuple, masks)))
 
 
-def _two_color(neighbours) -> Optional[list]:
-    """Components and 2-colorings of the graph given by one neighbour
-    bitmask per member: (component mask, color-1 mask) pairs in order of
-    each component's smallest member, or None on an odd cycle.  Isolated
-    members are singleton components, and a component's smallest member
-    is never in its color-1 mask."""
-    comps = []
-    unseen = (1 << len(neighbours)) - 1
-    while unseen:
-        # breadth-first by layers; ``same`` holds the members colored like
-        # the current layer, ``other`` the rest of the component so far
-        layer = unseen & -unseen
-        same, other = layer, 0
-        odd = False
-        while layer:
-            reach = 0
-            while layer:
-                low = layer & -layer
-                reach |= neighbours[low.bit_length() - 1]
-                layer ^= low
-            if reach & same:
-                return None
-            layer = reach & ~other
-            same, other = other | layer, same
-            odd = not odd
-        comp = same | other
-        comps.append((comp, same if odd else other))
-        unseen &= ~comp
-    return comps
-
-
 def label_template(t: Template):
     """The canonical ``Structure`` of a template's realizations, or
-    Infeasible: at each party the components of the constraint graph are
-    the phase classes, and their colors the classes' sides."""
+    Infeasible at the first party whose constraint graph has an odd cycle.
+    Breadth-first by layers from each component's smallest member: ``same``
+    holds the members labelled like the current layer, ``other`` the rest
+    of the component so far, and an edge into ``same`` closes an odd cycle."""
     size = t.size
     columns, masks = [], []
     for p, neighbours in enumerate(t.neighbours):
-        comps = _two_color(neighbours)
-        if comps is None:
-            return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
         column, groups = [0] * size, [0] * (2 * size)
-        for c, (comp, ones) in enumerate(comps):
-            groups[c], groups[c + size] = comp & ~ones, ones
-            while comp:
-                low = comp & -comp
-                column[low.bit_length() - 1] = c + size if low & ones else c
-                comp ^= low
+        unseen, c = (1 << size) - 1, 0
+        while unseen:
+            start = unseen & -unseen
+            i = start.bit_length() - 1
+            if neighbours[i]:
+                layer, same, other, label, flip = start, start, 0, c, c + size
+                while layer:
+                    reach = 0
+                    while layer:
+                        low = layer & -layer
+                        m = low.bit_length() - 1
+                        column[m] = label
+                        reach |= neighbours[m]
+                        layer ^= low
+                    if reach & same:
+                        return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
+                    layer = reach & ~other
+                    same, other, label, flip = other | layer, same, flip, label
+                groups[label], groups[flip] = same, other
+                start = same | other
+            else:  # an isolated member is a class of its own
+                column[i], groups[c] = c, start
+            unseen &= ~start
+            c += 1
         columns.append(column)
         masks.append(tuple(groups))
     return Structure(labels=tuple(zip(*columns)), masks=tuple(masks))

@@ -129,7 +129,7 @@ def complement_projector(s: ProductSet) -> DensityOp:
     operator of rank exactly D - |s|.  The generating set is attached as
     the kernel product basis.  Raises NotVerifiedError for an unverified
     set, SpansEverythingError when the set is a full basis and
-    ApproximateComparisonError when some local has no exact coordinates.
+    ApproximateComparisonError for an angle local not a multiple of 1/4.
     """
     if not s.verified:
         raise NotVerifiedError("complement_projector requires a verified ProductSet")

@@ -22,7 +22,7 @@ from upblab.product import (
 )
 from upblab.qubits import LocalState, local_perp
 from upblab.scalars import ComplexRational
-from upblab.search import Infeasible, Template, _two_color, realize_template, sample_template
+from upblab.search import Infeasible, Template, realize_template, sample_template
 from upblab.states import DensityOp, complement_projector
 
 
@@ -170,6 +170,31 @@ def random_feasible_ops(rng: random.Random, parties: int, size: int) -> ProductS
             return out
 
 
+def sample_template_by_randrange(
+    parties: int, size: int, rng: random.Random, balanced: bool = False
+) -> Template:
+    """The scan's former sampler, one ``rng.randrange`` per choice: uniform
+    witness choices, or biased toward balanced per-party edge counts when
+    ``balanced`` is set."""
+    counts = [0] * parties
+    masks = [[0] * size for _ in range(parties)]
+    randrange = rng.randrange
+    for i in range(size):
+        bit_i = 1 << i
+        for j in range(i + 1, size):
+            if balanced:
+                low = min(counts)
+                pool = [p for p in range(parties) if counts[p] == low]
+                p = pool[randrange(len(pool))]
+                counts[p] += 1
+            else:
+                p = randrange(parties)
+            row = masks[p]
+            row[i] |= 1 << j
+            row[j] |= bit_i
+    return Template(parties=parties, size=size, neighbours=tuple(map(tuple, masks)))
+
+
 def template_from_witnesses(parties: int, size: int, choice) -> Template:
     """The template whose pair (i, j), i < j, is witnessed at party
     ``choice[(i, j)]``."""
@@ -188,8 +213,8 @@ def label_by_random_angles(t: Template, seed: int):
     cycle (every party is colored first) or when 200 draws in a row
     collide, which takes 32 or more components at one party."""
     colorings = []
-    for p, neighbours in enumerate(t.neighbours):
-        comps = _two_color(neighbours)
+    for p in range(t.parties):
+        comps = two_color_by_dict(t.size, template_edges(t, p))
         if comps is None:
             return Infeasible(reason=f"party {p} constraint graph has an odd cycle")
         colorings.append(comps)
@@ -197,7 +222,7 @@ def label_by_random_angles(t: Template, seed: int):
     grid = [[0] * t.parties for _ in range(t.size)]
     for p, comps in enumerate(colorings):
         used = set()
-        for comp, ones in comps:
+        for comp, colors in comps:
             for _ in range(200):
                 a = rng.randrange(64)
                 if a not in used:
@@ -207,11 +232,19 @@ def label_by_random_angles(t: Template, seed: int):
             perp = (a + 32) % 64
             used.add(a)
             used.add(perp)
-            while comp:
-                low = comp & -comp
-                grid[low.bit_length() - 1][p] = perp if low & ones else a
-                comp ^= low
+            for m in comp:
+                grid[m][p] = perp if colors[m] else a
     return grid
+
+
+def template_edges(t: Template, p: int):
+    """The member pairs (i, j), i < j, witnessed at party p."""
+    return [
+        (i, j)
+        for i, mask in enumerate(t.neighbours[p])
+        for j in range(i + 1, t.size)
+        if mask >> j & 1
+    ]
 
 
 def two_color_by_dict(size: int, edges):

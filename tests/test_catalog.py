@@ -206,6 +206,62 @@ def test_tampered_witness_data_rejected():
         from_doc(doc)
 
 
+def _two_qubit_doc():
+    doc = product_set_to_doc(
+        build_product_set(ProductVector.from_bits(b) for b in ((0, 0), (1, 1), (0, 1)))
+    )
+    assert doc["witnesses"] == {"0,1": [0, 1], "0,2": [1], "1,2": [0]}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda w: w.pop("0,2"),
+        lambda w: w.update({"1,0": [0, 1]}),
+        lambda w: w.update({"0,3": [0]}),
+        lambda w: w.update({"0,1": [1, 0]}),
+        lambda w: w.update({"0,2": 1}),
+        lambda w: w.update({"0,2": "1"}),
+        lambda w: w.update({"0,2": {"1": 1}}),
+        lambda w: w.update({"0,2": [0]}),
+        lambda w: w.update({"0,1": [0]}),
+        lambda w: w.update({"1,2": [0, 1]}),
+    ],
+    ids=[
+        "missing-key",
+        "reversed-extra-key",
+        "extra-key",
+        "unsorted-parties",
+        "int-value",
+        "string-value",
+        "object-value",
+        "wrong-party",
+        "missing-party",
+        "extra-party",
+    ],
+)
+def test_tampered_witness_map_rejected(edit):
+    doc = _two_qubit_doc()
+    edit(doc["witnesses"])
+    with pytest.raises(ParseError, match="stored witness data"):
+        from_doc(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("witnesses", [[], "x", 0, [["0,1", [0, 1]]]])
+def test_witness_data_that_is_not_a_map_rejected(witnesses):
+    doc = dict(_two_qubit_doc(), witnesses=witnesses)
+    with pytest.raises(ParseError, match="stored witness data"):
+        from_doc(doc)
+
+
+def test_stored_witness_map_round_trips():
+    doc = _two_qubit_doc()
+    assert from_doc(json.loads(json.dumps(doc))).structure.witnesses() == {
+        (0, 1): frozenset({0, 1}), (0, 2): frozenset({1}), (1, 2): frozenset({0}),
+    }
+
+
 def test_tampered_kernel_set_rejected():
     rank5 = density_to_doc(fixture("rank5_pptes_4q"))
     # a product set that does not live in the kernel

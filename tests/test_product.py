@@ -5,6 +5,7 @@ import pytest
 
 from upblab.catalog import size_status
 from upblab.errors import (
+    ApproximateComparisonError,
     DuplicateMemberError,
     NotOrthogonalError,
     NotVerifiedError,
@@ -261,6 +262,15 @@ def test_cleared_flatten_is_kept_and_immutable():
     for l in v.locals:
         want = kron_vec(want, cleared(l.vec2())[0])
     assert re == want and not any(im)
+
+
+def test_cleared_flatten_of_quarter_angles_is_a_positive_multiple():
+    # (cos pi q, sin pi q) is (1, 1) / sqrt 2 at q = 1/4 and (-1, 1) / sqrt 2
+    # at q = 3/4; a generic angle still has no coordinates
+    v = ProductVector([LocalState.angle(Fraction(1, 4)), LocalState.angle(Fraction(3, 4))])
+    assert v.cleared_flatten() == ((-1, 1, -1, 1), (0, 0, 0, 0))
+    with pytest.raises(ApproximateComparisonError):
+        ProductVector([K0, LocalState.angle(Fraction(1, 5))]).cleared_flatten()
 
 
 def test_kept_coordinates_leave_equality_and_hashing_alone():

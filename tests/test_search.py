@@ -17,14 +17,20 @@ from upblab.qubits import LocalState
 from upblab.search import (
     Infeasible,
     ScanReport,
-    _two_color,
     label_template,
     realize_template,
     sample_template,
     scan,
 )
 
-from oracles import class_masks, label_by_random_angles, template_from_witnesses, two_color_by_dict
+from oracles import (
+    class_masks,
+    label_by_random_angles,
+    sample_template_by_randrange,
+    template_edges,
+    template_from_witnesses,
+    two_color_by_dict,
+)
 
 # one perfect matching of the four members per party
 _SHIFTS_PATTERN = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
@@ -88,7 +94,10 @@ def test_template_with_many_components_realizes():
 
 def test_two_color_agrees_with_the_dict_oracle():
     # Random graphs on 1..40 members across a hidden bipartition, some with
-    # edges inside it that close odd cycles.
+    # edges inside it that close odd cycles, labelled as one-party
+    # templates: the c-th component of the dict oracle, in order of smallest
+    # member, is class c, its color-0 side labelled c and its color-1 side
+    # c + size.
     rng = random.Random(17)
     seen = {"odd": 0, "colored": 0, "isolated": 0}
     for _ in range(800):
@@ -100,23 +109,93 @@ def test_two_color_agrees_with_the_dict_oracle():
             i, j = sorted(rng.sample(range(size), 2))
             if side[i] != side[j] or rng.random() < inside:
                 edges.add((i, j))
-        neighbours = [0] * size
-        for i, j in edges:
-            neighbours[i] |= 1 << j
-            neighbours[j] |= 1 << i
+        t = template_from_witnesses(1, size, {edge: 0 for edge in edges})
         expected = two_color_by_dict(size, sorted(edges))
-        got = _two_color(neighbours)
+        got = label_template(t)
         if expected is None:
-            assert got is None
+            assert got == Infeasible(reason="party 0 constraint graph has an odd cycle")
             seen["odd"] += 1
             continue
         seen["colored"] += 1
         seen["isolated"] += any(len(comp) == 1 for comp, _ in expected)
-        assert got == [
-            (sum(1 << m for m in comp), sum(1 << m for m in comp if colors[m]))
-            for comp, colors in expected
-        ]
+        labels, groups = [None] * size, [0] * (2 * size)
+        for c, (comp, colors) in enumerate(expected):
+            for m in comp:
+                labels[m] = c + size * colors[m]
+                groups[labels[m]] |= 1 << m
+        assert got.labels == tuple((label,) for label in labels)
+        assert got.masks == (tuple(groups),)
     assert min(seen.values()) >= 100, seen
+
+
+def _odd_parties(t):
+    """The parties whose dict-oracle coloring finds an odd cycle."""
+    return [p for p in range(t.parties) if two_color_by_dict(t.size, template_edges(t, p)) is None]
+
+
+def test_infeasible_names_the_first_party_with_an_odd_cycle():
+    # Triangles at parties 1 and 3; parties 0 and 2 are bipartite.
+    t = template_from_witnesses(
+        4,
+        6,
+        {
+            (0, 3): 0, (1, 4): 0, (2, 5): 0,
+            (0, 1): 1, (1, 2): 1, (0, 2): 1,
+            (0, 4): 2, (0, 5): 2, (1, 3): 2, (1, 5): 2, (2, 3): 2, (2, 4): 2,
+            (3, 4): 3, (4, 5): 3, (3, 5): 3,
+        },
+    )
+    assert _odd_parties(t) == [1, 3]
+    assert label_template(t) == Infeasible(reason="party 1 constraint graph has an odd cycle")
+    # Random draws, many with odd cycles at two or more parties, the first
+    # of them behind a colorable party.
+    rng = random.Random(90)
+    several = 0
+    for _ in range(400):
+        t = sample_template(5, 10, rng)
+        odd = _odd_parties(t)
+        several += len(odd) > 1 and odd[0] > 0
+        got = label_template(t)
+        if odd:
+            assert got == Infeasible(reason=f"party {odd[0]} constraint graph has an odd cycle")
+        else:
+            assert not isinstance(got, Infeasible)
+    assert several >= 100, several
+
+
+def test_sampler_draws_the_randrange_stream():
+    # The uniform sampler writes randrange's draw out, so it must make the
+    # templates of one randrange per choice and leave ``rng`` where those
+    # leave it.  Parties 1, 2, 4 and 8 never redraw.
+    draws = 0
+    for parties in range(1, 10):
+        for size in range(1, 13):
+            for balanced in (False, True):
+                for s in range(10):
+                    seed = (parties * 100 + size) * 100 + s
+                    a, b = random.Random(seed), random.Random(seed)
+                    t = sample_template(parties, size, a, balanced=balanced)
+                    assert t == sample_template_by_randrange(parties, size, b, balanced=balanced)
+                    assert a.getstate() == b.getstate()
+                    draws += 1
+    assert draws >= 2000
+
+
+def test_scan_samples_through_the_module_global(monkeypatch):
+    # A tracer wraps ``search.sample_template``; every unit must go through
+    # it, so templates and feasible ratios it reports count every draw.
+    calls = []
+    original = search.sample_template
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "sample_template", counting)
+    for seed in (3, 51):
+        calls.clear()
+        scan(5, 6, 200, seed)
+        assert calls == [(5, 6)] * 200
 
 
 def test_template_built_by_hand_derives_its_neighbours():

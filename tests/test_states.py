@@ -439,10 +439,40 @@ def test_complement_matches_exact_matrix_reference():
 def test_complement_rejects_generic_angle_locals():
     from upblab.errors import ApproximateComparisonError
 
-    a, b = LocalState.angle(Fraction(1, 8)), LocalState.angle(Fraction(5, 8))
-    s = build_product_set([ProductVector([a, K0]), ProductVector([b, K0])])
-    with pytest.raises(ApproximateComparisonError):
-        complement_projector(s)
+    for q in (Fraction(1, 8), Fraction(1, 5)):
+        a, b = LocalState.angle(q), LocalState.angle(q + Fraction(1, 2))
+        s = build_product_set([ProductVector([a, K0]), ProductVector([b, K0])])
+        with pytest.raises(ApproximateComparisonError):
+            complement_projector(s)
+
+
+def _quarter_angles(s):
+    """``s`` with each local proportional to (1, 1) or (-1, 1) written as
+    the angle 1/4 or 3/4."""
+    def angle(l):
+        key = l.phase_key()
+        for q in (Fraction(1, 4), Fraction(3, 4)):
+            if key == LocalState.angle(q).phase_key():
+                return LocalState.angle(q)
+        return l
+
+    return build_product_set(ProductVector(map(angle, m.locals)) for m in s.members)
+
+
+def test_complement_of_quarter_angles_is_that_of_their_pairs():
+    # The angles 1/4 and 3/4 are the states (1, 1) and (-1, 1) up to a
+    # positive factor, so the set's complement and PPT report are those of
+    # the set written with pairs.
+    pairs = build_product_set(
+        [ProductVector([LocalState.pair(1, 1), K0]), ProductVector([LocalState.pair(-1, 1), K0])]
+    )
+    for s in (pairs, shifts_upb()):
+        quarters = _quarter_angles(s)
+        assert any(l.is_angle() for m in quarters.members for l in m.locals)
+        assert quarters.structure == s.structure
+        c = complement_projector(quarters)
+        assert c.matrix == complement_projector(s).matrix == complement_reference(s)
+        assert ppt_report(c) == ppt_report(complement_projector(s))
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
