@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import prod
 from typing import Optional
 
@@ -184,7 +185,20 @@ def _rank5_pptes_5q() -> DensityOp:
     return density_from_matrix(rho.dims + (2,), rho.matrix.kron(ket0))
 
 
+# name -> (constructor, description), in the order fixture_names() lists them
 _FIXTURES = {
+    "rank5_pptes_4q": (
+        _rank5_pptes_4q,
+        "rank-5 4-qubit PPT entangled state with |0000> in its range",
+    ),
+    "rank5_pptes_4q_kernel": (
+        _rank5_pptes_4q_kernel,
+        "eleven-member 4-qubit OPS spanning the kernel of rank5_pptes_4q",
+    ),
+    "rank5_pptes_5q": (
+        _rank5_pptes_5q,
+        "the 4-qubit rank-5 state tensored with |0><0| on a fifth qubit",
+    ),
     "shifts": (
         shifts_upb,
         "the classical 3-qubit unextendible product set of size four",
@@ -193,33 +207,20 @@ _FIXTURES = {
         lambda: complement_projector(shifts_upb()),
         "rank-4 trace-one complement of the size-four 3-qubit set",
     ),
-    "rank5_pptes_4q_kernel": (
-        _rank5_pptes_4q_kernel,
-        "eleven-member 4-qubit OPS spanning the kernel of rank5_pptes_4q",
-    ),
-    "rank5_pptes_4q": (
-        _rank5_pptes_4q,
-        "rank-5 4-qubit PPT entangled state with |0000> in its range",
-    ),
-    "rank5_pptes_5q": (
-        _rank5_pptes_5q,
-        "the 4-qubit rank-5 state tensored with |0><0| on a fifth qubit",
-    ),
+    **{
+        f"standard_opb_{n}": (partial(standard_opb, n), "the computational-basis product basis")
+        for n in range(1, 9)
+    },
 }
 
 
-_STANDARD_OPBS = {f"standard_opb_{n}": n for n in range(1, 9)}
-
-
 def fixture_names() -> list:
-    return sorted(_FIXTURES) + list(_STANDARD_OPBS)
+    return list(_FIXTURES)
 
 
 def fixture(name: str):
     """Construct a named, exactly verified example object; ``name`` must be
     one of ``fixture_names()``."""
-    if name in _STANDARD_OPBS:
-        return standard_opb(_STANDARD_OPBS[name])
     try:
         builder, _ = _FIXTURES[name]
     except KeyError:
@@ -228,8 +229,6 @@ def fixture(name: str):
 
 
 def fixture_description(name: str) -> str:
-    if name in _STANDARD_OPBS:
-        return "the computational-basis product basis"
     return _FIXTURES[name][1]
 
 
@@ -268,20 +267,19 @@ def _local_obj(l: LocalState) -> dict:
 
 
 def _parse_local(obj, where: str) -> LocalState:
-    if not isinstance(obj, dict):
-        raise ParseError(f"expected a local state object, got {obj!r}", where)
+    """One local from an object with exactly one key, "angle" or "pair"."""
+    if not isinstance(obj, dict) or len(obj) != 1 or not obj.keys() <= {"angle", "pair"}:
+        raise ParseError(f"expected {{'angle': ...}} or {{'pair': ...}}, got {obj!r}", where)
     if "angle" in obj:
         return LocalState.angle(_parse_rat(obj["angle"], where))
-    if "pair" in obj:
-        pair = obj["pair"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("pair must hold two complex entries", where)
-        a = _parse_cx(pair[0], where + ".pair[0]")
-        b = _parse_cx(pair[1], where + ".pair[1]")
-        if a.is_zero() and b.is_zero():
-            raise ParseError("local state must be nonzero", where + ".pair")
-        return LocalState.pair(a, b)
-    raise ParseError("local state needs 'angle' or 'pair'", where)
+    pair = obj["pair"]
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError("pair must hold two complex entries", where)
+    a = _parse_cx(pair[0], where + ".pair[0]")
+    b = _parse_cx(pair[1], where + ".pair[1]")
+    if a.is_zero() and b.is_zero():
+        raise ParseError("local state must be nonzero", where + ".pair")
+    return LocalState.pair(a, b)
 
 
 def _parse_list(obj, where: str, length) -> list:
@@ -303,7 +301,11 @@ def _parse_int(obj, where: str, least: int) -> int:
 def witness_map(structure) -> dict:
     """A structure's witnesses as stored in documents: "i,j" -> sorted
     parties."""
-    return {f"{i},{j}": sorted(ws) for (i, j), ws in structure.witnesses().items()}
+    return {
+        f"{i},{j}": ws
+        for i in range(len(structure.labels))
+        for j, ws in enumerate(structure.orthogonal_parties(i), i + 1)
+    }
 
 
 def product_vector_obj(v: ProductVector) -> list:
@@ -338,20 +340,9 @@ def product_set_from_doc(doc: dict) -> ProductSet:
         for i, row in enumerate(members_obj)
     )
     stored = doc.get("witnesses")
-    if stored is not None and not _witnesses_agree(stored, s.structure.labels):
+    if stored is not None and stored != witness_map(s.structure):
         raise ParseError("stored witness data disagrees with verification", "witnesses")
     return s
-
-
-def _witnesses_agree(stored, labels) -> bool:
-    """Whether stored witnesses are the ``witness_map`` of the structure with
-    these labels, checked pair by pair without building that map."""
-    n = len(labels)
-    return isinstance(stored, dict) and len(stored) == n * (n - 1) // 2 and all(
-        stored.get(f"{i},{j}") == [p for p, x in enumerate(a) if abs(x - labels[j][p]) == n]
-        for i, a in enumerate(labels)
-        for j in range(i + 1, n)
-    )
 
 
 def density_to_doc(d: DensityOp) -> dict:

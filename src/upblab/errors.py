@@ -33,8 +33,9 @@ class BadCutError(BadMaskError):
 
 class ApproximateComparisonError(UpbLabError):
     """Exact coordinates were requested for a local that has none: an angle
-    state other than 0 or 1/2 (``LocalState.vec2``, ``complement_projector``).
-    Comparisons of locals never raise it."""
+    state other than 0, 1/4, 1/2 or 3/4 (``LocalState.vec2`` and every
+    coordinate path through it: ``flatten``, ``complement_projector``,
+    ``subtract_product``).  Comparisons of locals never raise it."""
 
 
 class VerificationError(UpbLabError):

@@ -27,7 +27,7 @@ from .errors import (
     NotVerifiedError,
 )
 from .linalg import cleared, kron_vec
-from .qubits import _PAIR_ANGLES, KET0, LocalState, local_perp, orthogonal_exact
+from .qubits import KET0, LocalState, local_perp, orthogonal_exact
 
 
 class ProductVector:
@@ -59,8 +59,9 @@ class ProductVector:
         return cls([LocalState.ket(b) for b in bits])
 
     def flatten(self):
-        """Exact ambient coordinates (length 2^n); raises for generic
-        angle locals."""
+        """Exact ambient coordinates (length 2^n) of a positive multiple of
+        the member, the Kronecker product of the locals' ``vec2``; raises for
+        generic angle locals."""
         vec = self.locals[0].vec2()
         for l in self.locals[1:]:
             vec = kron_vec(vec, l.vec2())
@@ -68,12 +69,12 @@ class ProductVector:
 
     def cleared_flatten(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Real and imaginary parts of a Gaussian-integer vector proportional,
-        by a positive real, to the member, built local by local (a quarter
-        angle from its pair); raises for generic angles.  Computed once."""
+        by a positive real, to the member, built local by local from their
+        ``vec2``; raises for generic angles.  Computed once."""
         if self._cleared is None:
             re, im = [1], [0]
             for l in self.locals:
-                (ar, br), (ai, bi) = cleared(_PAIR_ANGLES.get(l.q) or l.vec2())
+                (ar, br), (ai, bi) = cleared(l.vec2())
                 loc = ((ar, ai), (br, bi))
                 re, im = (
                     [x * c - y * e for x, y in zip(re, im) for c, e in loc],
@@ -109,17 +110,22 @@ class Structure:
     labels: tuple  # per member, one label per party
     masks: tuple  # per party, indexed by label: the bitmask of its members
 
-    def parties_for(self, i: int, j: int) -> frozenset:
-        """The parties where members i and j are orthogonal."""
-        size = len(self.labels)
-        return frozenset(
-            p for p, (a, b) in enumerate(zip(self.labels[i], self.labels[j])) if abs(a - b) == size
-        )
+    def orthogonal_parties(self, i: int) -> list:
+        """For each later member j = i + 1, i + 2, ..., the parties where
+        members i and j are orthogonal, ascending: those where their labels
+        differ by size."""
+        labels, size = self.labels, len(self.labels)
+        a = labels[i]
+        return [[p for p, x in enumerate(a) if abs(x - b[p]) == size] for b in labels[i + 1 :]]
 
     def witnesses(self) -> dict:
-        """(i, j), i < j -> ``parties_for(i, j)``, for every member pair."""
-        size = len(self.labels)
-        return {(i, j): self.parties_for(i, j) for i in range(size) for j in range(i + 1, size)}
+        """(i, j), i < j -> the parties where members i and j are
+        orthogonal, for every member pair."""
+        return {
+            (i, j): frozenset(ws)
+            for i in range(len(self.labels))
+            for j, ws in enumerate(self.orthogonal_parties(i), i + 1)
+        }
 
 
 @dataclass(frozen=True)

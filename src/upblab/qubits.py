@@ -17,8 +17,10 @@ keys are, and u is orthogonal to v exactly when u's key is that of
 theorem: (cos pi q, sin pi q) is proportional to a pair over Q(i) only if
 tan(pi q) is rational or infinite, which for rational q means q in
 {0, 1/4, 1/2, 3/4} (the only roots of unity in Q(i) are +-1 and +-i).
-Those four angles share the keys of (1, 0), (1, 1), (0, 1) and (1, -1);
-every other angle is never equal up to phase nor orthogonal to a pair.
+Those four angles are the ones with exact coordinates: ``vec2`` gives the
+positive multiples (1, 0), (1, 1), (0, 1) and (-1, 1) of them, and they
+share those pairs' keys.  Every other angle has no exact coordinates and is
+never equal up to phase nor orthogonal to a pair.
 """
 
 from __future__ import annotations
@@ -69,16 +71,16 @@ class LocalState:
 
     def convertible(self) -> bool:
         """True when an exact pair of coordinates exists."""
-        return self.kind == "pair" or self.q in (Fraction(0), Fraction(1, 2))
+        return self.kind == "pair" or self.q in _PAIR_ANGLES
 
     def vec2(self) -> tuple[ComplexRational, ComplexRational]:
-        """Exact ambient coordinates; raises for generic angle states."""
+        """Exact ambient coordinates: the pair itself, or a positive multiple
+        of an angle state at 0, 1/4, 1/2 or 3/4; raises for every other
+        angle."""
         if self.kind == "pair":
             return (self.a, self.b)
-        if self.q == 0:
-            return (CQ1, CQ0)
-        if self.q == Fraction(1, 2):
-            return (CQ0, CQ1)
+        if self.q in _PAIR_ANGLES:
+            return _PAIR_ANGLES[self.q]
         raise ApproximateComparisonError(
             f"angle state q={self.q} has no exact coordinates"
         )
@@ -92,12 +94,9 @@ class LocalState:
         (1, 1), (0, 1) and (1, -1); every other angle keeps ``("angle", q)``,
         since no pair over Q(i) is proportional to it (Niven's theorem).
         """
-        if self.kind == "pair":
-            a, b = self.a, self.b
-        elif self.q in _PAIR_ANGLES:
-            a, b = _PAIR_ANGLES[self.q]
-        else:
+        if not self.convertible():
             return ("angle", self.q)
+        a, b = self.vec2()
         if not a.is_zero():
             return ("pair", (CQ1.t, (b / a).t))
         return ("pair", (CQ0.t, CQ1.t))

@@ -1,8 +1,8 @@
 """Multipartite density operators over exact scalars.
 
-Operators are Hermitian matrices with an explicit party-dimension vector
-and an explicit trace; unnormalized operators are first class, and
-normalization only happens on request.  Partial transpose and partial
+Operators are Hermitian matrices with an explicit party-dimension vector;
+the trace is read from the matrix, unnormalized operators are first class,
+and normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
 through the certified LDL* elimination, run at most once per matrix, and
 rank and range questions are answered from that one certificate.  The PPT
@@ -20,7 +20,6 @@ from math import lcm, prod
 from typing import Optional
 
 from .errors import (
-    ApproximateComparisonError,
     BadMaskError,
     NotHermitianError,
     NotInRangeError,
@@ -34,7 +33,6 @@ from .linalg import (
     _ldl_certificate,
     _range_quadratic_form,
     as_vector,
-    inner,
     matrix_rank,
     projector,
     psd_certificate,
@@ -57,7 +55,6 @@ class DensityOp:
 
     dims: tuple
     matrix: ExactMatrix
-    trace_norm: Fraction
     kernel_product_set: Optional[ProductSet] = None
     # mask -> partial transpose, filled by partial_transpose
     _transposes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -75,6 +72,11 @@ class DensityOp:
     def dim(self) -> int:
         return prod(self.dims)
 
+    @property
+    def trace_norm(self) -> Fraction:
+        """The trace of the matrix (real for a Hermitian one)."""
+        return self.matrix.trace().re
+
     def rank(self) -> int:
         """Exact rank: the LDL certificate's pivot count when the operator is
         PSD, a fraction-free (Bareiss) elimination otherwise."""
@@ -87,17 +89,18 @@ class DensityOp:
         return psd_certificate(self.matrix)
 
     def normalized(self) -> "DensityOp":
-        if self.trace_norm == 1:
+        t = self.trace_norm
+        if t == 1:
             return self
-        if self.trace_norm == 0:
+        if t == 0:
             raise ValueError("cannot normalize a traceless operator")
-        m = self.matrix.scale(ComplexRational(Fraction(1, 1) / self.trace_norm))
-        return replace(self, matrix=m, trace_norm=Fraction(1))
+        return replace(self, matrix=self.matrix.scale(ComplexRational(1 / t)))
 
     def assert_state(self) -> "DensityOp":
         """Check PSD and trace one; raises otherwise."""
-        if self.trace_norm != 1:
-            raise ValueError(f"trace is {self.trace_norm}, not 1")
+        t = self.trace_norm
+        if t != 1:
+            raise ValueError(f"trace is {t}, not 1")
         cert = self.psd()
         if not cert.is_psd:
             raise NotPsdError("operator is not positive semidefinite")
@@ -108,12 +111,7 @@ def density_from_matrix(dims, matrix: ExactMatrix, kernel_product_set=None) -> D
     if not matrix.is_hermitian():
         raise NotHermitianError("density operators must be exactly Hermitian")
     object.__setattr__(matrix, "_hermitian", True)
-    return DensityOp(
-        dims=tuple(dims),
-        matrix=matrix,
-        trace_norm=matrix.trace().re,
-        kernel_product_set=kernel_product_set,
-    )
+    return DensityOp(dims=tuple(dims), matrix=matrix, kernel_product_set=kernel_product_set)
 
 
 def pure_density(vector, dims) -> DensityOp:
@@ -129,7 +127,8 @@ def complement_projector(s: ProductSet) -> DensityOp:
     operator of rank exactly D - |s|.  The generating set is attached as
     the kernel product basis.  Raises NotVerifiedError for an unverified
     set, SpansEverythingError when the set is a full basis and
-    ApproximateComparisonError for an angle local not a multiple of 1/4.
+    ApproximateComparisonError for an angle local not a multiple of 1/4
+    (see ``LocalState.vec2``).
     """
     if not s.verified:
         raise NotVerifiedError("complement_projector requires a verified ProductSet")
@@ -140,14 +139,7 @@ def complement_projector(s: ProductSet) -> DensityOp:
         if len(s.members) == d:
             raise SpansEverythingError("the set spans the whole space")
         raise ValueError("more members than the space dimension")
-    vecs = []
-    for m in s.members:
-        try:
-            vecs.append(m.cleared_flatten())
-        except ApproximateComparisonError:
-            raise ApproximateComparisonError(
-                "complement projector needs exact coordinates for every local"
-            )
+    vecs = [m.cleared_flatten() for m in s.members]
     # Each member is a Gaussian-integer vector x with norm n = <x|x>, so
     # sum_x |x><x|/n = N/L with L the lcm of the norms and N integral.
     norms = [sum(a * a for a in xr) + sum(b * b for b in xi) for xr, xi in vecs]
@@ -205,7 +197,7 @@ def complement_projector(s: ProductSet) -> DensityOp:
     # Every entry sits next to its conjugate, so the Hermitian check that
     # psd() makes below is the only one needed
     m = ExactMatrix(d, d, data)
-    out = DensityOp(dims=s.dims, matrix=m, trace_norm=m.trace().re, kernel_product_set=s)
+    out = DensityOp(dims=s.dims, matrix=m, kernel_product_set=s)
     cert = out.psd()
     if not cert.is_psd or cert.rank != rank:
         raise AssertionError("complement projector is not a PSD operator of rank D - |s|")
@@ -288,7 +280,7 @@ def partial_transpose(d: DensityOp, mask) -> DensityOp:
         src = d.matrix.data
         m = ExactMatrix(d.dim, d.dim, tuple(map(src.__getitem__, perm)))
         object.__setattr__(m, "_hermitian", d.matrix._hermitian)
-        out = DensityOp(dims=d.dims, matrix=m, trace_norm=d.trace_norm)
+        out = DensityOp(dims=d.dims, matrix=m)
         d._transposes[mask] = out
     return out
 
@@ -308,7 +300,7 @@ def partial_trace(d: DensityOp, keep) -> DensityOp:
         sum((src[(a + t) * dim + b + t] for t in traced), CQ0) for a in offsets for b in offsets
     ]
     m = ExactMatrix(len(offsets), len(offsets), data)
-    return DensityOp(dims=tuple(dims[p] for p in keep), matrix=m, trace_norm=d.trace_norm)
+    return DensityOp(dims=tuple(dims[p] for p in keep), matrix=m)
 
 
 @dataclass(frozen=True)
@@ -402,10 +394,12 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
     """Remove the extremal multiple of |v><v| that keeps the operator PSD.
 
     ``v`` may be a ProductVector or a flat coordinate vector; it must lie in
-    the range of ``d``.  The weight is 1 / <v|d^+|v>, at which the rank
-    drops by exactly one.  Range membership and the weight are read from
-    d's PSD certificate, with no second elimination; positivity and the
-    rank drop of the result are re-verified exactly before returning.
+    the range of ``d``.  The weight is for |v><v|, with v = ``flatten()``
+    for a ProductVector (a positive multiple of the member): 1 / <v|d^+|v>,
+    at which the rank drops by exactly one.  Range membership and the
+    weight are read from d's PSD certificate, with no second elimination;
+    positivity and the rank drop of the result are re-verified exactly
+    before returning.
     Raises NotInRangeError / NotPsdError.
     """
     if isinstance(v, ProductVector):
@@ -420,7 +414,6 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
     if form is None:
         raise NotInRangeError("vector is not in the range of the operator")
     weight = Fraction(1) / form
-    norm2 = inner(flat, flat).re
     # M - weight |v><v|: the upper triangle, each entry M_ij - u_i conj(v_j)
     # with u = weight v over one denominator and reduced once, and its
     # conjugate below the diagonal.  Rows and columns where v is zero keep
@@ -447,7 +440,7 @@ def subtract_product(d: DensityOp, v) -> tuple[DensityOp, Fraction]:
     m = ExactMatrix(n, n, data)
     # each entry was written next to its conjugate
     object.__setattr__(m, "_hermitian", True)
-    out = DensityOp(dims=d.dims, matrix=m, trace_norm=d.trace_norm - weight * norm2)
+    out = DensityOp(dims=d.dims, matrix=m)
     cert = out.psd()
     if not cert.is_psd:
         raise AssertionError("extremal subtraction lost positivity")

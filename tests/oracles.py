@@ -89,19 +89,32 @@ def angle_form_is_zero(q: Fraction, a: ComplexRational, b: ComplexRational) -> b
     return poly.rem(_cyclotomic(4 * m)).is_zero
 
 
+def _coords(l: LocalState):
+    """Exact coordinates by the oracles' own rule, not ``LocalState.vec2``:
+    a pair's own, |0> and |1> for the angles 0 and 1/2, and None for every
+    other angle, which ``angle_form_is_zero`` decides against a pair."""
+    if not l.is_angle():
+        return l.a, l.b
+    if l.q == 0:
+        return ComplexRational(1), ComplexRational(0)
+    if l.q == Fraction(1, 2):
+        return ComplexRational(0), ComplexRational(1)
+    return None
+
+
 def orthogonal_reference(u: LocalState, v: LocalState) -> bool:
     """<u|v> = 0, decided without phase keys.  Two angles are orthogonal
-    iff they differ by 1/2 (mod 1).  Locals with exact coordinates (pairs
-    and the angles 0 and 1/2) are decided on integers: with
+    iff they differ by 1/2 (mod 1).  Locals with ``_coords`` (pairs and the
+    angles 0 and 1/2) are decided on integers: with
     ua = (p1 + q1 i)/r1, ub = (p2 + q2 i)/r2, va = (p3 + q3 i)/r3 and
     vb = (p4 + q4 i)/r4, <u|v> = conj(ua) va + conj(ub) vb is zero iff
     r2 r4 conj(p1 + q1 i)(p3 + q3 i) + r1 r3 conj(p2 + q2 i)(p4 + q4 i) is.
     A pair against any other angle goes to ``angle_form_is_zero``."""
     if u.is_angle() and v.is_angle():
         return (v.q - u.q) % 1 == Fraction(1, 2)
-    if u.convertible() and v.convertible():
-        ua, ub = u.vec2()
-        va, vb = v.vec2()
+    cu, cv = _coords(u), _coords(v)
+    if cu and cv:
+        (ua, ub), (va, vb) = cu, cv
         p1, q1, r1 = ua.t
         p2, q2, r2 = ub.t
         p3, q3, r3 = va.t
@@ -119,13 +132,13 @@ def orthogonal_reference(u: LocalState, v: LocalState) -> bool:
 
 def equal_up_to_phase_reference(u: LocalState, v: LocalState) -> bool:
     """u = c v for a nonzero scalar c, decided without phase keys: equal
-    angles, a zero determinant of exact coordinates, or for a pair against
-    any other angle, a zero determinant cos(pi q) vb - sin(pi q) va."""
+    angles, a zero determinant of ``_coords``, or for a pair against any
+    other angle, a zero determinant cos(pi q) vb - sin(pi q) va."""
     if u.is_angle() and v.is_angle():
         return u.q == v.q
-    if u.convertible() and v.convertible():
-        ua, ub = u.vec2()
-        va, vb = v.vec2()
+    cu, cv = _coords(u), _coords(v)
+    if cu and cv:
+        (ua, ub), (va, vb) = cu, cv
         return (ua * vb - ub * va).is_zero()
     if v.is_angle():
         u, v = v, u

@@ -199,3 +199,25 @@ def test_roundtrip_on_random_specs():
         assert rec.m == spec.m
         assert sorted(rec.block_dims) == sorted(spec.block_dims)
         assert member_keys(opb_from_blocks(rec)) == member_keys(opb)
+
+
+def test_quarter_angle_basis_round_trips(tmp_path):
+    # the angle 1/4 has the exact coordinates (1, 1), so it is a qubit basis
+    from fractions import Fraction
+
+    from upblab.catalog import load, save
+
+    spec = BlockSpec(
+        side2_dim=2,
+        qubit_bases=(LocalState.angle(Fraction(1, 4)), LocalState.ket(0)),
+        block_dims=(1, 1),
+        x_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
+        y_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
+    )
+    opb = opb_from_blocks(spec)
+    assert opb[1].qubit == LocalState.angle(Fraction(3, 4))
+    assert opb_to_blocks(opb) == spec
+    for obj in (spec, opb):
+        save(tmp_path / "doc.json", obj)
+        assert load(tmp_path / "doc.json") == obj
+    assert opb_to_blocks(load(tmp_path / "doc.json")) == spec

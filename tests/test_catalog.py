@@ -174,6 +174,24 @@ def test_malformed_rational_rejected():
     assert "members[0][0]" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "local",
+    [
+        # the angle 0 is |0>, the pair |1>: neither may win silently
+        {"angle": "0", "pair": [["0", "0"], ["1", "0"]]},
+        {"angle": "0", "note": "x"},
+        {"ket": "0"},
+        {},
+    ],
+)
+def test_local_naming_other_than_one_representation_rejected(local):
+    doc = product_set_to_doc(fixture("shifts"))
+    doc["members"][2][1] = local
+    with pytest.raises(ParseError) as exc:
+        from_doc(doc)
+    assert exc.value.location == "members[2][1]"
+
+
 def test_schema_version_mismatch():
     with pytest.raises(SchemaVersionMismatchError):
         from_doc({"schema_version": 99, "kind": "product_set"})

@@ -119,6 +119,22 @@ def test_subtract(tmp_path, capsys):
     assert main(["subtract", str(p), str(pb)]) == 1
 
 
+def test_subtract_takes_quarter_angle_vectors(tmp_path, capsys):
+    from upblab.linalg import ExactMatrix
+    from upblab.states import density_from_matrix
+
+    p = tmp_path / "rho.json"
+    save(p, density_from_matrix((2, 2), ExactMatrix.identity(4)))
+    for q, code in ((Fraction(1, 4), 0), (Fraction(1, 5), 2)):
+        locals = [LocalState.angle(q), LocalState.angle(q + Fraction(1, 2))]
+        vec = build_product_set([ProductVector(locals)])
+        pv = tmp_path / "vec.json"
+        save(pv, vec)
+        assert main(["subtract", str(p), str(pv)]) == code
+    # |v><v| with v = (1, 1) x (-1, 1) against the identity: weight 1/4
+    assert "subtracted with weight 1/4; rank 3" in capsys.readouterr().out
+
+
 def test_theta_answers(capsys):
     assert main(["theta", "5", "27"]) == 0
     assert "not_member" in capsys.readouterr().out
@@ -348,6 +364,8 @@ _MALFORMED = {
     "tampered-witness": ("verify", "shifts", [(("witnesses", "0,1"), [0, 1, 2])]),
     "zero-local-verify": ("verify", "shifts", [(("members", 0, 0), _ZERO_LOCAL)]),
     "zero-local-extend": ("extend", "shifts", [(("members", 0, 0), _ZERO_LOCAL)]),
+    "two-key-local": ("verify", "shifts", [(("members", 0, 0), dict(_ZERO_LOCAL, angle="0"))]),
+    "unknown-key-local": ("extend", "shifts", [(("members", 0, 0), {"ket": "0"})]),
     "no-members-verify": ("verify", "empty", []),
     "no-members-extend": ("extend", "empty", []),
     "string-parties": ("verify", "empty", [(("parties",), "2")]),

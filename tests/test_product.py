@@ -236,14 +236,14 @@ def test_mixed_kind_comparison_is_decided():
     # members is witnessed at party 0 only, and at no party without it
     a = ProductVector([K0, LocalState.angle(Fraction(1, 5))])
     b = ProductVector([K1, LocalState.pair(1, 1)])
-    assert verify_ops([a, b]).parties_for(0, 1) == frozenset({0})
+    assert verify_ops([a, b]).witnesses() == {(0, 1): frozenset({0})}
     with pytest.raises(NotOrthogonalError):
         verify_ops([a, ProductVector([K0, LocalState.pair(1, 1)])])
     # convertible angles are fine in mixed company
     c = ProductVector([K0, LocalState.angle(0)])
     d = ProductVector([K1, LocalState.pair(1, 1)])
     structure = verify_ops([c, d])
-    assert structure.parties_for(0, 1) == frozenset({0})
+    assert structure.witnesses() == {(0, 1): frozenset({0})}
 
 
 def test_cleared_flatten_is_kept_and_immutable():

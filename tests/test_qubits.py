@@ -151,7 +151,7 @@ def test_quarter_angle_and_diagonal_pair_share_a_phase_class():
     members = [ProductVector([quarter, LocalState.ket(0)]), ProductVector([diagonal, LocalState.ket(1)])]
     structure = verify_ops(members)
     assert structure.labels[0][0] == structure.labels[1][0]
-    assert structure.parties_for(0, 1) == frozenset({1})
+    assert structure.witnesses() == {(0, 1): frozenset({1})}
     with pytest.raises(DuplicateMemberError):
         verify_ops([members[0], ProductVector([diagonal, LocalState.ket(0)])])
 
@@ -230,3 +230,41 @@ def test_angle_comparisons_agree_with_exact_cyclotomic_arithmetic():
             if orth or eq:
                 decided.add(q)
     assert decided == {Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
+
+
+def test_exact_coordinates_exist_for_pairs_and_four_angles():
+    # vec2 of an angle is a positive multiple of (cos pi q, sin pi q)
+    expected = {
+        Fraction(0): (1, 0),
+        Fraction(1, 4): (1, 1),
+        Fraction(1, 2): (0, 1),
+        Fraction(3, 4): (-1, 1),
+    }
+    assert LocalState.pair(Fraction(1, 3), ComplexRational(0, 2)).convertible()
+    for q in [Fraction(k, 8) for k in range(8)] + [Fraction(1, 5), Fraction(1, 3)]:
+        u = LocalState.angle(q)
+        assert u.convertible() == (q in expected)
+        if q in expected:
+            assert u.vec2() == tuple(map(ComplexRational, expected[q]))
+        else:
+            with pytest.raises(ApproximateComparisonError):
+                u.vec2()
+
+
+def test_references_decide_every_angle_without_the_library_coordinates():
+    from oracles import orthogonal_reference
+
+    xs = [LocalState.angle(Fraction(k, 8)) for k in range(8)] + [
+        LocalState.angle(Fraction(1, 5)),
+        LocalState.pair(1, 0),
+        LocalState.pair(0, 3),
+        LocalState.pair(2, 2),
+        LocalState.pair(-1, 1),
+        LocalState.pair(1, -1),
+        LocalState.pair(1, 2),
+        LocalState.pair(ComplexRational(0, 1), 1),
+    ]
+    for u in xs:
+        for v in xs:
+            assert equal_up_to_phase_reference(u, v) == local_equal_up_to_phase(u, v)
+            assert orthogonal_reference(u, v) == orthogonal_exact(u, v)

@@ -57,8 +57,9 @@ def test_realize_shifts_pattern_is_unextendible():
 
 def test_realized_witness_graph_contains_template():
     s = realize_template(template_from_witnesses(3, 4, _SHIFTS_PATTERN))
+    witnesses = s.structure.witnesses()
     for (i, j), p in _SHIFTS_PATTERN.items():
-        assert p in s.structure.parties_for(i, j)
+        assert p in witnesses[i, j]
 
 
 def test_odd_cycle_is_infeasible():
@@ -88,8 +89,9 @@ def test_template_with_many_components_realizes():
     s = realize_template(t)
     assert not isinstance(s, Infeasible)
     assert s.verified and len(s.members) == 40
+    witnesses = s.structure.witnesses()
     for (i, j), p in choice.items():
-        assert p in s.structure.parties_for(i, j)
+        assert p in witnesses[i, j]
 
 
 def test_two_color_agrees_with_the_dict_oracle():

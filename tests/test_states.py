@@ -483,7 +483,7 @@ def test_partial_transpose_matches_entrywise_definition(dims):
         dim *= x
     # not Hermitian, so every entry's destination is checked
     m = ExactMatrix(dim, dim, [rand_scalar(rng) for _ in range(dim * dim)])
-    d = DensityOp(dims=dims, matrix=m, trace_norm=Fraction(1))
+    d = DensityOp(dims=dims, matrix=m)
     for bits in range(1 << len(dims)):
         mask = {p for p in range(len(dims)) if bits >> p & 1}
         assert partial_transpose(d, mask).matrix == partial_transpose_entrywise(m, dims, mask)
@@ -497,7 +497,7 @@ def test_partial_trace_matches_entrywise_definition(dims):
         dim *= x
     # not Hermitian, so every entry's destination is checked
     m = ExactMatrix(dim, dim, [rand_scalar(rng) for _ in range(dim * dim)])
-    d = DensityOp(dims=dims, matrix=m, trace_norm=Fraction(1))
+    d = DensityOp(dims=dims, matrix=m)
     for bits in range(1, 1 << len(dims)):
         keep = {p for p in range(len(dims)) if bits >> p & 1}
         out = partial_trace(d, keep)
@@ -612,7 +612,7 @@ def test_replaced_matrix_is_transposed_and_certified_afresh():
 def test_transpose_of_an_unchecked_operator_is_still_checked():
     rng = random.Random(8)
     m = ExactMatrix(6, 6, [rand_scalar(rng) for _ in range(36)])
-    d = DensityOp(dims=(2, 3), matrix=m, trace_norm=Fraction(1))
+    d = DensityOp(dims=(2, 3), matrix=m)
     with pytest.raises(NotHermitianError):
         partial_transpose(d, {0}).psd()
     with pytest.raises(NotHermitianError):
@@ -788,3 +788,62 @@ def test_ppt_report_certificates_match_partial_transpose(make, ppt):
     for mask, cert in rep.certificates.items():
         assert cert == psd_certificate(partial_transpose(d, mask).matrix)
     assert rep.is_ppt == ppt
+
+
+def test_subtract_product_of_quarter_angles_is_that_of_their_pairs():
+    # flatten() of the angles 1/4 and 3/4 is (1, 1) and (-1, 1), the same
+    # positive multiples as the pairs, so operator and weight agree
+    w = rand_vector(random.Random(23), 4)
+    d = density_from_matrix((2, 2), ExactMatrix.identity(4) + outer(w, w))
+    quarters = ProductVector([LocalState.angle(Fraction(1, 4)), LocalState.angle(Fraction(3, 4))])
+    pairs = ProductVector([LocalState.pair(1, 1), LocalState.pair(-1, 1)])
+    assert quarters.flatten() == pairs.flatten()
+    out, weight = subtract_product(d, quarters)
+    want, want_weight = subtract_product(d, pairs)
+    assert (out.matrix, weight) == (want.matrix, want_weight)
+    assert out.rank() == 3
+
+
+def test_generic_angles_raise_on_every_coordinate_path():
+    from upblab.errors import ApproximateComparisonError
+
+    d = density_from_matrix((2, 2), ExactMatrix.identity(4))
+    for q in (Fraction(1, 5), Fraction(1, 8)):
+        a, b = LocalState.angle(q), LocalState.angle(q + Fraction(1, 2))
+        s = build_product_set([ProductVector([a, K0]), ProductVector([b, K0])])
+        for call in (
+            a.vec2,
+            s.members[0].flatten,
+            lambda: complement_projector(s),
+            lambda: subtract_product(d, s.members[0]),
+        ):
+            with pytest.raises(ApproximateComparisonError):
+                call()
+
+
+def test_trace_norm_is_the_trace_of_every_constructed_matrix():
+    rng = random.Random(29)
+    d, v = random_separable_two_by_n(rng, 3, 3)
+    built = [
+        d,
+        complement_projector(shifts_upb()),
+        partial_transpose(d, {0}),
+        partial_trace(d, {1}),
+        subtract_product(d, v)[0],
+        d.normalized(),
+    ]
+    for op in built:
+        assert op.trace_norm == op.matrix.trace().re
+    assert built[-1].trace_norm == 1 != d.trace_norm
+    # the trace is read from the matrix; no caller can set another one
+    with pytest.raises(TypeError):
+        DensityOp(dims=d.dims, matrix=d.matrix, trace_norm=Fraction(1))
+
+
+def test_raw_operator_document_round_trips_its_trace():
+    from upblab.catalog import density_from_doc, density_to_doc
+
+    d = DensityOp(dims=(2, 2), matrix=ExactMatrix.identity(4).scale(ComplexRational(Fraction(1, 2))))
+    doc = density_to_doc(d)
+    assert doc["trace"] == "2"
+    assert density_from_doc(doc).matrix == d.matrix
