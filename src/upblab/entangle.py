@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
+from . import _kernels
 from .errors import (
     BadCutError,
     DegenerateSplitError,
@@ -45,7 +46,7 @@ from .product import (
     verify_ops,
 )
 from .qubits import LocalState
-from .scalars import CQ0, CQ1, ComplexRational
+from .scalars import CQ0, CQ1, ComplexRational, complex_sqrt
 from .states import DensityOp, party_offsets
 
 # Heuristic range scan: alternating-maximization sweeps per restart, and the
@@ -330,8 +331,6 @@ def _pencil_product_points(W1: ExactMatrix, W2: ExactMatrix):
         if c11:
             candidates.append((-c02, c11))
     else:
-        from .scalars import complex_sqrt
-
         disc = c11 * c11 - 4 * (c20 * c02)
         root = complex_sqrt(disc)
         if root is not None:
@@ -380,12 +379,11 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
 
     M = _flatten_matrix(v, dims, [0])
     if ranks[0] == 1:
-        # v = a (x) tail with tail on parties 2,3
-        split = _rank1_split(M)
-        a, tail = split
+        # v = a (x) tail with tail on parties 2,3, so the tail's rank is the
+        # Schmidt rank across party 2
+        a, tail = _rank1_split(M)
         T = ExactMatrix(dims[1], dims[2], list(tail))
-        t_rank = matrix_rank(T)
-        if t_rank == 1:
+        if ranks[1] == 1:
             col, row = _rank1_split(T)
             return _check_sum(Rank2Decomposition(terms=((a, col, row),), unique=False), v)
         # bipartite rank-2 tail: any rank factorization gives a (non-unique) split
@@ -460,8 +458,6 @@ def _check_sum(dec: Rank2Decomposition, v) -> Rank2Decomposition:
 def _rank_factor(M: ExactMatrix):
     """Rank factorization data: rank, pivot columns, and RREF rows (each a
     tuple of scalars).  M equals (pivot columns) @ (RREF rows)."""
-    from . import _kernels
-
     rank, piv_cols, red = _kernels.rref(M._triple_rows(), M.rows, M.cols)
     rows = [
         tuple(ComplexRational.from_triple(t) for t in red[i])

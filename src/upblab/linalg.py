@@ -168,8 +168,12 @@ class ExactMatrix:
         )
 
     def scale(self, s) -> "ExactMatrix":
+        """s times the matrix; a real multiple of a matrix marked Hermitian
+        is marked Hermitian."""
         s = as_scalar(s)
-        return ExactMatrix(self.rows, self.cols, [s * a for a in self.data])
+        out = ExactMatrix(self.rows, self.cols, [s * a for a in self.data])
+        object.__setattr__(out, "_hermitian", self._hermitian and s.is_real())
+        return out
 
     def __matmul__(self, other):
         if isinstance(other, ExactMatrix):

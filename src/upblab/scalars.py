@@ -16,7 +16,6 @@ from math import gcd
 Triple = tuple[int, int, int]
 
 CQ_ZERO: Triple = (0, 0, 1)
-CQ_ONE: Triple = (1, 0, 1)
 
 
 def cq_make(p: int, q: int, r: int) -> Triple:

@@ -12,7 +12,6 @@ complement projector computes only its nonzero entries.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +50,8 @@ class DensityOp:
     The PSD certificate is computed on first use and kept on the matrix.  Its
     Hermiticity check is skipped for matrices marked Hermitian (see
     ``ExactMatrix``): those that ``density_from_matrix`` has checked, and
-    those built from them by ``partial_transpose`` and ``subtract_product``."""
+    those built from them by ``partial_transpose``, ``subtract_product`` and
+    a real ``ExactMatrix.scale``, such as ``normalized``'s."""
 
     dims: tuple
     matrix: ExactMatrix
@@ -232,7 +232,11 @@ def _transpose_split(dims: tuple, mask: tuple) -> tuple:
     """Offsets (u, m), each indexed by flat index: a = u[a] + m[a], with u[a]
     the offset of a's unmasked digits and m[a] that of its masked digits.
 
-    The partial transpose moves entry (i, j) to (u[i] + m[j], u[j] + m[i]).
+    The partial transpose moves entry (i, j) to (u[i] + m[j], u[j] + m[i]);
+    as it is an involution, that is also where entry (i, j) of the transpose
+    comes from.  This is the one index rule of both partial transposes:
+    ``partial_transpose`` gathers every entry through it, and ``ppt_report``
+    scatters only the nonzero ones.
     """
     u = [0] * prod(dims)
     m = list(u)
@@ -244,27 +248,6 @@ def _transpose_split(dims: tuple, mask: tuple) -> tuple:
     return tuple(u), tuple(m)
 
 
-# Only partial_transpose reads the permutations.  Full at 8 qubits this cache
-# would keep 127 x 256^2 x 4 bytes, about 32 MiB, which is why ppt_report
-# moves the nonzero entries through _transpose_split instead.
-@lru_cache(maxsize=128)
-def _transpose_permutation(dims: tuple, mask: tuple) -> array:
-    """Flat-index permutation of the partial transpose: the transposed
-    matrix's entry k is the source entry perm[k].
-
-    The partial transpose is an involution, so entry (i, j) of the transpose
-    is entry (u[i] + m[j], u[j] + m[i]) of the source (see _transpose_split).
-    """
-    u, m = _transpose_split(dims, mask)
-    dim = len(u)
-    cols = [b * dim + a for a, b in zip(u, m)]
-    perm = array("I")
-    for a, b in zip(u, m):
-        base = a * dim + b
-        perm.extend([base + c for c in cols])
-    return perm
-
-
 def partial_transpose(d: DensityOp, mask) -> DensityOp:
     """Transpose the tensor factors in ``mask`` (0-based), exactly.
 
@@ -272,13 +255,20 @@ def partial_transpose(d: DensityOp, mask) -> DensityOp:
     known to be Hermitian gives one known to be Hermitian.  The transpose is
     kept on ``d``: the same ``d`` and mask give the same operator, whose
     certificate is then computed at most once.
+
+    Every entry is gathered from the source through ``_transpose_split``,
+    the index split that ``ppt_report`` scatters its nonzero entries with.
     """
     mask = _check_mask(mask, d.parties)
     out = d._transposes.get(mask)
     if out is None:
-        perm = _transpose_permutation(tuple(d.dims), tuple(sorted(mask)))
-        src = d.matrix.data
-        m = ExactMatrix(d.dim, d.dim, tuple(map(src.__getitem__, perm)))
+        u, w = _transpose_split(tuple(d.dims), tuple(sorted(mask)))
+        src, dim = d.matrix.data, d.dim
+        # entry (i, j) is source entry (u[i] + w[j], u[j] + w[i]), whose flat
+        # index is a row part u[i] dim + w[i] plus a column part w[j] dim + u[j]
+        rows = [a * dim + b for a, b in zip(u, w)]
+        cols = [b * dim + a for a, b in zip(u, w)]
+        m = ExactMatrix(dim, dim, [src[r + c] for r in rows for c in cols])
         object.__setattr__(m, "_hermitian", d.matrix._hermitian)
         out = DensityOp(dims=d.dims, matrix=m)
         d._transposes[mask] = out

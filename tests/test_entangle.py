@@ -409,6 +409,21 @@ def test_decompose_checks_the_sum_on_every_path(path, monkeypatch):
         rank2_tripartite_decompose(v, (2, 2, 2))
 
 
+@pytest.mark.parametrize("path", ["rank-one tail", "rank-two tail"])
+def test_rank_one_leading_cut_ranks_each_flattening_once(path, monkeypatch):
+    from upblab import _kernels
+
+    # v = a (x) tail: the tail's rank is the Schmidt rank across the second
+    # party, so the three one-vs-rest cuts are the only rank eliminations
+    calls = []
+    real = _kernels.bareiss_rank
+    monkeypatch.setattr(
+        _kernels, "bareiss_rank", lambda *args: calls.append(args[1:]) or real(*args)
+    )
+    rank2_tripartite_decompose(_DECOMPOSE_PATHS[path], (2, 2, 2))
+    assert calls == [(2, 4)] * 3
+
+
 def test_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

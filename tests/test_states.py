@@ -37,7 +37,6 @@ from upblab.qubits import LocalState, local_perp
 from upblab.scalars import CQ0, ComplexRational
 from upblab.states import (
     DensityOp,
-    _transpose_permutation,
     _transpose_split,
     bipartition_classes,
     birank,
@@ -475,7 +474,11 @@ def test_complement_of_quarter_angles_is_that_of_their_pairs():
         assert ppt_report(c) == ppt_report(complement_projector(s))
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
+# also the 2 x N shapes that extremal subtraction transposes, and a party of
+# dimension 1
+@pytest.mark.parametrize(
+    "dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)] + [(2, n) for n in range(2, 9)] + [(2, 1, 3)]
+)
 def test_partial_transpose_matches_entrywise_definition(dims):
     rng = random.Random(len(dims))
     dim = 1
@@ -687,16 +690,40 @@ def test_operators_from_density_from_matrix_are_not_checked_again(monkeypatch):
     assert calls == [6]
 
 
+def test_real_rescaling_keeps_the_hermitian_mark(monkeypatch):
+    from upblab.catalog import fixture
+
+    d = fixture("rank5_pptes_5q")
+    calls = []
+    original = ExactMatrix.is_hermitian
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "is_hermitian", counted)
+    # density_from_matrix checks the doubled matrix; normalized() scales it by
+    # the real 1/2, which keeps the mark, so its psd() makes no second check
+    rho = density_from_matrix(d.dims, d.matrix.scale(2)).normalized()
+    assert rho.psd().is_psd
+    assert rho.matrix == d.matrix
+    assert calls == [32]
+    # i times a nonzero Hermitian matrix is not Hermitian, and is checked
+    skew = rho.matrix.scale(ComplexRational(0, 1))
+    with pytest.raises(NotHermitianError):
+        psd_certificate(skew)
+    assert calls == [32, 32]
+
+
 def test_transpose_splits_of_an_8_qubit_sweep_stay_cached():
     # a ppt_report sweep at 8 qubits asks for 127 index splits, 2 x 256
     # offsets each, in the same order every time; a cache that holds fewer
-    # evicts each before reuse.  The sweep builds no dim^2 permutation.
+    # evicts each before reuse.
     dims = (2,) * 8
     masks = [tuple(sorted(m)) for m in bipartition_classes(8)]
     assert len(masks) == 127
     d = density_from_matrix(dims, ExactMatrix.identity(256))
     _transpose_split.cache_clear()
-    permutations = _transpose_permutation.cache_info()
     try:
         assert ppt_report(d).is_ppt
         first = _transpose_split.cache_info()
@@ -706,7 +733,6 @@ def test_transpose_splits_of_an_8_qubit_sweep_stay_cached():
         second = _transpose_split.cache_info()
         assert (first.hits, first.misses, first.currsize) == (0, 127, 127)
         assert (second.hits, second.misses) == (127, 127)
-        assert _transpose_permutation.cache_info() == permutations
     finally:
         _transpose_split.cache_clear()
 
@@ -727,8 +753,6 @@ def test_transpose_split_matches_entrywise_transpose_and_permutation():
                     for j in range(dim):
                         moved[(u[i] + w[j]) * dim + u[j] + w[i]] = m.at(i, j)
                 assert ExactMatrix(dim, dim, moved) == partial_transpose_entrywise(m, dims, mask)
-                perm = _transpose_permutation(dims, mask)
-                assert [m.data[k] for k in perm] == moved
 
 
 def _random_entangled_state():
