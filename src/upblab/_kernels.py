@@ -176,6 +176,17 @@ def ldl_hermitian(rows, n):
     pivots = []
     steps = []
 
+    def record(verdict, witness=None, pair=None, value=None):
+        return {
+            "verdict": verdict,
+            "order": order,
+            "pivots": pivots,
+            "steps": steps,
+            "witness": witness,
+            "pair": pair,
+            "value": value,
+        }
+
     def backapply(u):
         # Map a vector through the accumulated congruence: w = E_1 ... E_T u.
         for t in range(len(steps) - 1, -1, -1):
@@ -203,16 +214,7 @@ def ldl_hermitian(rows, n):
             val = cq_make(*W[neg][neg])
             u = [(0, 0, 1)] * n
             u[neg] = (1, 0, 1)
-            witness = backapply(u)
-            return {
-                "verdict": "neg_diag",
-                "order": order,
-                "pivots": pivots,
-                "steps": steps,
-                "witness": witness,
-                "pair": None,
-                "value": (val[0], val[2]),
-            }
+            return record("neg_diag", backapply(u), value=(val[0], val[2]))
         if pos < 0:
             # Active diagonal all zero: look for a nonzero off-diagonal.
             for a in range(len(act)):
@@ -224,26 +226,9 @@ def ldl_hermitian(rows, n):
                         u = [(0, 0, 1)] * n
                         u[i] = (1, 0, 1)
                         u[j] = cq_conj((-c[0], -c[1], c[2]))
-                        witness = backapply(u)
                         n2 = c[0] * c[0] + c[1] * c[1]
-                        return {
-                            "verdict": "zero_diag",
-                            "order": order,
-                            "pivots": pivots,
-                            "steps": steps,
-                            "witness": witness,
-                            "pair": (i, j),
-                            "value": (-2 * n2, c[2] * c[2]),
-                        }
-            return {
-                "verdict": "psd",
-                "order": order,
-                "pivots": pivots,
-                "steps": steps,
-                "witness": None,
-                "pair": None,
-                "value": None,
-            }
+                        return record("zero_diag", backapply(u), (i, j), (-2 * n2, c[2] * c[2]))
+            return record("psd")
         p = pos
         act.remove(p)
         d = cq_make(*W[p][p])

@@ -11,6 +11,7 @@ self-contained reason string so reports are auditable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -240,14 +241,21 @@ def _rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# The one rational grammar, the one _rat_str writes: an optional "-", ASCII
+# digits, and optionally "/" and ASCII digits.  Fraction alone would also
+# take signs, spaces, decimals and exponents such as "1e-3000000".
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rat(s, where: str) -> Fraction:
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {s!r}", where)
+    if _RATIONAL.fullmatch(s) is None:
+        raise ParseError(f"malformed rational {s!r} (expected 'p' or 'p/q')", where)
     try:
-        f = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational {s!r} ({exc})", where) from None
-    return f
 
 
 def _cx_obj(z: ComplexRational) -> list:
@@ -534,14 +542,16 @@ def save(path, obj) -> None:
 
 
 def load(path, kind=None):
-    """Load a document and rebuild the exactly verified object; malformed
-    JSON or text that is not UTF-8 raises ParseError.  With ``kind`` given,
-    a document of another kind raises ParseError before any of it is
-    parsed or verified."""
+    """Load a document and rebuild the exactly verified object.  Every
+    failure to read the JSON raises ParseError: malformed JSON, text that is
+    not UTF-8, an integer past Python's digit limit, or nesting too deep
+    to decode.  With ``kind`` given, a document of another kind raises
+    ParseError before any of it is parsed or verified."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
             raise ParseError(f"invalid JSON: {exc}", str(path)) from None
     if kind is not None and isinstance(doc, dict) and doc.get("kind") != kind:
         raise ParseError(f"{path} holds a {doc.get('kind')!r} document, not {kind!r}", "kind")

@@ -276,25 +276,10 @@ def _flatten_matrix(v, dims, left) -> ExactMatrix:
 
 
 def _rank1_split(mat: ExactMatrix):
-    """Write a rank-one matrix as col (x) row; returns (col, row) or None."""
-    pr = pc = -1
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if not mat.at(i, j).is_zero():
-                pr, pc = i, j
-                break
-        if pr >= 0:
-            break
-    if pr < 0:
-        return None
-    piv = mat.at(pr, pc)
-    col = tuple(mat.at(i, pc) / piv for i in range(mat.rows))
-    row = tuple(mat.at(pr, j) for j in range(mat.cols))
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if mat.at(i, j) != col[i] * row[j]:
-                return None
-    return col, row
+    """Write a rank-one matrix as col (x) row: the one-term case of
+    ``_rank_factor``.  Returns (col, row), or None unless the rank is one."""
+    cols, rows = _rank_factor(mat)
+    return (cols[0], rows[0]) if len(rows) == 1 else None
 
 
 def _pencil_product_points(W1: ExactMatrix, W2: ExactMatrix):
@@ -359,13 +344,16 @@ def _pencil_product_points(W1: ExactMatrix, W2: ExactMatrix):
 def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
     """Split a tripartite tensor into at most two exact product terms.
 
-    Requires Schmidt rank <= 2 across every one-vs-rest cut (else
-    NotRankTwoError).  For a clean two-term tensor the split is found from
-    the rank-one points of the matrix pencil spanned by the trailing-party
-    flattenings and is canonical (``unique=True``) exactly when the two
-    local factors are independent at every party.  DegenerateSplitError is
-    raised when the pencil admits no exact two-product split (a repeated
-    point, a single point, or points outside the rationals).
+    Requires ``dims`` to match the length of ``v`` (else BadCutError, before
+    any flattening) and Schmidt rank <= 2 across every one-vs-rest cut (else
+    NotRankTwoError).  The leading cut's flattening M is eliminated once:
+    its rank factorization M = sum_t a_t (x) w_t gives that cut's rank and
+    the split.  For a clean two-term tensor the split is found from the
+    rank-one points of the matrix pencil spanned by the w_t and is
+    canonical (``unique=True``) exactly when the two local factors are
+    independent at every party.  DegenerateSplitError is raised when the
+    pencil admits no exact two-product split (a repeated point, a single
+    point, or points outside the rationals).
     """
     dims = tuple(dims)
     if len(dims) != 3:
@@ -373,32 +361,24 @@ def rank2_tripartite_decompose(v, dims) -> Rank2Decomposition:
     v = as_vector(v)
     if all(x.is_zero() for x in v):
         raise ValueError("cannot decompose the zero tensor")
-    ranks = [schmidt_rank(v, dims, {p}) for p in range(3)]
+    if prod(dims) != len(v):
+        raise BadCutError("dims inconsistent with vector length")
+    # one elimination of the leading flattening gives its rank and its
+    # factorization M = sum_t a_cols[t] (x) w_rows[t]
+    M = _flatten_matrix(v, dims, [0])
+    a_cols, w_rows = _rank_factor(M)
+    ranks = [len(w_rows)] + [schmidt_rank(v, dims, {p}) for p in (1, 2)]
     if any(r > 2 for r in ranks):
         raise NotRankTwoError(f"one-vs-rest Schmidt ranks {ranks} exceed two")
 
-    M = _flatten_matrix(v, dims, [0])
     if ranks[0] == 1:
-        # v = a (x) tail with tail on parties 2,3, so the tail's rank is the
-        # Schmidt rank across party 2
-        a, tail = _rank1_split(M)
-        T = ExactMatrix(dims[1], dims[2], list(tail))
-        if ranks[1] == 1:
-            col, row = _rank1_split(T)
-            return _check_sum(Rank2Decomposition(terms=((a, col, row),), unique=False), v)
-        # bipartite rank-2 tail: any rank factorization gives a (non-unique) split
-        rank, piv_cols, red = _rank_factor(T)
-        terms = []
-        for t in range(2):
-            col = tuple(T.at(i, piv_cols[t]) for i in range(T.rows))
-            row = red[t]
-            terms.append((a, col, row))
-        return _check_sum(Rank2Decomposition(terms=tuple(terms), unique=False), v)
+        # v = a (x) tail with tail on parties 2,3: any rank factorization of
+        # the tail gives a (non-unique) split with one term per tail rank
+        T = ExactMatrix(dims[1], dims[2], list(w_rows[0]))
+        terms = tuple((a_cols[0], c, r) for c, r in zip(*_rank_factor(T)))
+        return _check_sum(Rank2Decomposition(terms=terms, unique=False), v)
 
-    # rank over the leading cut is 2: rank factorization M = A.B
-    rank, piv_cols, red = _rank_factor(M)
-    a_cols = [tuple(M.at(i, piv_cols[t]) for i in range(M.rows)) for t in range(2)]
-    w_rows = [red[0], red[1]]
+    # rank over the leading cut is 2: split the pencil spanned by the rows
     W = [ExactMatrix(dims[1], dims[2], list(w)) for w in w_rows]
     kind, points = _pencil_product_points(W[0], W[1])
 
@@ -456,11 +436,10 @@ def _check_sum(dec: Rank2Decomposition, v) -> Rank2Decomposition:
 
 
 def _rank_factor(M: ExactMatrix):
-    """Rank factorization data: rank, pivot columns, and RREF rows (each a
-    tuple of scalars).  M equals (pivot columns) @ (RREF rows)."""
+    """The rank factorization of ``M`` from one ``rref``: ``(cols, rows)``,
+    the pivot columns of M and its nonzero RREF rows (tuples of scalars), so
+    that M = sum_t cols[t] (x) rows[t] and rank(M) = len(rows)."""
     rank, piv_cols, red = _kernels.rref(M._triple_rows(), M.rows, M.cols)
-    rows = [
-        tuple(ComplexRational.from_triple(t) for t in red[i])
-        for i in range(rank)
-    ]
-    return rank, piv_cols, rows
+    cols = [tuple(M.at(i, j) for i in range(M.rows)) for j in piv_cols]
+    rows = [tuple(ComplexRational.from_triple(t) for t in red[i]) for i in range(rank)]
+    return cols, rows

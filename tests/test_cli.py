@@ -390,15 +390,37 @@ _MALFORMED = {
         [(("kernel_product_set", "members", 1), [{"angle": "0"}] * 3)],
     ),
     "int-kernel-set": ("rank", "complement", [(("kernel_product_set",), 5)]),
+    # rationals are "p" or "p/q" only; Fraction alone would take these
+    "exponent-rational": ("verify", "shifts", [(("members", 0, 0), {"angle": "1e-3"})]),
+    "decimal-rational": (
+        "extend",
+        "shifts",
+        [(("members", 0, 0), {"pair": [["0.5", "0"], ["1", "0"]]})],
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_malformed_document_exits_two(tmp_path, case):
+def _assert_cli_parse_error(command, path):
+    """Run the CLI in a fresh interpreter: exit 2 with a parse error and no
+    traceback."""
     import subprocess
     import sys
     from pathlib import Path
 
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "upblab.cli", command, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert "parse error" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_exits_two(tmp_path, case):
     command, base, edits = _MALFORMED[case]
     doc = _base_doc(base)
     for path, value in edits:
@@ -408,16 +430,24 @@ def test_malformed_document_exits_two(tmp_path, case):
         target[path[-1]] = value
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-m", "upblab.cli", command, str(p)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 2
-    assert "parse error" in out.stderr
-    assert "Traceback" not in out.stderr
+    _assert_cli_parse_error(command, p)
+
+
+# raw files that json.load itself cannot read: an integer past Python's
+# 4,300-digit conversion limit, and nesting past the recursion limit
+_UNREADABLE = {
+    "long-integer": '{"schema_version": 1, "kind": "product_set", "parties": '
+    + "1" * 5001
+    + ', "members": [[{"angle": "0"}]]}',
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_unreadable_json_exits_two(tmp_path, case):
+    p = tmp_path / "doc.json"
+    p.write_text(_UNREADABLE[case])
+    _assert_cli_parse_error("verify", p)
 
 
 def test_wrong_kind_is_refused_before_it_is_parsed(tmp_path, monkeypatch, capsys):

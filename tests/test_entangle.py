@@ -396,32 +396,76 @@ def test_decompose_checks_the_sum_on_every_path(path, monkeypatch):
     dec = rank2_tripartite_decompose(v, (2, 2, 2))
     assert len(dec.terms) == (1 if path == "rank-one tail" else 2)
     assert dec.unique == (path == "two points")
-    split = entangle._rank1_split
+    factor = entangle._rank_factor
 
     def doubled(mat):
-        col, row = split(mat)
-        return tuple(2 * x for x in col), row
+        cols, rows = factor(mat)
+        return [tuple(2 * x for x in col) for col in cols], rows
 
-    # every path builds its terms from _rank1_split; a wrong split must be
-    # caught by the sum check instead of being returned
-    monkeypatch.setattr(entangle, "_rank1_split", doubled)
+    # every path builds its terms from _rank_factor, directly or through
+    # _rank1_split; a wrong factorization must be caught by the sum check
+    # instead of being returned
+    monkeypatch.setattr(entangle, "_rank_factor", doubled)
     with pytest.raises(AssertionError, match="sum back"):
         rank2_tripartite_decompose(v, (2, 2, 2))
 
 
-@pytest.mark.parametrize("path", ["rank-one tail", "rank-two tail"])
-def test_rank_one_leading_cut_ranks_each_flattening_once(path, monkeypatch):
+def _check_each_flattening_eliminated_once(monkeypatch, v):
+    """Decompose ``v`` on (2, 2, 2) with rref and bareiss_rank recording
+    their inputs, and check that each one-vs-rest flattening reaches one
+    kernel once: the leading one M goes to rref, the cuts {1} and {2} to
+    bareiss_rank.  Every later rref input is a 2 x 2 matrix on the trailing
+    parties (the tail, a pencil row or a pencil point), so M is never
+    eliminated again; a symmetric v has equal flattenings, so the check
+    counts calls rather than comparing contents across kernels."""
     from upblab import _kernels
 
-    # v = a (x) tail: the tail's rank is the Schmidt rank across the second
-    # party, so the three one-vs-rest cuts are the only rank eliminations
+    inputs = {"rref": [], "bareiss_rank": []}
+    for name, seen in inputs.items():
+        real = getattr(_kernels, name)
+
+        def wrapped(rows, *args, _seen=seen, _real=real):
+            _seen.append(tuple(map(tuple, rows)))
+            return _real(rows, *args)
+
+        monkeypatch.setattr(_kernels, name, wrapped)
+    rank2_tripartite_decompose(v, (2, 2, 2))
+
+    def flattening(cut):
+        return tuple(map(tuple, flattening_entrywise(v, (2, 2, 2), cut)._triple_rows()))
+
+    assert inputs["rref"][0] == flattening({0})
+    assert all(len(rows) == 2 and len(rows[0]) == 2 for rows in inputs["rref"][1:])
+    assert inputs["bareiss_rank"] == [flattening({1}), flattening({2})]
+
+
+@pytest.mark.parametrize("path", ["rank-one tail", "rank-two tail"])
+def test_rank_one_leading_cut_ranks_each_flattening_once(path, monkeypatch):
+    # v = a (x) tail: one rref of M gives its rank and the factor a, and the
+    # tail's rank factorization gives the terms
+    _check_each_flattening_eliminated_once(monkeypatch, _DECOMPOSE_PATHS[path])
+
+
+@pytest.mark.parametrize("path", ["degenerate pencil", "two points"])
+def test_rank_two_leading_cut_eliminates_its_flattening_once(path, monkeypatch):
+    # one rref of M gives its rank and the pencil rows
+    _check_each_flattening_eliminated_once(monkeypatch, _DECOMPOSE_PATHS[path])
+
+
+@pytest.mark.parametrize("length", [7, 9])
+def test_decompose_checks_dims_before_any_elimination(length, monkeypatch):
+    from upblab import _kernels
+
     calls = []
-    real = _kernels.bareiss_rank
-    monkeypatch.setattr(
-        _kernels, "bareiss_rank", lambda *args: calls.append(args[1:]) or real(*args)
-    )
-    rank2_tripartite_decompose(_DECOMPOSE_PATHS[path], (2, 2, 2))
-    assert calls == [(2, 4)] * 3
+    for name in ("ldl_hermitian", "bareiss_rank", "rref"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        )
+    v = [CQ(k + 1) for k in range(length)]
+    with pytest.raises(BadCutError, match="dims inconsistent"):
+        rank2_tripartite_decompose(v, (2, 2, 2))
+    assert calls == []
 
 
 def test_import_leaves_numpy_unloaded():
