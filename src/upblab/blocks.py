@@ -39,7 +39,8 @@ class BipartitePair:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Blocks, qubit bases and per-block basis pairs describing an OPB."""
+    """Blocks, qubit bases and per-block basis pairs describing an OPB;
+    construction checks every invariant, so each spec describes one."""
 
     side2_dim: int
     qubit_bases: tuple  # m LocalStates, pairwise distinct bases
@@ -51,6 +52,51 @@ class BlockSpec:
     def m(self) -> int:
         return len(self.qubit_bases)
 
+    def __post_init__(self):
+        """Raise InvalidSpecError naming the first invariant violated."""
+        m = self.m
+        if m < 1:
+            raise InvalidSpecError("need at least one block")
+        if len(self.block_dims) != m or len(self.x_bases) != m or len(self.y_bases) != m:
+            raise InvalidSpecError("per-block data lengths disagree")
+        if sum(self.block_dims) != self.side2_dim:
+            raise InvalidSpecError("block dimensions do not sum to the space dimension")
+        for j, v in enumerate(self.qubit_bases):
+            if not v.convertible():
+                raise InvalidSpecError(f"qubit basis {j} has no exact coordinates")
+        for a in range(m):
+            for b in range(a + 1, m):
+                va, vb = self.qubit_bases[a], self.qubit_bases[b]
+                if local_equal_up_to_phase(va, vb) or local_equal_up_to_phase(
+                    local_perp(va), vb
+                ):
+                    raise InvalidSpecError(
+                        f"qubit bases {a} and {b} are the same unordered basis"
+                    )
+        for j in range(m):
+            k = self.block_dims[j]
+            if k < 1:
+                raise InvalidSpecError(f"block {j} has dimension < 1")
+            for name, basis in (("x", self.x_bases[j]), ("y", self.y_bases[j])):
+                if len(basis) != k:
+                    raise InvalidSpecError(f"{name}-basis of block {j} has wrong size")
+                if any(len(v) != self.side2_dim for v in basis):
+                    raise InvalidSpecError(f"{name}-basis of block {j} has wrong ambient dim")
+                if any(all(x.is_zero() for x in v) for v in basis):
+                    raise InvalidSpecError(f"{name}-basis of block {j} contains zero")
+                if not _orthogonal_family(basis):
+                    raise InvalidSpecError(f"{name}-basis of block {j} is not orthogonal")
+            stacked = ExactMatrix.from_rows(list(self.x_bases[j]) + list(self.y_bases[j]))
+            if matrix_rank(stacked) != k:
+                raise InvalidSpecError(f"x- and y-bases of block {j} span different spaces")
+        # blocks pairwise orthogonal
+        for a in range(m):
+            for b in range(a + 1, m):
+                for u in self.x_bases[a]:
+                    for w in self.x_bases[b]:
+                        if not inner(u, w).is_zero():
+                            raise InvalidSpecError(f"blocks {a} and {b} are not orthogonal")
+
 
 def _orthogonal_family(vectors) -> bool:
     for i in range(len(vectors)):
@@ -60,55 +106,8 @@ def _orthogonal_family(vectors) -> bool:
     return True
 
 
-def validate_block_spec(spec: BlockSpec) -> None:
-    """Check every invariant; raises InvalidSpecError naming the violation."""
-    m = spec.m
-    if m < 1:
-        raise InvalidSpecError("need at least one block")
-    if len(spec.block_dims) != m or len(spec.x_bases) != m or len(spec.y_bases) != m:
-        raise InvalidSpecError("per-block data lengths disagree")
-    if sum(spec.block_dims) != spec.side2_dim:
-        raise InvalidSpecError("block dimensions do not sum to the space dimension")
-    for j, v in enumerate(spec.qubit_bases):
-        if not v.convertible():
-            raise InvalidSpecError(f"qubit basis {j} has no exact coordinates")
-    for a in range(m):
-        for b in range(a + 1, m):
-            va, vb = spec.qubit_bases[a], spec.qubit_bases[b]
-            if local_equal_up_to_phase(va, vb) or local_equal_up_to_phase(
-                local_perp(va), vb
-            ):
-                raise InvalidSpecError(
-                    f"qubit bases {a} and {b} are the same unordered basis"
-                )
-    for j in range(m):
-        k = spec.block_dims[j]
-        if k < 1:
-            raise InvalidSpecError(f"block {j} has dimension < 1")
-        for name, basis in (("x", spec.x_bases[j]), ("y", spec.y_bases[j])):
-            if len(basis) != k:
-                raise InvalidSpecError(f"{name}-basis of block {j} has wrong size")
-            if any(len(v) != spec.side2_dim for v in basis):
-                raise InvalidSpecError(f"{name}-basis of block {j} has wrong ambient dim")
-            if any(all(x.is_zero() for x in v) for v in basis):
-                raise InvalidSpecError(f"{name}-basis of block {j} contains zero")
-            if not _orthogonal_family(basis):
-                raise InvalidSpecError(f"{name}-basis of block {j} is not orthogonal")
-        stacked = ExactMatrix.from_rows(list(spec.x_bases[j]) + list(spec.y_bases[j]))
-        if matrix_rank(stacked) != k:
-            raise InvalidSpecError(f"x- and y-bases of block {j} span different spaces")
-    # blocks pairwise orthogonal
-    for a in range(m):
-        for b in range(a + 1, m):
-            for u in spec.x_bases[a]:
-                for w in spec.x_bases[b]:
-                    if not inner(u, w).is_zero():
-                        raise InvalidSpecError(f"blocks {a} and {b} are not orthogonal")
-
-
 def opb_from_blocks(spec: BlockSpec) -> list:
     """Emit the 2N pairwise-orthogonal members of the described OPB."""
-    validate_block_spec(spec)
     out = []
     for j in range(spec.m):
         v = spec.qubit_bases[j]
@@ -184,15 +183,13 @@ def opb_to_blocks(members: Sequence[BipartitePair]) -> BlockSpec:
         block_dims.append(len(xs))
         x_bases.append(tuple(xs))
         y_bases.append(tuple(ys))
-    spec = BlockSpec(
+    return BlockSpec(
         side2_dim=side2_dim,
         qubit_bases=tuple(qubit_bases),
         block_dims=tuple(block_dims),
         x_bases=tuple(x_bases),
         y_bases=tuple(y_bases),
     )
-    validate_block_spec(spec)
-    return spec
 
 
 def member_keys(members: Sequence[BipartitePair]) -> set:

@@ -202,7 +202,10 @@ def cmd_theta(args) -> int:
     if n < 1:
         raise _Exit(2, f"invalid theta request: need at least one qubit, got {n}")
     if args.k is None:
-        cat = catalog.ThetaCatalog.for_qubits(n)
+        try:
+            cat = catalog.ThetaCatalog.for_qubits(n)
+        except ValueError as exc:
+            raise _Exit(2, f"invalid theta request: {exc}; ask for one size with 'theta {n} K'")
         lines = [f"possible UPB sizes on {n} qubits:"]
         if cat.exact_set is not None:
             lines.append(f"  exactly {sorted(cat.exact_set)}")

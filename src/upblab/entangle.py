@@ -30,12 +30,10 @@ from .errors import (
 from .linalg import (
     ExactMatrix,
     _range_quadratic_form,
-    annihilates,
     as_vector,
     kron_vec,
     matrix_rank,
     nullspace_basis,
-    sparse_cleared_rows,
 )
 from .product import (
     ExtendDecision,
@@ -43,7 +41,6 @@ from .product import (
     ProductVector,
     build_product_set,
     extend_or_certify,
-    verify_ops,
 )
 from .qubits import LocalState
 from .scalars import CQ0, CQ1, ComplexRational, complex_sqrt
@@ -95,21 +92,21 @@ def product_vector_from_flat(v, n: int) -> Optional[ProductVector]:
 
 
 def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
-    """A verified product basis of ker(d), if one is in reach.
+    """A product basis of ker(d), if one is in reach.
 
-    Uses the attached kernel set when present (after exact revalidation);
-    otherwise tests whether the computed nullspace basis happens to consist
-    of mutually orthogonal product vectors.  No rotated bases are searched.
+    Uses the attached kernel set when it has one member per kernel
+    dimension: ``DensityOp`` checked at construction that d annihilates
+    each member and that the set lives on d's parties, and its members are
+    independent, so they span the kernel.  Otherwise tests whether the
+    computed nullspace basis happens to consist of mutually orthogonal
+    product vectors.  No rotated bases are searched.
     """
     nullity = d.dim - d.rank()
-    if d.kernel_product_set is not None:
-        s = d.kernel_product_set
-        if len(s.members) == nullity and s.verified:
-            rows = sparse_cleared_rows(d.matrix)
-            if all(annihilates(rows, m.cleared_flatten()) for m in s.members):
-                return s
+    s = d.kernel_product_set
+    if s is not None and len(s.members) == nullity:
+        return s
     if nullity == 0:
-        return ProductSet(parties=d.parties, members=(), structure=verify_ops(()))
+        return ProductSet(d.parties, ())
     basis = nullspace_basis(d.matrix)
     members = []
     for vec in basis:

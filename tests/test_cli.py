@@ -144,6 +144,17 @@ def test_theta_answers(capsys):
     assert "6, 7, 8, 9, 10, 12, 16" in capsys.readouterr().out
 
 
+def test_theta_table_is_bounded(capsys):
+    # the table lists every size, so it is refused past the bound at once;
+    # one size is still answered
+    assert main(["theta", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stops at 20 qubits" in captured.err and "'theta 64 K'" in captured.err
+    assert main(["theta", "64", "59"]) == 0
+    assert "size 59 on 64 qubits: not_member" in capsys.readouterr().out
+
+
 def test_min_size(capsys):
     assert main(["min-size", "12"]) == 0
     assert "16" in capsys.readouterr().out

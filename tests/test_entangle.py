@@ -27,9 +27,10 @@ from upblab.linalg import (
     matrix_rank,
     nullspace_basis,
     outer,
+    range_quadratic_form,
     solve_consistent,
 )
-from upblab.product import ProductVector, shifts_upb
+from upblab.product import ProductVector, build_product_set, shifts_upb
 from upblab.qubits import LocalState
 from upblab.scalars import ComplexRational
 from upblab.states import complement_projector, density_from_matrix, pure_density
@@ -84,15 +85,27 @@ def test_full_rank_scan_finds_the_all_zero_product():
     assert res.witness.flatten() == ProductVector([LocalState.ket(0)] * 3).flatten()
 
 
+def test_scan_finds_a_product_in_the_range_of_a_subset_complement():
+    # three of the four shifts members extend, so the complement of their
+    # span holds a product vector
+    d = complement_projector(build_product_set(shifts_upb().members[:3]))
+    res = range_product_scan(d)
+    assert res.verdict == "found"
+    assert range_quadratic_form(d.matrix, res.witness.flatten()) is not None
+
+
 @pytest.mark.parametrize("dims", [(2, 4), (4, 2), (8,)])
 def test_scan_refuses_a_qubit_kernel_set_on_other_parties(dims):
     # the shifts complement's matrix and kernel set, read over other parties:
     # every 4-dim subspace of 2 (x) 4 holds a product vector, and on a single
-    # 8-dim party every vector is one, so no certificate may be claimed
+    # 8-dim party every vector is one, so no certificate may be claimed.  The
+    # qubit set cannot be attached there, and the scan refuses the matrix
     s = shifts_upb()
-    d = density_from_matrix(dims, complement_projector(s).matrix, kernel_product_set=s)
+    m = complement_projector(s).matrix
+    with pytest.raises(ValueError, match="differ from the operator's dims"):
+        density_from_matrix(dims, m, kernel_product_set=s)
     with pytest.raises(NonQubitPartyError):
-        range_product_scan(d)
+        range_product_scan(density_from_matrix(dims, m))
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 4), (6,)])
@@ -196,7 +209,7 @@ def test_kernel_fallback_accepts_orthogonal_products():
     d = density_from_matrix((2, 2), diag)
     assert d.kernel_product_set is None
     kernel = entangle._kernel_product_basis(d)
-    assert kernel is not None and kernel.verified
+    assert kernel is not None
     assert {m.flatten() for m in kernel.members} == {_flat(0, 1, 0, 0), _flat(0, 0, 1, 0)}
     res = range_product_scan(d)
     assert res.verdict == "found"
@@ -488,23 +501,25 @@ def test_attached_kernel_set_is_revalidated():
 
     d = complement_projector(shifts_upb())
     assert entangle._kernel_product_basis(d) is d.kernel_product_set
-    # a verified set of the right size that is not in the kernel
+    # a product set of the right size that is not in the kernel cannot be
+    # attached
     wrong = build_product_set(
         [ProductVector.from_bits(b) for b in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))]
     )
-    assert entangle._kernel_product_basis(replace(d, kernel_product_set=wrong)) is not wrong
+    with pytest.raises(ValueError, match="not annihilated"):
+        replace(d, kernel_product_set=wrong)
     # M x with zero real parts but nonzero imaginary parts: |w><w| (i|0>)
     # with w = (1, 1) is (i, i)
     w = _flat(1, 1)
     imaginary = build_product_set([ProductVector([LocalState.pair(CQ(0, 1), 0)])])
-    d = density_from_matrix((2,), outer(w, w), kernel_product_set=imaginary)
-    assert entangle._kernel_product_basis(d) is not imaginary
+    with pytest.raises(ValueError, match="not annihilated"):
+        density_from_matrix((2,), outer(w, w), kernel_product_set=imaginary)
 
 
 def test_range_scan_takes_attached_kernel_set_without_elimination(monkeypatch):
-    """A 5-qubit complement keeps its generating set: the scan re-checks it
-    against the matrix and certifies from it, so neither rref (the nullspace
-    fallback) nor bareiss_rank runs."""
+    """A 5-qubit complement keeps its generating set, which construction
+    checked against the matrix: the scan certifies from it, so neither rref
+    (the nullspace fallback) nor bareiss_rank runs."""
     from upblab import _kernels
 
     d = rotated_complement(random.Random(3), 2)

@@ -8,7 +8,6 @@ from upblab.errors import (
     ApproximateComparisonError,
     DuplicateMemberError,
     NotOrthogonalError,
-    NotVerifiedError,
 )
 from upblab.linalg import ExactMatrix, inner, matrix_rank
 from upblab.product import (
@@ -102,10 +101,20 @@ def test_covering_search_branch_counts_are_pinned():
         assert d.extendible and d.branches_explored == branches
 
 
-def test_extend_requires_verified():
-    s = ProductSet(parties=3, members=shifts_upb().members)
-    with pytest.raises(NotVerifiedError):
-        extend_or_certify(s)
+def test_product_set_verifies_at_construction():
+    with pytest.raises(NotOrthogonalError):
+        ProductSet(2, (ProductVector([K0, K1]), ProductVector([K0, PLUS])))
+    with pytest.raises(ValueError, match="2 parties"):
+        ProductSet(2, shifts_upb().members)
+
+
+def test_product_set_takes_no_structure():
+    # a structure is never handed in: the one of other members made an
+    # extendible set read as unextendible
+    shifts = shifts_upb()
+    with pytest.raises(TypeError):
+        ProductSet(3, shifts.members[:3], structure=shifts.structure)
+    assert extend_or_certify(build_product_set(shifts.members[:3])).extendible
 
 
 def test_removed_basis_vector_is_recovered():
@@ -152,11 +161,6 @@ def test_standard_opb_small():
 
 def test_shifts_is_proper():
     assert is_proper(shifts_upb())
-
-
-def test_is_proper_requires_verified():
-    with pytest.raises(NotVerifiedError):
-        is_proper(ProductSet(parties=3, members=shifts_upb().members))
 
 
 def test_tensor_with_extra_qubits():

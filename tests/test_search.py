@@ -51,7 +51,7 @@ def witnesses_of(t):
 def test_realize_shifts_pattern_is_unextendible():
     s = realize_template(template_from_witnesses(3, 4, _SHIFTS_PATTERN))
     assert not isinstance(s, Infeasible)
-    assert s.verified and len(s.members) == 4
+    assert len(s.members) == 4
     assert not extend_or_certify(s).extendible
 
 
@@ -88,7 +88,7 @@ def test_template_with_many_components_realizes():
     assert [row[0] for row in label_template(t).labels] == list(range(40))
     s = realize_template(t)
     assert not isinstance(s, Infeasible)
-    assert s.verified and len(s.members) == 40
+    assert len(s.members) == 40
     witnesses = s.structure.witnesses()
     for (i, j), p in choice.items():
         assert p in witnesses[i, j]

@@ -13,7 +13,7 @@ from upblab.errors import (
     BadMaskError,
     NotHermitianError,
     NotInRangeError,
-    NotVerifiedError,
+    NotOrthogonalError,
     SpansEverythingError,
 )
 from upblab.linalg import (
@@ -94,14 +94,17 @@ def test_complement_full_basis_rejected():
 
 
 def test_complement_requires_verified(monkeypatch):
-    # |00> and |0,+> are not orthogonal; the refusal comes before any
-    # member's coordinates are read
-    s = ProductSet(2, (ProductVector.from_bits([0, 0]), ProductVector([K0, LocalState.pair(1, 1)])))
+    # |00> and |0,+> are not orthogonal: the set cannot be built, and the
+    # refusal comes before any member's coordinates are read
     monkeypatch.setattr(ProductVector, "cleared_flatten", None)
-    with pytest.raises(NotVerifiedError):
-        complement_projector(s)
-    with pytest.raises(NotVerifiedError):
-        complement_projector(ProductSet(3, shifts_upb().members))
+    with pytest.raises(NotOrthogonalError):
+        ProductSet(2, (ProductVector.from_bits([0, 0]), ProductVector([K0, LocalState.pair(1, 1)])))
+
+
+def test_kernel_set_outside_the_kernel_cannot_be_attached():
+    d = complement_projector(shifts_upb())
+    with pytest.raises(ValueError, match="member 0 is not annihilated"):
+        replace(d, kernel_product_set=standard_opb(3))
 
 
 def test_complement_eleven_member_kernel_matches_block_formula():
