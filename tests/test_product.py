@@ -101,6 +101,16 @@ def test_covering_search_branch_counts_are_pinned():
         assert d.extendible and d.branches_explored == branches
 
 
+def test_extend_requires_verified():
+    # a set built directly is verified on construction, so extend_or_certify
+    # sees a checked structure; a non-orthogonal list never reaches it
+    s = ProductSet(parties=3, members=shifts_upb().members)
+    assert s.structure == shifts_upb().structure
+    assert not extend_or_certify(s).extendible
+    with pytest.raises(NotOrthogonalError):
+        extend_or_certify(ProductSet(2, (ProductVector([K0, K1]), ProductVector([K0, PLUS]))))
+
+
 def test_product_set_verifies_at_construction():
     with pytest.raises(NotOrthogonalError):
         ProductSet(2, (ProductVector([K0, K1]), ProductVector([K0, PLUS])))
@@ -161,6 +171,15 @@ def test_standard_opb_small():
 
 def test_shifts_is_proper():
     assert is_proper(shifts_upb())
+
+
+def test_is_proper_requires_verified():
+    # is_proper reads the member count, which counts independent vectors
+    # only because construction rejected duplicates and non-orthogonal pairs
+    assert is_proper(ProductSet(parties=3, members=shifts_upb().members))
+    dup = standard_opb(2).members[:1] * 2
+    with pytest.raises(DuplicateMemberError):
+        is_proper(ProductSet(2, dup))
 
 
 def test_tensor_with_extra_qubits():
