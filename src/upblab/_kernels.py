@@ -6,6 +6,13 @@
                         Schur update runs over the pivot row's nonzero
                         multipliers and forms each Hermitian pair once
 
+``ldl_hermitian`` first splits its matrix into the connected blocks of the
+nonzero pattern, which the elimination never mixes.  Each distinct block is
+eliminated once, so the copies of C in a complement C (x) I, and in each of
+its partial transposes, share one run.  The per-block records are merged,
+by the whole-matrix pivot rule, into the record the whole matrix gives; a
+matrix of one block runs the loop as it stands.
+
 Matrices are lists of rows; each entry is a triple ``(p, q, r)`` meaning
 ``(p + q*i)/r`` with ``r > 0``.  Inputs and returned values are reduced,
 ``gcd(p, q, r) = 1``.  Inside ``ldl_hermitian`` a Schur-complement entry is
@@ -18,6 +25,7 @@ importing the names, so tests and tracers can rebind them on this module.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .scalars import cq_add, cq_conj, cq_div, cq_make, cq_mul, cq_scale_rat, cq_sub
@@ -153,6 +161,24 @@ def ldl_hermitian(rows, n):
     when elimination leaves a zero block.  The input must be exactly
     Hermitian: the update writes each W_ji as the conjugate of W_ij.
 
+    A pivot's multipliers and Schur update stay inside its connected block
+    of the nonzero pattern, so the blocks are eliminated apart.  The matrix
+    is split into its blocks first, each row read at most once, and 1x1
+    zero blocks, which take no part, are dropped.  One block left runs the
+    loop on the input as it stands.  Otherwise the loop runs once per
+    distinct block, keyed on its entries in ascending index order, so the
+    copies of C in C (x) I, and in its partial transposes, share one run.
+    The per-block records are merged into the record the whole matrix
+    gives:
+      * steps go in the order the whole-matrix rule takes them, the
+        smallest next pivot index over the blocks first;
+      * "neg_diag" is returned right after the step that leaves a block
+        with a negative diagonal, or at once, at the smallest such index,
+        when blocks start negative;
+      * once no block has a pivot left, "zero_diag" is returned at the
+        lexicographically least pair over the blocks;
+      * a block's witness is lifted to length n by zeros.
+
     The input rows are reduced triples and are not mutated; every returned
     value is reduced.  Schur-complement entries stay unreduced until they
     are read as a value (a pivot, a negative diagonal, an offending
@@ -170,22 +196,117 @@ def ldl_hermitian(rows, n):
       pair      -- on "zero_diag", the offending (i, j) in the Schur block
       value     -- on failure, the negative value <w|M|w> as (num, den)
     """
+    blocks = _blocks(rows, n)
+    if len(blocks) < 2:
+        return _ldl_dense(rows, n)[0]
+    runs = {}
+    parts = []
+    for idx in blocks:
+        key = tuple(tuple([rows[i][j] for j in idx]) for i in idx)
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = _ldl_dense(key, len(idx))
+        parts.append((idx, run))
+    order = []
+    pivots = []
+    steps = []
+
+    def record(verdict, b=None, pair=None):
+        witness = value = None
+        if b is not None:
+            idx, (rec, _) = parts[b]
+            witness = [(0, 0, 1)] * n
+            for i, x in zip(idx, rec["witness"]):
+                witness[i] = x
+            value = rec["value"]
+        return _record(verdict, order, pivots, steps, witness, pair, value)
+
+    negative = [
+        (idx[neg], b) for b, (idx, (rec, neg)) in enumerate(parts) if neg >= 0 and not rec["order"]
+    ]
+    if negative:
+        return record("neg_diag", min(negative)[1])
+    # (next pivot, block, its step), one entry per block with pivots left
+    heap = [
+        (idx[rec["order"][0]], b, 0) for b, (idx, (rec, _)) in enumerate(parts) if rec["order"]
+    ]
+    heapify(heap)
+    while heap:
+        _, b, t = heappop(heap)
+        idx, (rec, neg) = parts[b]
+        q, frow = rec["steps"][t]
+        p = idx[q]
+        order.append(p)
+        pivots.append(rec["pivots"][t])
+        steps.append((p, [(idx[k], f) for k, f in frow]))
+        t += 1
+        if t < len(rec["order"]):
+            heappush(heap, (idx[rec["order"][t]], b, t))
+        elif neg >= 0:
+            return record("neg_diag", b)
+    pairs = [
+        (idx[rec["pair"][0]], idx[rec["pair"][1]], b)
+        for b, (idx, (rec, _)) in enumerate(parts)
+        if rec["pair"]
+    ]
+    if pairs:
+        i, j, b = min(pairs)
+        return record("zero_diag", b, (i, j))
+    return record("psd")
+
+
+def _blocks(rows, n):
+    """The connected blocks of a Hermitian matrix's nonzero pattern, as
+    ascending index lists in order of their least index, without the 1x1
+    zero blocks.  Each row is read at most once, and only at the indices
+    that have no block yet: by symmetry, a finished block has no nonzero
+    outside itself."""
+    if n and (0, 0, 1) not in rows[0]:
+        return [list(range(n))]  # row 0 reaches every index
+    blocks = []
+    rest = list(range(n))  # indices with no block yet, ascending
+    while rest:
+        s = rest.pop(0)
+        block = [s]
+        for i in block:  # grows as the block is found
+            if not rest:
+                break
+            row = rows[i]
+            new = [j for j in rest if row[j][0] or row[j][1]]
+            if len(new) == len(rest):
+                rest = []
+            elif new:
+                new_set = set(new)
+                rest = [j for j in rest if j not in new_set]
+            block += new
+        d = rows[s][s]
+        if len(block) > 1 or d[0] or d[1]:
+            block.sort()
+            blocks.append(block)
+    return blocks
+
+
+def _record(verdict, order, pivots, steps, witness=None, pair=None, value=None):
+    """The record ``ldl_hermitian`` returns."""
+    return {
+        "verdict": verdict,
+        "order": order,
+        "pivots": pivots,
+        "steps": steps,
+        "witness": witness,
+        "pair": pair,
+        "value": value,
+    }
+
+
+def _ldl_dense(rows, n):
+    """The elimination loop of ``ldl_hermitian`` over the whole matrix, and
+    the index of the negative diagonal on "neg_diag" (-1 otherwise)."""
     W = [list(r) for r in rows]
     act = list(range(n))  # active indices, ascending
     order = []
     pivots = []
     steps = []
-
-    def record(verdict, witness=None, pair=None, value=None):
-        return {
-            "verdict": verdict,
-            "order": order,
-            "pivots": pivots,
-            "steps": steps,
-            "witness": witness,
-            "pair": pair,
-            "value": value,
-        }
 
     def backapply(u):
         # Map a vector through the accumulated congruence: w = E_1 ... E_T u.
@@ -214,7 +335,8 @@ def ldl_hermitian(rows, n):
             val = cq_make(*W[neg][neg])
             u = [(0, 0, 1)] * n
             u[neg] = (1, 0, 1)
-            return record("neg_diag", backapply(u), value=(val[0], val[2]))
+            w = backapply(u)
+            return _record("neg_diag", order, pivots, steps, w, value=(val[0], val[2])), neg
         if pos < 0:
             # Active diagonal all zero: look for a nonzero off-diagonal.
             for a in range(len(act)):
@@ -227,8 +349,10 @@ def ldl_hermitian(rows, n):
                         u[i] = (1, 0, 1)
                         u[j] = cq_conj((-c[0], -c[1], c[2]))
                         n2 = c[0] * c[0] + c[1] * c[1]
-                        return record("zero_diag", backapply(u), (i, j), (-2 * n2, c[2] * c[2]))
-            return record("psd")
+                        w = backapply(u)
+                        value = (-2 * n2, c[2] * c[2])
+                        return _record("zero_diag", order, pivots, steps, w, (i, j), value), -1
+            return _record("psd", order, pivots, steps), -1
         p = pos
         act.remove(p)
         d = cq_make(*W[p][p])

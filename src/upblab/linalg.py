@@ -72,23 +72,68 @@ def sparse_cleared_rows(m: ExactMatrix) -> tuple[int, list]:
     return m.cols, rows
 
 
-def annihilates(sparse_rows, x) -> bool:
-    """M x == 0, for M given by ``sparse_cleared_rows`` and x as ``cleared``
-    (re, im) parts.  A vector of another length is not in the kernel."""
+def kronecker_packer(width: int, count: int):
+    """Kronecker substitution of ``count`` signed integers into one,
+    ``width`` bytes per slot: ``pack(xs)`` is sum_k xs[k] 2^(8 width k).
+
+    Returns ``(pack, half, bias)``.  A sum of packed integers whose every
+    slot stays within (-half, half) reads off slot by slot: adding ``bias``
+    makes each slot nonnegative, so slot k plus ``half`` sits in bytes
+    ``k * width`` to ``(k + 1) * width`` of its little-endian form, and the
+    sum is zero exactly when every slot is.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+
+    def pack(xs):
+        return int.from_bytes(
+            b"".join((x + half).to_bytes(width, "little") for x in xs), "little"
+        ) - bias
+
+    return pack, half, bias
+
+
+def annihilates(sparse_rows, xs) -> Optional[int]:
+    """The index of the first vector in ``xs`` that M does not annihilate,
+    or None when M x == 0 for all of them; M is given by
+    ``sparse_cleared_rows`` and each x as ``cleared`` (re, im) parts.  A
+    vector of another length is not in the kernel.
+
+    All vectors are checked in one pass over M: their coordinates are packed
+    per column and part into one integer (``kronecker_packer``), one slot
+    per vector, so a row costs one multiply-add per nonzero entry and part.
+    No slot of a row's product exceeds the row's sum_j (|re| + |im|) times
+    a vector's largest |re| plus its largest |im|, and a slot holds that
+    bound and a sign bit."""
     cols, rows = sparse_rows
-    xr, xi = x
-    if len(xr) != cols:
-        return False
+    xs = list(xs)
+    # a vector of another length comes before every later one
+    first = next((k for k, (xr, _) in enumerate(xs) if len(xr) != cols), len(xs))
+    if first == 0:
+        return 0 if xs else None
+    count, m = len(xs), first
+    xs = xs[:m]
+    big = max(max(map(abs, xr), default=0) + max(map(abs, xi), default=0) for xr, xi in xs)
+    bound = big * max((sum(abs(a) + abs(b) for _, a, b in row) for row in rows), default=0)
+    width = bound.bit_length() // 8 + 1
+    pack, half, bias = kronecker_packer(width, m)
+    pr = [pack(col) for col in zip(*(xr for xr, _ in xs))]
+    pi = [pack(col) for col in zip(*(xi for _, xi in xs))]
     for row in rows:
         re = im = 0
         for j, a, b in row:
-            u = xr[j]
-            v = xi[j]
+            u = pr[j]
+            v = pi[j]
             re += a * u - b * v
             im += a * v + b * u
-        if re or im:
-            return False
-    return True
+        for part in (re, im):
+            if part:
+                data = (part + bias).to_bytes(m * width, "little")
+                for k in range(first):
+                    if int.from_bytes(data[k * width : (k + 1) * width], "little") != half:
+                        first = k
+                        break
+    return None if first == count else first
 
 
 class ExactMatrix:

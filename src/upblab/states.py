@@ -32,6 +32,7 @@ from .linalg import (
     _range_quadratic_form,
     annihilates,
     as_vector,
+    kronecker_packer,
     matrix_rank,
     projector,
     psd_certificate,
@@ -69,10 +70,11 @@ class DensityOp:
         s = self.kernel_product_set
         if s is None:
             return
-        rows = sparse_cleared_rows(self.matrix)
-        for i, member in enumerate(s.members):
-            if not annihilates(rows, member.cleared_flatten()):
-                raise ValueError(f"member {i} is not annihilated by the matrix")
+        bad = annihilates(
+            sparse_cleared_rows(self.matrix), [m.cleared_flatten() for m in s.members]
+        )
+        if bad is not None:
+            raise ValueError(f"member {bad} is not annihilated by the matrix")
         # members of the right length can still factor over other parties
         if s.dims != tuple(self.dims):
             raise ValueError(
@@ -159,7 +161,7 @@ def complement_projector(s: ProductSet) -> DensityOp:
     weights = [big // n for n in norms]
     # Row i of N is sum_x (w x_i) conj(x), a sum of scaled member vectors.
     # Each member's real and imaginary coordinates are packed into one
-    # integer each, `width` bytes per coordinate (Kronecker substitution), so
+    # integer each, `width` bytes per coordinate (``kronecker_packer``), so
     # a row costs one multiply-add per member and part.  No entry of N
     # exceeds sum_x w max_j (|re| + |im|)^2 in absolute value, and a slot
     # holds that bound and a sign bit, so no slot spills into its neighbour.
@@ -168,16 +170,7 @@ def complement_projector(s: ProductSet) -> DensityOp:
         for (xr, xi), w in zip(vecs, weights)
     )
     width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    # Adding `half` to every slot makes each one nonnegative, so a packed
-    # row plus `bias` reads off slot by slot from its bytes.
-    bias = int.from_bytes(half.to_bytes(width, "little") * d, "little")
-
-    def pack(xs):
-        return int.from_bytes(
-            b"".join((x + half).to_bytes(width, "little") for x in xs), "little"
-        ) - bias
-
+    pack, half, bias = kronecker_packer(width, d)
     packed = [(xr, xi, w, pack(xr), pack(xi)) for (xr, xi), w in zip(vecs, weights)]
     # (L I - N) / (L (D - |s|)): the upper triangle, each nonzero entry
     # reduced once, and its conjugate below the diagonal.  A zero entry

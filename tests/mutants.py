@@ -49,7 +49,7 @@ MUTANTS = (
     Mutant(
         "DensityOp skips the annihilation check",
         "states.py",
-        "if not annihilates(rows, member.cleared_flatten()):",
+        "if bad is not None:",
         "if False:",
         (
             "tests/test_states.py::test_kernel_set_outside_the_kernel_cannot_be_attached",
@@ -106,6 +106,26 @@ MUTANTS = (
         "except (ValueError, RecursionError) as exc:",
         "except ValueError as exc:",
         ("tests/test_cli.py::test_unreadable_json_exits_two[deep-nesting]",),
+    ),
+    Mutant(
+        "ldl_hermitian runs each block's steps to the end before the next block's",
+        "_kernels.py",
+        'heappush(heap, (idx[rec["order"][t]], b, t))',
+        "heappush(heap, (-1, b, t))",
+        ("tests/test_kernels.py::test_ldl_of_scattered_blocks_matches_fraction_reference",),
+    ),
+    Mutant(
+        "ldl_hermitian reuses one elimination for blocks of the same size",
+        "_kernels.py",
+        """        run = runs.get(key)
+        if run is None:
+            run = runs[key] = _ldl_dense(key, len(idx))
+""",
+        """        run = runs.get(len(idx))
+        if run is None:
+            run = runs[len(idx)] = _ldl_dense(key, len(idx))
+""",
+        ("tests/test_kernels.py::test_ldl_of_scattered_blocks_matches_fraction_reference",),
     ),
     Mutant(
         "ExactMatrix.scale keeps the Hermitian mark for every scalar",

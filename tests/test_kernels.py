@@ -7,12 +7,14 @@ from fractions import Fraction
 import upblab._kernels as kernels
 from upblab import states
 from upblab.linalg import ExactMatrix, as_vector, outer, verify_psd_certificate
+from upblab.product import shifts_upb, tensor_upb_opb
 from upblab.scalars import ComplexRational
 
 from oracles import (
     ldl_reference,
     rand_hermitian,
     rand_scalar,
+    rand_vector,
     random_psd,
     rotated_complement,
 )
@@ -72,6 +74,117 @@ def test_ldl_output_is_pinned():
         h.update(repr(sorted(rec.items())).encode())
     assert set(verdicts) == {"psd", "neg_diag", "zero_diag"}
     assert h.hexdigest() == "88b3b44ee272e2c4d18f126c3215bed4ff0cbc3889c3c93072be8dd74040c084"
+
+
+def _block(rng, blocks):
+    """One Hermitian block, as rows of scalars: a copy of an earlier block
+    as it is or with its indices permuted, a 1x1 zero, [[0, c], [c*, 0]],
+    a block whose diagonal turns negative only after its own first pivot,
+    or a random PSD or indefinite block of width 1-4."""
+    roll = rng.random()
+    if blocks and roll < 0.3:
+        b = rng.choice(blocks)
+        perm = list(range(len(b)))
+        if roll < 0.15:
+            rng.shuffle(perm)
+        return [[b[i][j] for j in perm] for i in perm]
+    if roll < 0.4:
+        return [[ComplexRational(0)]]
+    if roll < 0.5:
+        c = rand_vector(rng, 1)[0]
+        return [[ComplexRational(0), c], [c.conjugate(), ComplexRational(0)]]
+    if roll < 0.6:
+        # Schur complement e - |b|^2 / a < 0 after the pivot a > 0
+        a = ComplexRational(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        c = rand_vector(rng, 1)[0]
+        e = ComplexRational((c * c.conjugate() / a).re * Fraction(rng.randint(0, 3), 4))
+        return [[a, c], [c.conjugate(), e]]
+    h = rand_hermitian(rng, rng.randint(1, 4), psd=roll < 0.8)
+    return [[h.at(i, j) for j in range(h.cols)] for i in range(h.rows)]
+
+
+def _scattered(rng):
+    """1-5 blocks from ``_block`` on shuffled indices, zero elsewhere.  A
+    block's rows and columns keep their relative order."""
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        blocks.append(_block(rng, blocks))
+    n = sum(len(b) for b in blocks)
+    places = list(range(n))
+    rng.shuffle(places)
+    rows = [[ComplexRational(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        idx = sorted(places[at : at + len(b)])
+        at += len(b)
+        for i, row in zip(idx, b):
+            for j, x in zip(idx, row):
+                rows[i][j] = x
+    return ExactMatrix.from_rows(rows)
+
+
+def _count_dense(monkeypatch):
+    """The size of each run of the kernel's elimination loop, as it runs."""
+    runs = []
+    real_dense = kernels._ldl_dense
+
+    def counted(rows, n):
+        runs.append(n)
+        return real_dense(rows, n)
+
+    monkeypatch.setattr(kernels, "_ldl_dense", counted)
+    return runs
+
+
+def test_ldl_of_scattered_blocks_matches_fraction_reference(monkeypatch):
+    """A block-diagonal matrix, its blocks scattered over shuffled indices,
+    gives the whole-matrix record -- steps in pivot order across blocks, a
+    negative diagonal the moment any block shows one, the least zero-
+    diagonal pair over all blocks, witnesses of length n -- while blocks
+    with equal entries are eliminated once."""
+    i = ComplexRational(0, 1)
+    mats = [
+        # the late negative of {0, 2} shows after pivot 0, with {1, 3} left
+        ExactMatrix.from_rows([[1, 0, 2, 0], [0, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 2]]),
+        # negative from the start in {1, 3} and {2}: the least index wins
+        ExactMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 3], [0, 0, -1, 0], [0, 3, 0, -2]]),
+        # two zero-diagonal pairs, (1, 3) and (0, 2), after pivot 4
+        ExactMatrix.from_rows(
+            [[0, 0, i, 0, 0], [0, 0, 0, 5, 0], [-i, 0, 0, 0, 0], [0, 5, 0, 0, 0], [0, 0, 0, 0, 3]]
+        ),
+    ]
+    rng = random.Random(20261020)
+    mats += [_scattered(rng) for _ in range(400)]
+    runs = _count_dense(monkeypatch)
+    verdicts = {}
+    split = shared = 0
+    for m in mats:
+        rows = m._triple_rows()
+        runs.clear()
+        rec = kernels.ldl_hermitian(rows, m.rows)
+        assert rec == ldl_reference(rows, m.rows)
+        verdicts[rec["verdict"]] = verdicts.get(rec["verdict"], 0) + 1
+        blocks = kernels._blocks(rows, m.rows)
+        split += len(blocks) > 1
+        shared += len(runs) < len(blocks)
+    late = kernels.ldl_hermitian(mats[0]._triple_rows(), 4)
+    assert late["verdict"] == "neg_diag" and late["order"] == [0]
+    assert min(verdicts.get(v, 0) for v in ("psd", "neg_diag", "zero_diag")) >= 20, verdicts
+    assert split > 200 and shared > 20, (split, shared)
+
+
+def test_block_copies_share_one_elimination(monkeypatch):
+    """The complement of U (x) (a basis of two qubits) is C (x) I_4: four
+    interleaved copies of one 8 x 8 block.  One ldl_hermitian call runs
+    the elimination loop once, on 8 indices, and still gives the record of
+    the whole 32 x 32 matrix."""
+    m = states.complement_projector(tensor_upb_opb(shifts_upb(), 2)).matrix
+    rows = m._triple_rows()
+    runs = _count_dense(monkeypatch)
+    rec = kernels.ldl_hermitian(rows, m.rows)
+    assert runs == [8]
+    assert rec["verdict"] == "psd" and len(rec["order"]) == 16
+    assert rec == ldl_reference(rows, m.rows)
 
 
 def _count_gcd(monkeypatch):

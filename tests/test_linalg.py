@@ -380,9 +380,12 @@ def test_rank_and_nullity_match_sympy_oracle():
 def test_sparse_annihilates_agrees_with_apply():
     """annihilates over sparse cleared rows decides M x == 0 exactly as
     ExactMatrix.apply does, for sparse and dense matrices and for vectors
-    inside and outside the kernel; a vector of another length is refused."""
+    inside and outside the kernel, one at a time and all at once, where it
+    names the first vector outside; a vector of another length is
+    refused."""
     rng = random.Random(12)
     outcomes = {True: 0, False: 0}
+    batches = {True: 0, False: 0}
     for _ in range(200):
         rows, cols = rng.randint(1, 6), rng.randint(1, 7)
         density = rng.choice((0.2, 0.5, 1.0))
@@ -394,22 +397,36 @@ def test_sparse_annihilates_agrees_with_apply():
         vectors = [rand_vector(rng, cols)]
         kernel = nullspace_basis(m)
         if kernel:
-            x = [ComplexRational(0)] * cols
-            for k in kernel:
-                c = rand_scalar(rng)
-                x = [a + c * b for a, b in zip(x, k)]
-            vectors.append(tuple(x))
+            for _ in range(3):
+                x = [ComplexRational(0)] * cols
+                for k in kernel:
+                    c = rand_scalar(rng)
+                    x = [a + c * b for a, b in zip(x, k)]
+                vectors.append(tuple(x))
             # one coordinate off: outside the kernel unless that column is zero
             j = rng.randrange(cols)
             vectors.append(tuple(a + 1 if i == j else a for i, a in enumerate(kernel[0])))
-        for x in vectors:
-            expected = all(e.is_zero() for e in m.apply(x))
-            assert annihilates(sparse, cleared(x)) is expected
+        inside = [all(e.is_zero() for e in m.apply(x)) for x in vectors]
+        for x, expected in zip(vectors, inside):
+            assert annihilates(sparse, [cleared(x)]) == (None if expected else 0)
             outcomes[expected] += 1
-        assert not annihilates(sparse, cleared(rand_vector(rng, cols + 1)))
+        assert annihilates(sparse, [cleared(rand_vector(rng, cols + 1))]) == 0
         if cols > 1:
-            assert not annihilates(sparse, cleared(rand_vector(rng, cols - 1)))
+            assert annihilates(sparse, [cleared(rand_vector(rng, cols - 1))]) == 0
+        # all at once, shuffled: only those inside, or all of them, or all
+        # and a vector of another length
+        batch = list(zip(vectors, inside))
+        rng.shuffle(batch)
+        roll = rng.random()
+        if roll < 0.4:
+            batch = [(x, ok) for x, ok in batch if ok]
+        elif roll < 0.7:
+            batch.insert(rng.randint(0, len(batch)), (rand_vector(rng, cols + 1), False))
+        first = next((k for k, (_, ok) in enumerate(batch) if not ok), None)
+        assert annihilates(sparse, [cleared(x) for x, _ in batch]) == first
+        batches[first is None] += 1
     assert min(outcomes.values()) > 50
+    assert min(batches.values()) > 20
 
 
 def test_sparse_cleared_rows_of_zero_rows_are_empty():
@@ -420,4 +437,4 @@ def test_sparse_cleared_rows_of_zero_rows_are_empty():
     assert sparse_cleared_rows(m) == (3, [[(0, 3, 0), (1, 0, 2)], [], [(1, 5, 0)]])
     assert sparse_cleared_rows(ExactMatrix.zeros(2, 4)) == (4, [[], []])
     x = cleared(rand_vector(random.Random(5), 4))
-    assert annihilates(sparse_cleared_rows(ExactMatrix.zeros(2, 4)), x)
+    assert annihilates(sparse_cleared_rows(ExactMatrix.zeros(2, 4)), [x]) is None
