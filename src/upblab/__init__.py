@@ -28,7 +28,6 @@ from .linalg import (
     ExactMatrix,
     PsdCertificate,
     matrix_rank,
-    nullspace_basis,
     psd_certificate,
     range_quadratic_form,
 )

@@ -5,6 +5,8 @@
 * ``ldl_hermitian``  -- pivoted symmetric elimination with certificates; the
                         Schur update runs over the pivot row's nonzero
                         multipliers and forms each Hermitian pair once
+* ``backapply``      -- back substitution through a record, behind the
+                        witnesses and ``linalg``'s kernel basis
 
 ``ldl_hermitian`` first splits its matrix into the connected blocks of the
 nonzero pattern, which the elimination never mixes.  Each distinct block is
@@ -25,7 +27,6 @@ importing the names, so tests and tracers can rebind them on this module.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .scalars import cq_add, cq_conj, cq_div, cq_make, cq_mul, cq_scale_rat, cq_sub
@@ -226,23 +227,21 @@ def ldl_hermitian(rows, n):
     ]
     if negative:
         return record("neg_diag", min(negative)[1])
-    # (next pivot, block, its step), one entry per block with pivots left
-    heap = [
-        (idx[rec["order"][0]], b, 0) for b, (idx, (rec, _)) in enumerate(parts) if rec["order"]
-    ]
-    heapify(heap)
-    while heap:
-        _, b, t = heappop(heap)
+    # One ascending sort of every block's steps by pivot index gives the
+    # whole-matrix order, as a block's pivots ascend: an active index below a
+    # pivot has a zero Schur diagonal, which later steps can only make
+    # negative, so it is never a pivot.
+    merged = sorted(
+        (idx[q], b, t)
+        for b, (idx, (rec, _)) in enumerate(parts)
+        for t, q in enumerate(rec["order"])
+    )
+    for p, b, t in merged:
         idx, (rec, neg) = parts[b]
-        q, frow = rec["steps"][t]
-        p = idx[q]
         order.append(p)
         pivots.append(rec["pivots"][t])
-        steps.append((p, [(idx[k], f) for k, f in frow]))
-        t += 1
-        if t < len(rec["order"]):
-            heappush(heap, (idx[rec["order"][t]], b, t))
-        elif neg >= 0:
+        steps.append((p, [(idx[k], f) for k, f in rec["steps"][t][1]]))
+        if neg >= 0 and t == len(rec["order"]) - 1:
             return record("neg_diag", b)
     pairs = [
         (idx[rec["pair"][0]], idx[rec["pair"][1]], b)
@@ -299,6 +298,21 @@ def _record(verdict, order, pivots, steps, witness=None, pair=None, value=None):
     }
 
 
+def backapply(steps, u):
+    """Map the triple list u, in place, through the congruence of a record's
+    steps, w = E_1 ... E_T u, last step first: w_p = u_p - sum_k f_k w_k at
+    each step's pivot p, so that l_t* w = u_p."""
+    for p, frow in reversed(steps):
+        s = (0, 0, 1)
+        for k, f in frow:
+            uk = u[k]
+            if uk[0] != 0 or uk[1] != 0:
+                s = cq_add(s, cq_mul(f, uk))
+        if s[0] != 0 or s[1] != 0:
+            u[p] = cq_sub(u[p], s)
+    return u
+
+
 def _ldl_dense(rows, n):
     """The elimination loop of ``ldl_hermitian`` over the whole matrix, and
     the index of the negative diagonal on "neg_diag" (-1 otherwise)."""
@@ -307,19 +321,6 @@ def _ldl_dense(rows, n):
     order = []
     pivots = []
     steps = []
-
-    def backapply(u):
-        # Map a vector through the accumulated congruence: w = E_1 ... E_T u.
-        for t in range(len(steps) - 1, -1, -1):
-            p, frow = steps[t]
-            s = (0, 0, 1)
-            for k, f in frow:
-                uk = u[k]
-                if uk[0] != 0 or uk[1] != 0:
-                    s = cq_add(s, cq_mul(f, uk))
-            if s[0] != 0 or s[1] != 0:
-                u[p] = cq_sub(u[p], s)
-        return u
 
     while True:
         neg = -1
@@ -335,7 +336,7 @@ def _ldl_dense(rows, n):
             val = cq_make(*W[neg][neg])
             u = [(0, 0, 1)] * n
             u[neg] = (1, 0, 1)
-            w = backapply(u)
+            w = backapply(steps, u)
             return _record("neg_diag", order, pivots, steps, w, value=(val[0], val[2])), neg
         if pos < 0:
             # Active diagonal all zero: look for a nonzero off-diagonal.
@@ -349,7 +350,7 @@ def _ldl_dense(rows, n):
                         u[i] = (1, 0, 1)
                         u[j] = cq_conj((-c[0], -c[1], c[2]))
                         n2 = c[0] * c[0] + c[1] * c[1]
-                        w = backapply(u)
+                        w = backapply(steps, u)
                         value = (-2 * n2, c[2] * c[2])
                         return _record("zero_diag", order, pivots, steps, w, (i, j), value), -1
             return _record("psd", order, pivots, steps), -1

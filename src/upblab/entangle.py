@@ -5,7 +5,8 @@ The scanner takes qubit parties only and has an exact branch and a
 heuristic branch.  Exact: when the kernel is spanned by a known or detected
 orthogonal set of product vectors (the empty set for a full-rank operator),
 "product vector in the range" is equivalent to "extension of that set", so
-the covering search decides it with a certificate either way.  Heuristic:
+the covering search decides it with a certificate either way; a detected
+set is read from the operator's one LDL* certificate.  Heuristic:
 alternating single-party maximization of the range overlap from random
 starts; a near-hit is only ever reported as found after exact rational
 confirmation, never on float evidence alone.
@@ -29,11 +30,11 @@ from .errors import (
 )
 from .linalg import (
     ExactMatrix,
+    _kernel_basis,
     _range_quadratic_form,
     as_vector,
     kron_vec,
     matrix_rank,
-    nullspace_basis,
 )
 from .product import (
     ExtendDecision,
@@ -98,7 +99,7 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
     dimension: ``DensityOp`` checked at construction that d annihilates
     each member and that the set lives on d's parties, and its members are
     independent, so they span the kernel.  Otherwise tests whether the
-    computed nullspace basis happens to consist of mutually orthogonal
+    kernel basis read from d's certificate consists of mutually orthogonal
     product vectors.  No rotated bases are searched.
     """
     nullity = d.dim - d.rank()
@@ -107,9 +108,8 @@ def _kernel_product_basis(d: DensityOp) -> Optional[ProductSet]:
         return s
     if nullity == 0:
         return ProductSet(d.parties, ())
-    basis = nullspace_basis(d.matrix)
     members = []
-    for vec in basis:
+    for vec in _kernel_basis(d.psd()):
         pv = product_vector_from_flat(vec, d.parties)
         if pv is None:
             return None

@@ -1,5 +1,5 @@
-"""Dense exact matrices over Q(i): rank, nullspace, PSD certificates, and
-range-restricted quadratic forms.
+"""Dense exact matrices over Q(i): rank, consistent solves, PSD certificates,
+and the range quadratic form and kernel basis read from a certificate.
 
 Vectors are plain tuples of :class:`~upblab.scalars.ComplexRational` and are
 deliberately unnormalized; squared norms stay rational so nothing ever
@@ -337,26 +337,6 @@ def matrix_rank(m: ExactMatrix) -> int:
     return _kernels.bareiss_rank(m._triple_rows(), m.rows, m.cols)
 
 
-def nullspace_basis(m: ExactMatrix) -> list[Vector]:
-    """A basis of ker(m): independent vectors annihilated by m exactly.
-
-    Built from the reduced row echelon form; size is cols - rank.
-    """
-    rank, piv_cols, red = _kernels.rref(m._triple_rows(), m.rows, m.cols)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(m.cols) if c not in piv_set]
-    basis = []
-    for f in free_cols:
-        v = [CQ0] * m.cols
-        v[f] = CQ1
-        for t, c in enumerate(piv_cols):
-            e = red[t][f]
-            if e[0] != 0 or e[1] != 0:
-                v[c] = ComplexRational.from_triple((-e[0], -e[1], e[2]))
-        basis.append(tuple(v))
-    return basis
-
-
 def solve_consistent(m: ExactMatrix, b: Sequence[ComplexRational]) -> Optional[Vector]:
     """One exact solution x of m x = b, or None when the system is
     inconsistent.  Free variables are set to zero."""
@@ -384,7 +364,7 @@ class PsdCertificate:
     Step t of ``steps`` is ``(p_t, ((k, f_k), ...))``: l_t is 1 at the pivot
     p_t, conj(f_k) at each listed k (f_k a reduced triple) and zero
     elsewhere, in particular at every earlier pivot.  The range quadratic
-    form and ``verify_psd_certificate`` read this layout.
+    form, the kernel basis and ``verify_psd_certificate`` read this layout.
 
     Otherwise ``witness`` satisfies ``<w|M|w> = witness_value < 0``;
     ``zero_diag_pair`` is set when the negativity came from a zero diagonal
@@ -535,3 +515,21 @@ def _range_quadratic_form(cert: PsdCertificate, v: Vector) -> Optional[Fraction]
     if any(x[0] or x[1] for x in r):
         return None
     return acc
+
+
+def _kernel_basis(cert: PsdCertificate) -> list[Vector]:
+    """A kernel basis of the PSD matrix ``cert`` certifies, M y = 0 exactly when
+    every l_t* y = 0: per non-pivot f, ascending, y is 1 at f and 0 at the other
+    non-pivots, and ``_kernels.backapply`` solves for the pivots.  They are the
+    rref pivots, so this is the reduced row echelon basis, vector for vector."""
+    if not cert.is_psd:
+        raise NotPsdError("matrix is not positive semidefinite")
+    pivots = {p for p, _ in cert.steps}
+    basis = []
+    for f in range(cert.dim):
+        if f not in pivots:
+            u = [CQ_ZERO] * cert.dim
+            u[f] = (1, 0, 1)
+            u = _kernels.backapply(cert.steps, u)
+            basis.append(tuple(map(ComplexRational.from_triple, u)))
+    return basis

@@ -5,9 +5,9 @@ the trace is read from the matrix, unnormalized operators are first class,
 and normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
 through the certified LDL* elimination, run at most once per matrix, and
-rank and range questions are answered from that one certificate.  The PPT
-sweep moves only the nonzero entries into each partial transpose, and the
-complement projector computes only its nonzero entries.
+rank, range and kernel questions are answered from that one certificate.
+The PPT sweep moves only the nonzero entries into each partial transpose,
+and the complement projector computes only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -364,6 +364,7 @@ def ppt_report(d: DensityOp) -> PptReport:
         for i, j, t in nonzero:
             rows[u[i] + m[j]][u[j] + m[i]] = t
         # d.psd() checked that d is Hermitian, so each partial transpose is
+        # Hermitian too, and _ldl_certificate skips that check
         certs[mask] = _ldl_certificate(rows, dim)
     return PptReport(certificates=certs)
 

@@ -110,8 +110,8 @@ MUTANTS = (
     Mutant(
         "ldl_hermitian runs each block's steps to the end before the next block's",
         "_kernels.py",
-        'heappush(heap, (idx[rec["order"][t]], b, t))',
-        "heappush(heap, (-1, b, t))",
+        "merged = sorted(",
+        "merged = list(",
         ("tests/test_kernels.py::test_ldl_of_scattered_blocks_matches_fraction_reference",),
     ),
     Mutant(
@@ -126,6 +126,20 @@ MUTANTS = (
             run = runs[len(idx)] = _ldl_dense(key, len(idx))
 """,
         ("tests/test_kernels.py::test_ldl_of_scattered_blocks_matches_fraction_reference",),
+    ),
+    Mutant(
+        "back substitution runs first step first",
+        "_kernels.py",
+        "for p, frow in reversed(steps):",
+        "for p, frow in steps:",
+        ("tests/test_linalg.py::test_kernel_basis_is_the_rref_basis",),
+    ),
+    Mutant(
+        "a pivot coordinate is taken as free",
+        "linalg.py",
+        "pivots = {p for p, _ in cert.steps}",
+        "pivots = {p for p, _ in cert.steps[1:]}",
+        ("tests/test_linalg.py::test_kernel_basis_is_the_rref_basis",),
     ),
     Mutant(
         "ExactMatrix.scale keeps the Hermitian mark for every scalar",

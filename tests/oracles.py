@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
+from upblab import _kernels
 from upblab.errors import DuplicateMemberError, NotOrthogonalError
 from upblab.linalg import ExactMatrix, as_vector, inner, projector
 from upblab.product import (
@@ -21,7 +22,7 @@ from upblab.product import (
     tensor_upb_opb,
 )
 from upblab.qubits import LocalState, local_perp
-from upblab.scalars import ComplexRational
+from upblab.scalars import CQ0, CQ1, ComplexRational
 from upblab.search import Infeasible, Template, realize_template, sample_template
 from upblab.states import DensityOp, complement_projector
 
@@ -45,6 +46,27 @@ def oracle_extendible(s: ProductSet) -> bool:
         if ok:
             return True
     return False
+
+
+def nullspace_basis(m: ExactMatrix):
+    """A basis of ker(m) from the reduced row echelon form, one vector per
+    free column f in ascending order: 1 at f, 0 at the other free columns.
+    It runs the library's ``rref``; the library itself reads its kernel
+    bases from PSD certificates instead."""
+    rank, piv_cols, red = _kernels.rref(m._triple_rows(), m.rows, m.cols)
+    piv_set = set(piv_cols)
+    basis = []
+    for f in range(m.cols):
+        if f in piv_set:
+            continue
+        v = [CQ0] * m.cols
+        v[f] = CQ1
+        for t, c in enumerate(piv_cols):
+            e = red[t][f]
+            if e[0] != 0 or e[1] != 0:
+                v[c] = ComplexRational.from_triple((-e[0], -e[1], e[2]))
+        basis.append(tuple(v))
+    return basis
 
 
 def class_masks(keys, parties: int):
@@ -347,6 +369,62 @@ def random_psd(rng: random.Random, n: int, rank: int) -> ExactMatrix:
         [[ComplexRational(part(), part()) for _ in range(rank)] for _ in range(n)]
     )
     return g @ g.dagger()
+
+
+def sparse_low_rank_psd(rng: random.Random, n: int) -> ExactMatrix:
+    """G G-dagger for an n x r factor G with most entries zero."""
+    r = rng.randint(1, max(1, n // 2))
+    g = ExactMatrix.from_rows(
+        [[rand_scalar(rng) if rng.random() < 0.3 else 0 for _ in range(r)] for _ in range(n)]
+    )
+    return g @ g.dagger()
+
+
+def _random_block(rng, blocks):
+    """One Hermitian block, as rows of scalars: a copy of an earlier block
+    as it is or with its indices permuted, a 1x1 zero, [[0, c], [c*, 0]],
+    a block whose diagonal turns negative only after its own first pivot,
+    or a random PSD or indefinite block of width 1-4."""
+    roll = rng.random()
+    if blocks and roll < 0.3:
+        b = rng.choice(blocks)
+        perm = list(range(len(b)))
+        if roll < 0.15:
+            rng.shuffle(perm)
+        return [[b[i][j] for j in perm] for i in perm]
+    if roll < 0.4:
+        return [[ComplexRational(0)]]
+    if roll < 0.5:
+        c = rand_vector(rng, 1)[0]
+        return [[ComplexRational(0), c], [c.conjugate(), ComplexRational(0)]]
+    if roll < 0.6:
+        # Schur complement e - |b|^2 / a < 0 after the pivot a > 0
+        a = ComplexRational(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        c = rand_vector(rng, 1)[0]
+        e = ComplexRational((c * c.conjugate() / a).re * Fraction(rng.randint(0, 3), 4))
+        return [[a, c], [c.conjugate(), e]]
+    h = rand_hermitian(rng, rng.randint(1, 4), psd=roll < 0.8)
+    return [[h.at(i, j) for j in range(h.cols)] for i in range(h.rows)]
+
+
+def scattered_blocks(rng: random.Random) -> ExactMatrix:
+    """1-5 blocks from ``_random_block`` on shuffled indices, zero
+    elsewhere.  A block's rows and columns keep their relative order."""
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        blocks.append(_random_block(rng, blocks))
+    n = sum(len(b) for b in blocks)
+    places = list(range(n))
+    rng.shuffle(places)
+    rows = [[ComplexRational(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        idx = sorted(places[at : at + len(b)])
+        at += len(b)
+        for i, row in zip(idx, b):
+            for j, x in zip(idx, row):
+                rows[i][j] = x
+    return ExactMatrix.from_rows(rows)
 
 
 def gram_schmidt(vectors):

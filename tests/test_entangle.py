@@ -25,7 +25,6 @@ from upblab.linalg import (
     as_vector,
     kron_vec,
     matrix_rank,
-    nullspace_basis,
     outer,
     range_quadratic_form,
     solve_consistent,
@@ -37,6 +36,7 @@ from upblab.states import complement_projector, density_from_matrix, pure_densit
 
 from oracles import (
     flattening_entrywise,
+    nullspace_basis,
     rand_local,
     rand_scalar,
     rand_vector,
@@ -227,6 +227,37 @@ def test_kernel_fallback_rejects_non_orthogonal_products():
     assert [tuple(b) for b in basis] == [_flat(1, 1, 0, 0), _flat(1, 0, 1, 0)]
     assert all(product_vector_from_flat(b, 2) is not None for b in basis)
     assert entangle._kernel_product_basis(d) is None
+
+
+@pytest.mark.parametrize("example", ["orthogonal", "non-orthogonal"])
+def test_kernel_fallback_eliminates_the_operator_once(example, monkeypatch):
+    """Without a kernel set, the scan reads its kernel basis from the
+    operator's one LDL* certificate: ldl_hermitian runs once, bareiss_rank
+    never, and rref only on the 2 x 2 flattening that factors a kernel
+    vector, never on the operator.  The verdicts are those above."""
+    from upblab import _kernels
+
+    if example == "orthogonal":
+        m = ExactMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+        expected = "found"
+    else:
+        u, e3 = _flat(1, -1, -1, 0), _flat(0, 0, 0, 1)
+        m = outer(u, u) + outer(e3, e3)
+        expected = "none_heuristic"
+    d = density_from_matrix((2, 2), m)
+    inputs = {"ldl_hermitian": [], "bareiss_rank": [], "rref": []}
+    for name, seen in inputs.items():
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels,
+            name,
+            lambda rows, *a, _seen=seen, _real=real: _seen.append(rows) or _real(rows, *a),
+        )
+    res = range_product_scan(d, budget=4, seed=0)
+    assert res.verdict == expected
+    assert inputs["ldl_hermitian"] == [m._triple_rows()]
+    assert inputs["bareiss_rank"] == []
+    assert inputs["rref"] and all(len(rows) == 2 == len(rows[0]) for rows in inputs["rref"])
 
 
 def test_schmidt_rank_examples():

@@ -17,6 +17,8 @@ from oracles import (
     rand_vector,
     random_psd,
     rotated_complement,
+    scattered_blocks,
+    sparse_low_rank_psd,
 )
 
 
@@ -31,20 +33,11 @@ def test_rref_does_not_mutate_input():
     assert rows == snapshot
 
 
-def _sparse_low_rank_psd(rng, n):
-    """G G-dagger for an n x r factor G with most entries zero."""
-    r = rng.randint(1, max(1, n // 2))
-    g = ExactMatrix.from_rows(
-        [[rand_scalar(rng) if rng.random() < 0.3 else 0 for _ in range(r)] for _ in range(n)]
-    )
-    return g @ g.dagger()
-
-
 def _ldl_corpus():
     rng = random.Random(20261018)
     mats = [rand_hermitian(rng, rng.randint(1, 8)) for _ in range(80)]
     mats += [rand_hermitian(rng, rng.randint(1, 7), psd=True) for _ in range(30)]
-    mats += [_sparse_low_rank_psd(rng, rng.randint(2, 12)) for _ in range(30)]
+    mats += [sparse_low_rank_psd(rng, rng.randint(2, 12)) for _ in range(30)]
     i = ComplexRational(0, 1)
     mats += [
         ExactMatrix.from_rows([[0, 1], [1, 0]]),
@@ -74,53 +67,6 @@ def test_ldl_output_is_pinned():
         h.update(repr(sorted(rec.items())).encode())
     assert set(verdicts) == {"psd", "neg_diag", "zero_diag"}
     assert h.hexdigest() == "88b3b44ee272e2c4d18f126c3215bed4ff0cbc3889c3c93072be8dd74040c084"
-
-
-def _block(rng, blocks):
-    """One Hermitian block, as rows of scalars: a copy of an earlier block
-    as it is or with its indices permuted, a 1x1 zero, [[0, c], [c*, 0]],
-    a block whose diagonal turns negative only after its own first pivot,
-    or a random PSD or indefinite block of width 1-4."""
-    roll = rng.random()
-    if blocks and roll < 0.3:
-        b = rng.choice(blocks)
-        perm = list(range(len(b)))
-        if roll < 0.15:
-            rng.shuffle(perm)
-        return [[b[i][j] for j in perm] for i in perm]
-    if roll < 0.4:
-        return [[ComplexRational(0)]]
-    if roll < 0.5:
-        c = rand_vector(rng, 1)[0]
-        return [[ComplexRational(0), c], [c.conjugate(), ComplexRational(0)]]
-    if roll < 0.6:
-        # Schur complement e - |b|^2 / a < 0 after the pivot a > 0
-        a = ComplexRational(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-        c = rand_vector(rng, 1)[0]
-        e = ComplexRational((c * c.conjugate() / a).re * Fraction(rng.randint(0, 3), 4))
-        return [[a, c], [c.conjugate(), e]]
-    h = rand_hermitian(rng, rng.randint(1, 4), psd=roll < 0.8)
-    return [[h.at(i, j) for j in range(h.cols)] for i in range(h.rows)]
-
-
-def _scattered(rng):
-    """1-5 blocks from ``_block`` on shuffled indices, zero elsewhere.  A
-    block's rows and columns keep their relative order."""
-    blocks = []
-    for _ in range(rng.randint(1, 5)):
-        blocks.append(_block(rng, blocks))
-    n = sum(len(b) for b in blocks)
-    places = list(range(n))
-    rng.shuffle(places)
-    rows = [[ComplexRational(0)] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        idx = sorted(places[at : at + len(b)])
-        at += len(b)
-        for i, row in zip(idx, b):
-            for j, x in zip(idx, row):
-                rows[i][j] = x
-    return ExactMatrix.from_rows(rows)
 
 
 def _count_dense(monkeypatch):
@@ -154,7 +100,7 @@ def test_ldl_of_scattered_blocks_matches_fraction_reference(monkeypatch):
         ),
     ]
     rng = random.Random(20261020)
-    mats += [_scattered(rng) for _ in range(400)]
+    mats += [scattered_blocks(rng) for _ in range(400)]
     runs = _count_dense(monkeypatch)
     verdicts = {}
     split = shared = 0

@@ -7,14 +7,15 @@ import pytest
 
 from upblab import _kernels
 from upblab.errors import NotHermitianError, NotPsdError
+from upblab.catalog import fixture
 from upblab.linalg import (
     ExactMatrix,
+    _kernel_basis,
     annihilates,
     as_vector,
     cleared,
     inner,
     matrix_rank,
-    nullspace_basis,
     outer,
     projector,
     psd_certificate,
@@ -26,9 +27,18 @@ from upblab.linalg import (
 )
 from upblab.product import shifts_upb
 from upblab.scalars import CQ0, ComplexRational
-from upblab.states import complement_projector
+from upblab.states import complement_projector, density_from_matrix
 
-from oracles import rand_hermitian, rand_scalar, rand_vector, random_psd
+from oracles import (
+    nullspace_basis,
+    rand_hermitian,
+    rand_scalar,
+    rand_vector,
+    random_psd,
+    rotated_complement,
+    scattered_blocks,
+    sparse_low_rank_psd,
+)
 
 
 def test_rank_identity():
@@ -338,6 +348,51 @@ def test_range_form_subtraction_drops_rank():
         assert cert.is_psd
         assert cert.rank == r - 1
         done += 1
+
+
+def _kernel_corpus(rng):
+    """PSD matrices: dense ones of every rank, sparse low-rank ones, the PSD
+    ones among scattered-block matrices, the rank-5 5-qubit PPT entangled
+    state, and rotated 5- and 6-qubit complements rebuilt from their
+    entries alone, with no kernel set and no certificate."""
+    mats = []
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        mats.append(random_psd(rng, n, rng.randint(1, n)))
+    mats += [sparse_low_rank_psd(rng, rng.randint(2, 12)) for _ in range(60)]
+    scattered = [scattered_blocks(rng) for _ in range(400)]
+    mats += [m for m in scattered if psd_certificate(m).is_psd]
+    mats.append(fixture("rank5_pptes_5q").matrix)
+    for extra in (2, 3):
+        d = rotated_complement(rng, extra)
+        m = ExactMatrix(d.dim, d.dim, d.matrix.data)
+        mats.append(density_from_matrix(d.dims, m).matrix)
+    return mats
+
+
+def test_kernel_basis_is_the_rref_basis():
+    """The kernel basis that back substitution reads from a PSD certificate
+    is the reduced row echelon basis, vector for vector: each LDL pivot of a
+    PSD matrix is the first index independent of the earlier pivots, as
+    each rref pivot is."""
+    mats = _kernel_corpus(random.Random(20261020))
+    split = deficient = 0
+    for m in mats:
+        basis = _kernel_basis(psd_certificate(m))
+        assert basis == nullspace_basis(m)
+        deficient += 0 < len(basis) < m.rows
+        split += len(_kernels._blocks(m._triple_rows(), m.rows)) > 1
+    assert len(mats) > 300 and deficient > 150 and split > 40, (len(mats), deficient, split)
+
+
+def test_kernel_basis_edge_cases():
+    assert _kernel_basis(psd_certificate(ExactMatrix.identity(4))) == []
+    eye = ExactMatrix.identity(3)
+    assert _kernel_basis(psd_certificate(ExactMatrix.zeros(3, 3))) == [eye.row(i) for i in range(3)]
+    cert = psd_certificate(ExactMatrix.from_rows([[1, 2], [2, 1]]))
+    assert not cert.is_psd and cert.steps
+    with pytest.raises(NotPsdError):
+        _kernel_basis(cert)
 
 
 def _qq_i(t):
