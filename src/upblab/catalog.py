@@ -34,7 +34,7 @@ from .product import (
     standard_opb,
 )
 from .qubits import LocalState
-from .scalars import ComplexRational
+from .scalars import ComplexRational, cq_make
 from .search import ScanReport
 from .states import DensityOp, complement_projector, density_from_matrix
 
@@ -251,19 +251,25 @@ def _rat_str(x: Fraction) -> str:
 
 # The one rational grammar, the one _rat_str writes: an optional "-", ASCII
 # digits, and optionally "/" and ASCII digits.  Fraction alone would also
-# take signs, spaces, decimals and exponents such as "1e-3000000".
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# take signs, spaces, decimals and exponents such as "1e-3000000".  Each
+# string is matched once; its groups are the numerator and the denominator.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rat(s, where: str) -> Fraction:
+def _parse_rat(s, where: str) -> tuple[int, int]:
+    """The integers p and q != 0 of a rational string "p" or "p/q"."""
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {s!r}", where)
-    if _RATIONAL.fullmatch(s) is None:
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
         raise ParseError(f"malformed rational {s!r} (expected 'p' or 'p/q')", where)
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"malformed rational {s!r} ({exc})", where) from None
+    if q == 0:
+        raise ParseError(f"malformed rational {s!r} (zero denominator)", where)
+    return p, q
 
 
 def _cx_obj(z: ComplexRational) -> list:
@@ -273,7 +279,9 @@ def _cx_obj(z: ComplexRational) -> list:
 def _parse_cx(obj, where: str) -> ComplexRational:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ParseError(f"expected [re, im], got {obj!r}", where)
-    return ComplexRational(_parse_rat(obj[0], where), _parse_rat(obj[1], where))
+    a, b = _parse_rat(obj[0], where)
+    c, d = _parse_rat(obj[1], where)
+    return ComplexRational.from_triple(cq_make(a * d, c * b, b * d))
 
 
 def _local_obj(l: LocalState) -> dict:
@@ -287,7 +295,7 @@ def _parse_local(obj, where: str) -> LocalState:
     if not isinstance(obj, dict) or len(obj) != 1 or not obj.keys() <= {"angle", "pair"}:
         raise ParseError(f"expected {{'angle': ...}} or {{'pair': ...}}, got {obj!r}", where)
     if "angle" in obj:
-        return LocalState.angle(_parse_rat(obj["angle"], where))
+        return LocalState.angle(Fraction(*_parse_rat(obj["angle"], where)))
     pair = obj["pair"]
     if not isinstance(pair, list) or len(pair) != 2:
         raise ParseError("pair must hold two complex entries", where)
@@ -405,7 +413,7 @@ def density_from_doc(doc: dict) -> DensityOp:
         # the matrix has the dims' size, so DensityOp refused the kernel set
         raise ParseError(str(exc), "kernel_product_set") from None
     stored = doc.get("trace")
-    if stored is not None and _parse_rat(stored, "trace") != d.trace_norm:
+    if stored is not None and Fraction(*_parse_rat(stored, "trace")) != d.trace_norm:
         raise ParseError("stored trace disagrees with the matrix", "trace")
     return d
 
@@ -480,10 +488,10 @@ def block_spec_from_doc(doc: dict) -> BlockSpec:
     )
 
 
-def scan_report_to_doc(report: ScanReport, include_timing: bool = False) -> dict:
-    """Canonical scan report; wall-clock timing is excluded by default so
-    identical (parties, size, budget, seed) runs serialize identically."""
-    doc = {
+def scan_report_to_doc(report: ScanReport) -> dict:
+    """Canonical scan report; wall-clock timing is left out, so identical
+    (parties, size, budget, seed) runs serialize identically."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "scan_report",
         "note": report.note,
@@ -497,9 +505,6 @@ def scan_report_to_doc(report: ScanReport, include_timing: bool = False) -> dict
         "extendible": report.extendible,
         "upbs_found": [product_set_to_doc(s) for s in report.upbs_found],
     }
-    if include_timing:
-        doc["elapsed_s"] = report.elapsed_s
-    return doc
 
 
 _TO_DOC = {

@@ -18,7 +18,6 @@ from .errors import (
     NotAnOPBError,
     NotInRangeError,
     ParseError,
-    StructureViolationError,
     UnknownFixtureError,
     UpbLabError,
     VerificationError,
@@ -269,8 +268,9 @@ def cmd_search(args) -> int:
         report = scan(args.qubits, args.size, args.budget, args.seed, balanced=args.balanced)
     except ValueError as exc:
         raise _Exit(2, f"invalid search request: {exc}")
-    doc = catalog.scan_report_to_doc(report, include_timing=True)
+    doc = catalog.scan_report_to_doc(report)
     doc["command"] = "search"
+    doc["elapsed_s"] = report.elapsed_s
     lines = [
         f"seed {report.seed}",
         f"{report.templates_tried} templates, {report.feasible} feasible, "
@@ -310,7 +310,7 @@ def cmd_decompose_opb(args) -> int:
     obj = catalog.load(args.file, "bipartite_opb")
     try:
         spec = opb_to_blocks(obj)
-    except (NotAnOPBError, StructureViolationError) as exc:
+    except NotAnOPBError as exc:
         _emit(
             args,
             {"command": "decompose-opb", "verdict": "not_an_opb", "reason": str(exc)},

@@ -69,11 +69,8 @@ class InvalidSpecError(UpbLabError):
 
 
 class NotAnOPBError(UpbLabError):
-    """Input claimed to be an orthogonal product basis is not one."""
-
-
-class StructureViolationError(UpbLabError):
-    """A bipartite basis does not carry the qubit block structure."""
+    """Input claimed to be an orthogonal product basis is not one; the
+    message names the first block invariant it fails (``opb_to_blocks``)."""
 
 
 class NotRankTwoError(UpbLabError):

@@ -389,12 +389,14 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """Decide PSD-ness of a Hermitian matrix with a checkable certificate.
 
     The certificate is computed once per matrix and kept on it; a matrix
-    marked Hermitian is not checked again.  Raises NotHermitianError when
-    the Hermitian precondition fails.
+    marked Hermitian is not checked again, and a matrix that passes the
+    check is marked, so its partial transposes inherit the mark.  Raises
+    NotHermitianError when the Hermitian precondition fails.
     """
     if m._psd is None:
         if not (m._hermitian or m.is_hermitian()):
             raise NotHermitianError("matrix is not exactly Hermitian")
+        object.__setattr__(m, "_hermitian", True)
         object.__setattr__(m, "_psd", _ldl_certificate(m._triple_rows(), m.rows))
     return m._psd
 

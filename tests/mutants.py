@@ -67,6 +67,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "BlockSpec skips the zero-vector check",
+        "blocks.py",
+        "if any(all(x.is_zero() for x in v) for v in basis):",
+        "if False:",
+        (
+            "tests/test_blocks.py::test_zero_tail_refused",
+            "tests/test_cli.py::test_decompose_zero_tail_is_refuted",
+        ),
+    ),
+    Mutant(
+        "BlockSpec skips the block-orthogonality check",
+        "blocks.py",
+        "if not inner(u, w).is_zero():",
+        "if False:",
+        ("tests/test_blocks.py::test_overlapping_blocks_refused",),
+    ),
+    Mutant(
+        "opb_to_blocks lets InvalidSpecError through",
+        "blocks.py",
+        "except InvalidSpecError as exc:",
+        "except NotAnOPBError as exc:",
+        (
+            "tests/test_blocks.py::test_zero_tail_refused",
+            "tests/test_cli.py::test_decompose_zero_tail_is_refuted",
+        ),
+    ),
+    Mutant(
         "sample_template draws one bit too few",
         "search.py",
         "k = parties.bit_length()",
@@ -147,6 +174,13 @@ MUTANTS = (
         'object.__setattr__(out, "_hermitian", self._hermitian and s.is_real())',
         'object.__setattr__(out, "_hermitian", self._hermitian)',
         ("tests/test_states.py::test_real_rescaling_keeps_the_hermitian_mark",),
+    ),
+    Mutant(
+        "psd_certificate does not mark its matrix Hermitian",
+        "linalg.py",
+        'object.__setattr__(m, "_hermitian", True)',
+        "pass",
+        ("tests/test_states.py::test_hermiticity_is_checked_once_per_certified_operator",),
     ),
 )
 

@@ -193,6 +193,27 @@ def witnesses_pairwise(members):
     return witnesses
 
 
+def is_bipartite_opb_reference(members) -> bool:
+    """A list of qubit x C^N product vectors is an OPB exactly when it has
+    2N members, each with a nonzero tail of length N, pairwise orthogonal:
+    at the qubit (``orthogonal_reference``) or in the tails.  Nonzero
+    pairwise orthogonal vectors are independent, so 2N of them span."""
+    n = len(members[0].tail) if members else 0
+    if n == 0 or len(members) != 2 * n:
+        return False
+    if any(len(m.tail) != n or all(x.is_zero() for x in m.tail) for m in members):
+        return False
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            a, b = members[i], members[j]
+            if orthogonal_reference(a.qubit, b.qubit):
+                continue
+            tails = sum((x.conjugate() * y for x, y in zip(a.tail, b.tail)), CQ0)
+            if not tails.is_zero():
+                return False
+    return True
+
+
 def random_feasible_ops(rng: random.Random, parties: int, size: int) -> ProductSet:
     """Sample templates until one realizes; returns the verified OPS."""
     while True:

@@ -287,6 +287,47 @@ def test_decompose_non_opb_is_refuted(tmp_path, capsys):
     assert "refuted" in capsys.readouterr().out
 
 
+def test_decompose_zero_tail_is_refuted(tmp_path, capsys):
+    one, zero = ["1", "0"], ["0", "0"]
+    ket0, ket1 = {"pair": [one, zero]}, {"pair": [zero, one]}
+    doc = {
+        "schema_version": 1,
+        "kind": "bipartite_opb",
+        "side2_dim": 2,
+        "members": [
+            {"qubit": ket0, "tail": [one, zero]},
+            {"qubit": ket0, "tail": [zero, zero]},
+            {"qubit": ket1, "tail": [one, zero]},
+            {"qubit": ket1, "tail": [zero, one]},
+        ],
+    }
+    p = tmp_path / "zero_tail.json"
+    p.write_text(json.dumps(doc))
+    assert main(["decompose-opb", str(p)]) == 1
+    assert "refuted: x-basis of block 0 contains zero" in capsys.readouterr().out
+
+
+def test_generic_angle_opb_generates_and_decomposes(tmp_path, capsys):
+    from upblab.blocks import BlockSpec
+    from upblab.linalg import as_vector
+
+    spec = BlockSpec(
+        side2_dim=1,
+        qubit_bases=(LocalState.angle(Fraction(1, 3)),),
+        block_dims=(1,),
+        x_bases=((as_vector([1]),),),
+        y_bases=((as_vector([1]),),),
+    )
+    sp = tmp_path / "spec.json"
+    save(sp, spec)
+    opb_out = tmp_path / "opb.json"
+    assert main(["gen-opb", str(sp), "--json", str(opb_out)]) == 0
+    doc = json.loads(opb_out.read_text())
+    assert [m["qubit"] for m in doc.pop("members")] == [{"angle": "1/3"}, {"angle": "5/6"}]
+    assert main(["decompose-opb", str(opb_out)]) == 0
+    assert "1 blocks with dimensions [1]" in capsys.readouterr().out
+
+
 def test_range_scan_certified_path(tmp_path, capsys):
     sigma = fixture("shifts_complement")
     p = tmp_path / "sigma.json"
@@ -403,6 +444,8 @@ _MALFORMED = {
     "int-kernel-set": ("rank", "complement", [(("kernel_product_set",), 5)]),
     # rationals are "p" or "p/q" only; Fraction alone would take these
     "exponent-rational": ("verify", "shifts", [(("members", 0, 0), {"angle": "1e-3"})]),
+    # a rational string past the integer digit limit, not a JSON integer
+    "long-rational": ("verify", "shifts", [(("members", 0, 0), {"angle": "1" * 5001})]),
     "decimal-rational": (
         "extend",
         "shifts",

@@ -652,7 +652,7 @@ def test_ppt_report_certificates_revalidate(extra):
 def test_hermiticity_is_checked_once_per_certified_operator(monkeypatch):
     # the complement is Hermitian by construction and each partial transpose
     # of a Hermitian operator is Hermitian: only the complement's psd()
-    # needs the check
+    # needs the check, and it marks the matrix for the transposes built later
     s = tensor_upb_opb(shifts_upb(), 1)
     calls = []
     original = ExactMatrix.is_hermitian
@@ -665,6 +665,8 @@ def test_hermiticity_is_checked_once_per_certified_operator(monkeypatch):
     d = complement_projector(s)
     report = ppt_report(d)
     assert len(report.certificates) == 7
+    birank(d)
+    partial_transpose(d, {1}).psd()
     assert calls == [16]
 
 
