@@ -13,7 +13,10 @@ nonzero pattern, which the elimination never mixes.  Each distinct block is
 eliminated once, so the copies of C in a complement C (x) I, and in each of
 its partial transposes, share one run.  The per-block records are merged,
 by the whole-matrix pivot rule, into the record the whole matrix gives; a
-matrix of one block runs the loop as it stands.
+matrix of one block runs the loop as it stands.  Sharing across matrices
+happens above this module: ``states.ppt_report`` gives equal partial
+transposes one certificate, so each distinct transpose reaches
+``ldl_hermitian`` once.
 
 Matrices are lists of rows; each entry is a triple ``(p, q, r)`` meaning
 ``(p + q*i)/r`` with ``r > 0``.  Inputs and returned values are reduced,

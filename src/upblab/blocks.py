@@ -155,11 +155,13 @@ def opb_to_blocks(members: Sequence[BipartitePair]) -> BlockSpec:
 
 
 def member_keys(members: Sequence[BipartitePair]) -> set:
-    """Canonical keys identifying members up to phase and order."""
+    """Canonical keys identifying members up to phase and order.  Raises
+    ValueError for a member whose tail is zero, which has no phase to fix."""
     out = set()
-    for m in members:
-        k = next(i for i, x in enumerate(m.tail) if not x.is_zero())
-        piv = m.tail[k]
+    for n, m in enumerate(members):
+        piv = next((x for x in m.tail if not x.is_zero()), None)
+        if piv is None:
+            raise ValueError(f"member {n} has a zero tail")
         tail_key = tuple((x / piv).t for x in m.tail)
         out.add((m.qubit.phase_key(), tail_key))
     return out

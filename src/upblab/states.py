@@ -6,8 +6,9 @@ and normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
 through the certified LDL* elimination, run at most once per matrix, and
 rank, range and kernel questions are answered from that one certificate.
-The PPT sweep moves only the nonzero entries into each partial transpose,
-and the complement projector computes only its nonzero entries.
+The PPT sweep moves only the nonzero entries into each partial transpose
+and eliminates each distinct transpose once, and the complement projector
+computes only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -346,26 +347,50 @@ def ppt_report(d: DensityOp) -> PptReport:
     Each certificate is the one ``psd_certificate`` gives for the class's
     ``partial_transpose``.  Only the nonzero entries are moved: each class
     places them, as reduced triples, in fresh rows of zeros, which go to the
-    elimination as they are."""
+    elimination as they are.  Equal transposes share one certificate object,
+    eliminated once, and a class whose transpose equals ``d`` shares
+    ``d.psd()``; for the complement of a real product set that is every
+    class."""
     _check_cut(d, "ppt_report")
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
     dims, dim = tuple(d.dims), d.dim
-    nonzero = [
-        (k // dim, k % dim, t)
-        for k, t in enumerate(e.t for e in d.matrix.data)
-        if t[0] or t[1]
-    ]
+    # the nonzero entries (i, j), grouped by value; reduced triples are
+    # canonical, so equal values are equal triples
+    groups = {}
+    for k, e in enumerate(d.matrix.data):
+        if e.t[0] or e.t[1]:
+            groups.setdefault(e.t, []).append(divmod(k, dim))
+    span = dim * dim
+
+    def placements(u, m):
+        # each entry moved to its flat position in the transpose, plus span
+        # times the index of its value: sorted, equal for equal transposes only
+        return tuple(
+            sorted(
+                g * span + (u[i] + m[j]) * dim + u[j] + m[i]
+                for g, entries in enumerate(groups.values())
+                for i, j in entries
+            )
+        )
+
+    # d itself: every entry stays where it is
+    seen = {placements(range(dim), [0] * dim): base}
     certs = {}
     for mask in bipartition_classes(d.parties):
         u, m = _transpose_split(dims, tuple(sorted(mask)))
-        rows = [[CQ_ZERO] * dim for _ in range(dim)]
-        for i, j, t in nonzero:
-            rows[u[i] + m[j]][u[j] + m[i]] = t
-        # d.psd() checked that d is Hermitian, so each partial transpose is
-        # Hermitian too, and _ldl_certificate skips that check
-        certs[mask] = _ldl_certificate(rows, dim)
+        key = placements(u, m)
+        cert = seen.get(key)
+        if cert is None:
+            rows = [[CQ_ZERO] * dim for _ in range(dim)]
+            for t, entries in groups.items():
+                for i, j in entries:
+                    rows[u[i] + m[j]][u[j] + m[i]] = t
+            # d.psd() checked that d is Hermitian, so each partial transpose
+            # is Hermitian too, and _ldl_certificate skips that check
+            cert = seen[key] = _ldl_certificate(rows, dim)
+        certs[mask] = cert
     return PptReport(certificates=certs)
 
 

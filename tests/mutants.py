@@ -176,6 +176,27 @@ MUTANTS = (
         ("tests/test_states.py::test_real_rescaling_keeps_the_hermitian_mark",),
     ),
     Mutant(
+        "ppt_report keys a class on positions only, without values",
+        "states.py",
+        "g * span + (u[i] + m[j]) * dim + u[j] + m[i]",
+        "(u[i] + m[j]) * dim + u[j] + m[i]",
+        (
+            "tests/test_states.py::test_ppt_report_certificates_match_partial_transpose"
+            "[rotated-6q-complement]",
+        ),
+    ),
+    Mutant(
+        "ppt_report gives every class the operator's own certificate",
+        "states.py",
+        "cert = seen.get(key)",
+        "cert = base",
+        (
+            "tests/test_states.py::test_ppt_report_shares_certificates_of_equal_npt_transposes",
+            "tests/test_states.py::"
+            "test_certification_pipeline_eliminates_each_distinct_transpose_once",
+        ),
+    ),
+    Mutant(
         "psd_certificate does not mark its matrix Hermitian",
         "linalg.py",
         'object.__setattr__(m, "_hermitian", True)',

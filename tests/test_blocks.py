@@ -117,6 +117,11 @@ def test_zero_tail_refused():
         opb_to_blocks(members)
 
 
+def test_member_keys_refuses_a_zero_tail():
+    with pytest.raises(ValueError, match="zero tail"):
+        member_keys([BipartitePair(LocalState.ket(0), as_vector([0, 0]))])
+
+
 # |0,e0>, |1,e0>, |+,(1,1)>, |-,(1,1)>: each qubit class pairs with its
 # perpendicular class, but the blocks span(e0) and span((1,1)) overlap
 _OVERLAPPING_BLOCKS = dict(

@@ -23,6 +23,7 @@ from upblab.linalg import (
     outer,
     projector,
     psd_certificate,
+    quadratic_form,
     verify_psd_certificate,
 )
 from upblab.product import (
@@ -539,16 +540,65 @@ def _count_eliminations(monkeypatch):
     return counts
 
 
-def test_certification_pipeline_eliminates_each_state_once(monkeypatch):
+def _pipeline_eliminations(monkeypatch, make):
+    """Kernel calls made by building a complement with ``make``, its PPT
+    report and its range scan, and the number of distinct partial
+    transposes that differ from the complement, by the entrywise oracle."""
     from upblab.entangle import range_product_scan
 
     counts = _count_eliminations(monkeypatch)
-    d = complement_projector(tensor_upb_opb(shifts_upb(), 1))
-    rep = ppt_report(d)
+    d = make()
+    ppt_report(d)
     assert range_product_scan(d).verdict == "none_certified"
-    # one LDL for the complement, shared by the report and the scan, and
-    # one per bipartition class
-    assert counts == {"ldl_hermitian": 1 + len(rep.certificates)}
+    others = {
+        tuple(partial_transpose_entrywise(d.matrix, d.dims, mask).data)
+        for mask in bipartition_classes(d.parties)
+    } - {tuple(d.matrix.data)}
+    return counts, len(others)
+
+
+def test_certification_pipeline_eliminates_each_state_once(monkeypatch):
+    # one LDL for the complement, shared by the report and the scan; every
+    # transpose of a real product set's complement equals the complement
+    counts, others = _pipeline_eliminations(
+        monkeypatch, lambda: complement_projector(tensor_upb_opb(shifts_upb(), 1))
+    )
+    assert others == 0
+    assert counts == {"ldl_hermitian": 1}
+
+
+def test_certification_pipeline_eliminates_each_distinct_transpose_once(monkeypatch):
+    # a rotated complement adds one LDL per distinct transpose
+    counts, others = _pipeline_eliminations(
+        monkeypatch, lambda: rotated_complement(random.Random(1), 3)
+    )
+    assert others > 0
+    assert counts == {"ldl_hermitian": 1 + others}
+
+
+def test_ppt_report_of_a_real_8_qubit_complement_runs_no_second_elimination(monkeypatch):
+    counts = _count_eliminations(monkeypatch)
+    d = complement_projector(tensor_upb_opb(shifts_upb(), 5))
+    rep = ppt_report(d)
+    assert counts == {"ldl_hermitian": 1}
+    assert all(c is d.psd() for c in rep.certificates.values())
+
+
+def test_ppt_report_shares_certificates_of_equal_npt_transposes():
+    # (|00> + |11>)|0>: transposing party 2 leaves the operator as it is,
+    # so {1} and {1, 2} give one transpose and {2} gives the operator itself
+    v = [ComplexRational(int(k in (0, 6))) for k in range(8)]
+    d = pure_density(v, (2, 2, 2))
+    rep = ppt_report(d)
+    certs = rep.certificates
+    assert certs[frozenset({2})] is d.psd()
+    assert certs[frozenset({1})] is certs[frozenset({1, 2})]
+    cert = certs[frozenset({1})]
+    assert not cert.is_psd and not rep.is_ppt
+    for mask in ({1}, {1, 2}):
+        pt = partial_transpose(d, mask).matrix
+        assert cert == psd_certificate(pt)
+        assert quadratic_form(pt, cert.witness) == cert.witness_value < 0
 
 
 def test_subtract_product_reuses_the_certificate(monkeypatch):
@@ -791,6 +841,7 @@ def _state_with_a_zero_row():
     "make, ppt",
     [
         (lambda: rotated_complement(random.Random(17), 2), True),
+        (lambda: rotated_complement(random.Random(1), 3), True),
         (bell_projector, False),
         (_random_entangled_state, False),
         (_separable_qubit_qutrit_qubit, True),
@@ -800,6 +851,7 @@ def _state_with_a_zero_row():
     ],
     ids=[
         "rotated-5q-complement",
+        "rotated-6q-complement",
         "bell",
         "random-entangled",
         "separable-2x3x2",
@@ -810,13 +862,19 @@ def _state_with_a_zero_row():
 )
 def test_ppt_report_certificates_match_partial_transpose(make, ppt):
     # ppt_report moves the nonzero entries itself; every certificate must be
-    # the one partial_transpose and psd_certificate give for its class
+    # the one partial_transpose and psd_certificate give for its class, and
+    # two classes, or a class and d itself, share one certificate object
+    # exactly when their transposes are equal
     d = make()
     rep = ppt_report(d)
     assert list(rep.certificates) == bipartition_classes(d.parties)
     for mask, cert in rep.certificates.items():
         assert cert == psd_certificate(partial_transpose(d, mask).matrix)
     assert rep.is_ppt == ppt
+    certs = {frozenset(): d.psd(), **rep.certificates}
+    matrices = {mask: partial_transpose(d, mask).matrix for mask in certs}
+    for a, b in itertools.combinations(certs, 2):
+        assert (certs[a] is certs[b]) == (matrices[a] == matrices[b]), (a, b)
 
 
 def test_subtract_product_of_quarter_angles_is_that_of_their_pairs():
