@@ -17,13 +17,7 @@ from .catalog import (
     save,
     size_status,
 )
-from .entangle import (
-    Rank2Decomposition,
-    RangeScanResult,
-    range_product_scan,
-    rank2_tripartite_decompose,
-    schmidt_rank,
-)
+from .entangle import RangeScanResult, range_product_scan
 from .linalg import (
     ExactMatrix,
     PsdCertificate,

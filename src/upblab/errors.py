@@ -27,10 +27,6 @@ class BadMaskError(UpbLabError):
     """Party subset out of range or empty where it must not be."""
 
 
-class BadCutError(BadMaskError):
-    """Invalid bipartition cut for a Schmidt-rank computation."""
-
-
 class ApproximateComparisonError(UpbLabError):
     """Exact coordinates were requested for a local that has none: an angle
     state other than 0, 1/4, 1/2 or 3/4 (``LocalState.vec2`` and every
@@ -71,14 +67,6 @@ class InvalidSpecError(UpbLabError):
 class NotAnOPBError(UpbLabError):
     """Input claimed to be an orthogonal product basis is not one; the
     message names the first block invariant it fails (``opb_to_blocks``)."""
-
-
-class NotRankTwoError(UpbLabError):
-    """A tensor exceeds Schmidt rank two across some one-vs-rest cut."""
-
-
-class DegenerateSplitError(UpbLabError):
-    """No exact two-product split exists for the given tensor."""
 
 
 class UnknownFixtureError(UpbLabError):

@@ -230,10 +230,10 @@ def _check_mask(mask, parties) -> frozenset:
     return mask
 
 
-# One ppt_report sweep at 8 qubits asks for 2^7 - 1 = 127 splits in the same
-# order every time, so a smaller cache evicts each one before its next use.
-# Full at 8 qubits it keeps 127 x 2 x 256 offsets.
-@lru_cache(maxsize=128)
+# One ppt_report sweep at n qubits asks for 2^(n-1) - 1 splits in the same
+# order every time, so a cache that holds fewer evicts each one before its
+# next use.  256 holds the 255 splits of 9 qubits, 255 x 2 x 512 offsets.
+@lru_cache(maxsize=256)
 def _transpose_split(dims: tuple, mask: tuple) -> tuple:
     """Offsets (u, m), each indexed by flat index: a = u[a] + m[a], with u[a]
     the offset of a's unmasked digits and m[a] that of its masked digits.

@@ -108,24 +108,11 @@ MUTANTS = (
         ("tests/test_qubits.py::test_exact_coordinates_exist_for_pairs_and_four_angles",),
     ),
     Mutant(
-        "rank2_tripartite_decompose checks its length after an elimination",
+        "the peel skips its proportionality check",
         "entangle.py",
-        """    if prod(dims) != len(v):
-        raise BadCutError("dims inconsistent with vector length")
-    # one elimination of the leading flattening gives its rank and its
-    # factorization M = sum_t a_cols[t] (x) w_rows[t]
-    M = _flatten_matrix(v, dims, [0])
-    a_cols, w_rows = _rank_factor(M)
-""",
-        """    M = _flatten_matrix(v, dims, [0])
-    a_cols, w_rows = _rank_factor(M)
-    if prod(dims) != len(v):
-        raise BadCutError("dims inconsistent with vector length")
-""",
-        (
-            "tests/test_entangle.py::test_decompose_checks_dims_before_any_elimination[7]",
-            "tests/test_entangle.py::test_decompose_checks_dims_before_any_elimination[9]",
-        ),
+        "in zip(r0[c + 1:], r1[c + 1:]):",
+        "in ():",
+        ("tests/test_entangle.py::test_product_vector_from_flat_agrees_with_flattening_ranks",),
     ),
     Mutant(
         "catalog.load lets RecursionError through",

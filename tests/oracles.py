@@ -69,6 +69,27 @@ def nullspace_basis(m: ExactMatrix):
     return basis
 
 
+def product_vector_from_flat_rref(v, n: int):
+    """The product factorization of a 2^n coordinate vector by row
+    reduction, or None: the reference for ``product_vector_from_flat``.
+    Each party-vs-rest flattening goes through the library's ``rref``; a
+    rank-one one gives the party's local (its pivot column) and the rest
+    (its RREF row), and the last 2-vector is the final local."""
+    row = as_vector(v)
+    locals_out = []
+    for k in range(n - 1, 0, -1):
+        m = ExactMatrix(2, 2 ** k, row)
+        rank, piv_cols, red = _kernels.rref(m._triple_rows(), m.rows, m.cols)
+        if rank != 1:
+            return None
+        locals_out.append(LocalState.pair(m.at(0, piv_cols[0]), m.at(1, piv_cols[0])))
+        row = tuple(ComplexRational.from_triple(t) for t in red[0])
+    if all(x.is_zero() for x in row):
+        return None
+    locals_out.append(LocalState.pair(*row))
+    return ProductVector(locals_out)
+
+
 def class_masks(keys, parties: int):
     """Per party: dict of class -> bitmask of the members in it."""
     classes = [{} for _ in range(parties)]

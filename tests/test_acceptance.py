@@ -14,11 +14,9 @@ import numpy as np
 
 from upblab.blocks import member_keys, opb_from_blocks, opb_to_blocks
 from upblab.catalog import ThetaCatalog, fixture, min_upb_size, size_status
-from upblab.entangle import range_product_scan, rank2_tripartite_decompose
-from upblab.errors import DegenerateSplitError
+from upblab.entangle import range_product_scan
 from upblab.linalg import (
     ExactMatrix,
-    kron_vec,
     projector,
     psd_certificate,
     solve_consistent,
@@ -261,68 +259,6 @@ def test_rank_drop_subtraction_suite():
         120.0,
         f"100 separable 2xN states: PSD kept, rank and transpose rank each "
         f"drop by 1 ({nontrivial} with a nontrivial transpose)",
-    )
-
-
-def _term_vec(term):
-    vec = term[0]
-    for loc in term[1:]:
-        vec = kron_vec(vec, loc)
-    return vec
-
-
-def _canon(vec):
-    k = next(i for i, x in enumerate(vec) if not x.is_zero())
-    piv = vec[k]
-    return tuple((x / piv).t for x in vec)
-
-
-def _independent_pair(rng):
-    while True:
-        t1 = [rand_vector(rng, 2) for _ in range(3)]
-        t2 = [rand_vector(rng, 2) for _ in range(3)]
-        if all(
-            not (a[0] * b[1] - a[1] * b[0]).is_zero() for a, b in zip(t1, t2)
-        ):
-            return t1, t2
-
-
-def test_two_term_recovery_suite():
-    t0 = time.monotonic()
-    rng = random.Random(707)
-    for i in range(100):
-        t1, t2 = _independent_pair(rng)
-        v1, v2 = _term_vec(t1), _term_vec(t2)
-        v = tuple(a + b for a, b in zip(v1, v2))
-        dec = rank2_tripartite_decompose(v, (2, 2, 2))
-        assert dec.unique, i
-        assert {_canon(_term_vec(t)) for t in dec.terms} == {_canon(v1), _canon(v2)}, i
-    degenerate_outcomes = {"not_unique": 0, "split_refused": 0}
-    for i in range(20):
-        t1, t2 = _independent_pair(rng)
-        p = rng.randrange(3)
-        c = ComplexRational(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
-        t2[p] = tuple(x * c for x in t1[p])
-        v = tuple(a + b for a, b in zip(_term_vec(t1), _term_vec(t2)))
-        try:
-            dec = rank2_tripartite_decompose(v, (2, 2, 2))
-        except DegenerateSplitError:
-            degenerate_outcomes["split_refused"] += 1
-            continue
-        assert not dec.unique, i  # a wrong uniqueness claim is the one forbidden outcome
-        degenerate_outcomes["not_unique"] += 1
-        total = [ComplexRational(0)] * 8
-        for t in dec.terms:
-            tv = _term_vec(t)
-            total = [a + b for a, b in zip(total, tv)]
-        assert tuple(total) == v
-    _report(
-        "two-term recovery suite",
-        t0,
-        120.0,
-        f"100 independent pairs recovered exactly (unique); 20 repeated-factor "
-        f"cases: {degenerate_outcomes['not_unique']} non-unique splits, "
-        f"{degenerate_outcomes['split_refused']} refusals, no wrong claims",
     )
 
 

@@ -8,22 +8,11 @@ from pathlib import Path
 import pytest
 
 from upblab import entangle
-from upblab.entangle import (
-    product_vector_from_flat,
-    range_product_scan,
-    rank2_tripartite_decompose,
-    schmidt_rank,
-)
-from upblab.errors import (
-    BadCutError,
-    DegenerateSplitError,
-    NonQubitPartyError,
-    NotRankTwoError,
-)
+from upblab.entangle import product_vector_from_flat, range_product_scan
+from upblab.errors import NonQubitPartyError
 from upblab.linalg import (
     ExactMatrix,
     as_vector,
-    kron_vec,
     matrix_rank,
     outer,
     range_quadratic_form,
@@ -37,6 +26,7 @@ from upblab.states import complement_projector, density_from_matrix, pure_densit
 from oracles import (
     flattening_entrywise,
     nullspace_basis,
+    product_vector_from_flat_rref,
     rand_local,
     rand_scalar,
     rand_vector,
@@ -202,6 +192,31 @@ def test_product_vector_from_flat_agrees_with_flattening_ranks():
     assert verdicts == {True, False}
 
 
+def test_product_vector_from_flat_matches_the_rref_reference():
+    # zero vectors, products (locals with a zero coordinate included),
+    # products with one coordinate perturbed, and dense vectors
+    rng = random.Random(29)
+    products = 0
+    for i in range(600):
+        n = rng.randint(1, 6)
+        kind = i % 4
+        if kind == 0:
+            v = [CQ(0)] * (1 << n)
+        elif kind == 3:
+            v = list(rand_vector(rng, 1 << n))
+        else:
+            v = list(ProductVector([_rand_local_with_zeros(rng) for _ in range(n)]).flatten())
+            if kind == 2:
+                v[rng.randrange(len(v))] = rand_scalar(rng)
+        pv = product_vector_from_flat(v, n)
+        ref = product_vector_from_flat_rref(v, n)
+        assert (pv is None) == (ref is None), i
+        if pv is not None:
+            assert pv.locals == ref.locals, i
+            products += 1
+    assert 200 < products < 500
+
+
 def test_kernel_fallback_accepts_orthogonal_products():
     # ker diag(1, 0, 0, 1) = span{|01>, |10>}: the rref basis is already an
     # orthogonal product basis, so the exact branch decides
@@ -232,9 +247,9 @@ def test_kernel_fallback_rejects_non_orthogonal_products():
 @pytest.mark.parametrize("example", ["orthogonal", "non-orthogonal"])
 def test_kernel_fallback_eliminates_the_operator_once(example, monkeypatch):
     """Without a kernel set, the scan reads its kernel basis from the
-    operator's one LDL* certificate: ldl_hermitian runs once, bareiss_rank
-    never, and rref only on the 2 x 2 flattening that factors a kernel
-    vector, never on the operator.  The verdicts are those above."""
+    operator's one LDL* certificate: ldl_hermitian runs once, and
+    bareiss_rank and rref never, since the kernel vectors are factored
+    without a row reduction.  The verdicts are those above."""
     from upblab import _kernels
 
     if example == "orthogonal":
@@ -257,259 +272,7 @@ def test_kernel_fallback_eliminates_the_operator_once(example, monkeypatch):
     assert res.verdict == expected
     assert inputs["ldl_hermitian"] == [m._triple_rows()]
     assert inputs["bareiss_rank"] == []
-    assert inputs["rref"] and all(len(rows) == 2 == len(rows[0]) for rows in inputs["rref"])
-
-
-def test_schmidt_rank_examples():
-    v = ProductVector([LocalState.pair(1, 1), LocalState.pair(2, -1)]).flatten()
-    assert schmidt_rank(v, (2, 2), {0}) == 1
-    assert schmidt_rank(_flat(1, 0, 0, 1), (2, 2), {0}) == 2
-    w = _flat(1, 0, 0, 1, 0, 1, 0, 0)  # |000> + |011> + |101>
-    assert schmidt_rank(w, (2, 2, 2), {0}) == 2
-
-
-@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
-def test_schmidt_rank_matches_digit_loop_flattening(dims):
-    rng = random.Random(sum(dims))
-    seen = set()
-    for _ in range(6):
-        v = random_grouped_tensor(rng, dims)
-        # every proper cut, multi-party and non-contiguous ones included
-        for bits in range(1, (1 << len(dims)) - 1):
-            cut = {p for p in range(len(dims)) if bits >> p & 1}
-            r = schmidt_rank(v, dims, cut)
-            assert r == matrix_rank(flattening_entrywise(v, dims, cut))
-            seen.add(r)
-    # the tensors are entangled across some cuts and not others
-    assert len(seen) > 1
-
-
-def test_schmidt_rank_bad_cut():
-    with pytest.raises(BadCutError):
-        schmidt_rank(_flat(1, 0, 0, 1), (2, 2), set())
-    with pytest.raises(BadCutError):
-        schmidt_rank(_flat(1, 0, 0, 1), (2, 2), {0, 1})
-    with pytest.raises(BadCutError):
-        schmidt_rank(_flat(1, 0, 0), (2, 2), {0})
-
-
-def test_schmidt_rank_invariant_under_local_invertibles():
-    rng = random.Random(17)
-    for _ in range(20):
-        v = list(rand_vector(rng, 8))
-        # invertible on the first party: v'_(i jk) = g_i0 v_(0 jk) + g_i1 v_(1 jk)
-        while True:
-            g = [[CQ(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(2)] for _ in range(2)]
-            if not (g[0][0] * g[1][1] - g[0][1] * g[1][0]).is_zero():
-                break
-        w = [None] * 8
-        for jk in range(4):
-            w[jk] = g[0][0] * v[jk] + g[0][1] * v[4 + jk]
-            w[4 + jk] = g[1][0] * v[jk] + g[1][1] * v[4 + jk]
-        for cut in ({0}, {1}, {2}):
-            assert schmidt_rank(v, (2, 2, 2), cut) == schmidt_rank(w, (2, 2, 2), cut)
-
-
-def _term_vec(term):
-    vec = term[0]
-    for loc in term[1:]:
-        vec = kron_vec(vec, loc)
-    return vec
-
-
-def _canonical(term_vec):
-    k = next(i for i, x in enumerate(term_vec) if not x.is_zero())
-    piv = term_vec[k]
-    return tuple((x / piv).t for x in term_vec)
-
-
-def test_decompose_ghz():
-    v = _flat(1, 0, 0, 0, 0, 0, 0, 1)
-    dec = rank2_tripartite_decompose(v, (2, 2, 2))
-    assert dec.unique
-    assert {_canonical(t) for t in map(_term_vec, dec.terms)} == {
-        _canonical(_flat(1, 0, 0, 0, 0, 0, 0, 0)),
-        _canonical(_flat(0, 0, 0, 0, 0, 0, 0, 1)),
-    }
-
-
-def test_decompose_shared_third_factor_not_unique():
-    v = _flat(1, 0, 0, 0, 0, 0, 1, 0)  # (|00> + |11>) (x) |0>
-    dec = rank2_tripartite_decompose(v, (2, 2, 2))
-    assert len(dec.terms) == 2
-    assert not dec.unique
-    total = [CQ(0)] * 8
-    for t in dec.terms:
-        tv = _term_vec(t)
-        total = [a + b for a, b in zip(total, tv)]
-    assert tuple(total) == tuple(v)
-
-
-def test_decompose_w_state_degenerate():
-    w = _flat(0, 1, 1, 0, 1, 0, 0, 0)
-    with pytest.raises(DegenerateSplitError):
-        rank2_tripartite_decompose(w, (2, 2, 2))
-
-
-def test_decompose_rejects_rank_three():
-    v = [CQ(0)] * 27
-    # |000> + |111> + |222> on three qutrits
-    v[0] = CQ(1)
-    v[13] = CQ(1)
-    v[26] = CQ(1)
-    with pytest.raises(NotRankTwoError):
-        rank2_tripartite_decompose(v, (3, 3, 3))
-
-
-def _random_independent_product_pair(rng, dims=(2, 2, 2), complex_ok=True):
-    while True:
-        t1 = [rand_vector(rng, d, complex_ok) for d in dims]
-        t2 = [rand_vector(rng, d, complex_ok) for d in dims]
-        ok = True
-        for a, b in zip(t1, t2):
-            m = ExactMatrix.from_rows([list(a), list(b)])
-            from upblab.linalg import matrix_rank
-
-            if matrix_rank(m) != 2:
-                ok = False
-                break
-        if ok:
-            return t1, t2
-
-
-def test_decompose_recovers_random_pairs():
-    rng = random.Random(55)
-    for _ in range(25):
-        t1, t2 = _random_independent_product_pair(rng)
-        v1, v2 = _term_vec(t1), _term_vec(t2)
-        v = tuple(a + b for a, b in zip(v1, v2))
-        dec = rank2_tripartite_decompose(v, (2, 2, 2))
-        assert dec.unique
-        assert {_canonical(t) for t in map(_term_vec, dec.terms)} == {
-            _canonical(v1),
-            _canonical(v2),
-        }
-
-
-def test_decompose_canonical_under_local_scaling():
-    rng = random.Random(99)
-    t1, t2 = _random_independent_product_pair(rng)
-    v = tuple(a + b for a, b in zip(_term_vec(t1), _term_vec(t2)))
-    dec = rank2_tripartite_decompose(v, (2, 2, 2))
-    # invertible diagonal scaling on party 1: D = diag(2, -3)
-    scaled = list(v)
-    for j in range(4):
-        scaled[j] = v[j] * 2
-        scaled[4 + j] = v[4 + j] * (-3)
-    dec2 = rank2_tripartite_decompose(tuple(scaled), (2, 2, 2))
-    scaled_terms = set()
-    for t in dec.terms:
-        tv = _term_vec(t)
-        sv = list(tv)
-        for j in range(4):
-            sv[j] = tv[j] * 2
-            sv[4 + j] = tv[4 + j] * (-3)
-        scaled_terms.add(_canonical(sv))
-    assert {_canonical(_term_vec(t)) for t in dec2.terms} == scaled_terms
-
-
-def test_decompose_mixed_dimensions():
-    rng = random.Random(7)
-    t1, t2 = _random_independent_product_pair(rng, dims=(2, 3, 2))
-    v = tuple(a + b for a, b in zip(_term_vec(t1), _term_vec(t2)))
-    dec = rank2_tripartite_decompose(v, (2, 3, 2))
-    assert dec.unique
-    assert {_canonical(t) for t in map(_term_vec, dec.terms)} == {
-        _canonical(_term_vec(t1)),
-        _canonical(_term_vec(t2)),
-    }
-
-
-# One tensor per return path of rank2_tripartite_decompose.
-_DECOMPOSE_PATHS = {
-    "rank-one tail": _flat(2, 1, 6, 3, 0, 0, 0, 0),  # |0> (x) (2|0> + 6|1>) (x) (|0> + |1>/2)
-    "rank-two tail": _flat(1, 0, 0, 1, 0, 0, 0, 0),  # |0> (x) (|00> + |11>)
-    "degenerate pencil": _flat(1, 0, 0, 0, 0, 1, 0, 0),  # |000> + |101>
-    "two points": _flat(1, 0, 0, 0, 0, 0, 0, 1),  # |000> + |111>
-}
-
-
-@pytest.mark.parametrize("path", sorted(_DECOMPOSE_PATHS))
-def test_decompose_checks_the_sum_on_every_path(path, monkeypatch):
-    v = _DECOMPOSE_PATHS[path]
-    dec = rank2_tripartite_decompose(v, (2, 2, 2))
-    assert len(dec.terms) == (1 if path == "rank-one tail" else 2)
-    assert dec.unique == (path == "two points")
-    factor = entangle._rank_factor
-
-    def doubled(mat):
-        cols, rows = factor(mat)
-        return [tuple(2 * x for x in col) for col in cols], rows
-
-    # every path builds its terms from _rank_factor, directly or through
-    # _rank1_split; a wrong factorization must be caught by the sum check
-    # instead of being returned
-    monkeypatch.setattr(entangle, "_rank_factor", doubled)
-    with pytest.raises(AssertionError, match="sum back"):
-        rank2_tripartite_decompose(v, (2, 2, 2))
-
-
-def _check_each_flattening_eliminated_once(monkeypatch, v):
-    """Decompose ``v`` on (2, 2, 2) with rref and bareiss_rank recording
-    their inputs, and check that each one-vs-rest flattening reaches one
-    kernel once: the leading one M goes to rref, the cuts {1} and {2} to
-    bareiss_rank.  Every later rref input is a 2 x 2 matrix on the trailing
-    parties (the tail, a pencil row or a pencil point), so M is never
-    eliminated again; a symmetric v has equal flattenings, so the check
-    counts calls rather than comparing contents across kernels."""
-    from upblab import _kernels
-
-    inputs = {"rref": [], "bareiss_rank": []}
-    for name, seen in inputs.items():
-        real = getattr(_kernels, name)
-
-        def wrapped(rows, *args, _seen=seen, _real=real):
-            _seen.append(tuple(map(tuple, rows)))
-            return _real(rows, *args)
-
-        monkeypatch.setattr(_kernels, name, wrapped)
-    rank2_tripartite_decompose(v, (2, 2, 2))
-
-    def flattening(cut):
-        return tuple(map(tuple, flattening_entrywise(v, (2, 2, 2), cut)._triple_rows()))
-
-    assert inputs["rref"][0] == flattening({0})
-    assert all(len(rows) == 2 and len(rows[0]) == 2 for rows in inputs["rref"][1:])
-    assert inputs["bareiss_rank"] == [flattening({1}), flattening({2})]
-
-
-@pytest.mark.parametrize("path", ["rank-one tail", "rank-two tail"])
-def test_rank_one_leading_cut_ranks_each_flattening_once(path, monkeypatch):
-    # v = a (x) tail: one rref of M gives its rank and the factor a, and the
-    # tail's rank factorization gives the terms
-    _check_each_flattening_eliminated_once(monkeypatch, _DECOMPOSE_PATHS[path])
-
-
-@pytest.mark.parametrize("path", ["degenerate pencil", "two points"])
-def test_rank_two_leading_cut_eliminates_its_flattening_once(path, monkeypatch):
-    # one rref of M gives its rank and the pencil rows
-    _check_each_flattening_eliminated_once(monkeypatch, _DECOMPOSE_PATHS[path])
-
-
-@pytest.mark.parametrize("length", [7, 9])
-def test_decompose_checks_dims_before_any_elimination(length, monkeypatch):
-    from upblab import _kernels
-
-    calls = []
-    for name in ("ldl_hermitian", "bareiss_rank", "rref"):
-        real = getattr(_kernels, name)
-        monkeypatch.setattr(
-            _kernels, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
-        )
-    v = [CQ(k + 1) for k in range(length)]
-    with pytest.raises(BadCutError, match="dims inconsistent"):
-        rank2_tripartite_decompose(v, (2, 2, 2))
-    assert calls == []
+    assert inputs["rref"] == []
 
 
 def test_import_leaves_numpy_unloaded():

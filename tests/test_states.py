@@ -45,6 +45,7 @@ from upblab.states import (
     density_from_matrix,
     partial_trace,
     partial_transpose,
+    party_offsets,
     ppt_report,
     pure_density,
     subtract_product,
@@ -52,6 +53,7 @@ from upblab.states import (
 
 from oracles import (
     complement_reference,
+    flattening_entrywise,
     partial_trace_entrywise,
     partial_transpose_entrywise,
     rand_scalar,
@@ -790,6 +792,39 @@ def test_transpose_splits_of_an_8_qubit_sweep_stay_cached():
         assert (second.hits, second.misses) == (127, 127)
     finally:
         _transpose_split.cache_clear()
+
+
+def test_transpose_splits_of_a_9_qubit_sweep_stay_cached():
+    # 255 splits of 2 x 512 offsets: a second pass in the sweep's order hits
+    # on every lookup, so none was evicted before its reuse
+    dims = (2,) * 9
+    masks = [tuple(sorted(m)) for m in bipartition_classes(9)]
+    assert len(masks) == 255
+    _transpose_split.cache_clear()
+    try:
+        for mask in masks:
+            _transpose_split(dims, mask)
+        first = _transpose_split.cache_info()
+        for mask in masks:
+            _transpose_split(dims, mask)
+        second = _transpose_split.cache_info()
+        assert (first.hits, first.misses, first.currsize) == (0, 255, 255)
+        assert (second.hits, second.misses) == (255, 255)
+    finally:
+        _transpose_split.cache_clear()
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2), (2, 2, 2, 2)])
+def test_party_offsets_match_digit_loop_flattening(dims):
+    # distinct entries, so each one's place in the flattening is pinned down
+    v = [ComplexRational(k, -k) for k in range(prod(dims))]
+    # every proper cut, multi-party and non-contiguous ones included
+    for bits in range(1, (1 << len(dims)) - 1):
+        cut = [p for p in range(len(dims)) if bits >> p & 1]
+        rows = party_offsets(dims, cut)
+        cols = party_offsets(dims, [p for p in range(len(dims)) if p not in cut])
+        flat = ExactMatrix(len(rows), len(cols), [v[a + b] for a in rows for b in cols])
+        assert flat == flattening_entrywise(v, dims, cut)
 
 
 def test_transpose_split_matches_entrywise_transpose_and_permutation():
