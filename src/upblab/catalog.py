@@ -306,6 +306,25 @@ def _parse_local(obj, where: str) -> LocalState:
     return LocalState.pair(a, b)
 
 
+def _local_content(obj):
+    """The strings of a local in exactly the shape ``_parse_local`` reads,
+    as a hashable key: one key, "angle" with a str or "pair" with two lists
+    of two strs, all of exactly those types.  None for anything else."""
+    if type(obj) is not dict or len(obj) != 1:
+        return None
+    ((kind, value),) = obj.items()
+    if kind == "angle" and type(value) is str:
+        return kind, value
+    if (
+        kind == "pair"
+        and type(value) is list
+        and len(value) == 2
+        and all(type(z) is list and len(z) == 2 and all(type(x) is str for x in z) for z in value)
+    ):
+        return (kind, *value[0], *value[1])
+    return None
+
+
 def _parse_list(obj, where: str, length) -> list:
     """``obj`` if it is a list (of ``length`` entries unless that is None)."""
     if not isinstance(obj, list):
@@ -352,10 +371,22 @@ def product_set_from_doc(doc: dict) -> ProductSet:
     members_obj = _parse_list(doc.get("members"), "members", None)
     if not members_obj:
         raise ParseError("a product set needs at least one member", "members")
+    # each distinct local is parsed once; a local of any other shape is
+    # parsed afresh, so it is refused where it stands
+    memo = {}
+
+    def local(obj, where):
+        key = _local_content(obj)
+        if key is None:
+            return _parse_local(obj, where)
+        if key not in memo:
+            memo[key] = _parse_local(obj, where)
+        return memo[key]
+
     s = build_product_set(
         ProductVector(
             [
-                _parse_local(l, f"members[{i}][{p}]")
+                local(l, f"members[{i}][{p}]")
                 for p, l in enumerate(_parse_list(row, f"members[{i}]", parties))
             ]
         )

@@ -6,9 +6,11 @@ and normalization only happens on request.  Partial transpose and partial
 trace are exact index shuffles/contractions; positivity questions go
 through the certified LDL* elimination, run at most once per matrix, and
 rank, range and kernel questions are answered from that one certificate.
-The PPT sweep moves only the nonzero entries into each partial transpose
-and eliminates each distinct transpose once, and the complement projector
-computes only its nonzero entries.
+The PPT sweep finds equal partial transposes from the masks whose
+transpose fixes the operator, testing each mask at most once on the
+nonzero entries; it moves only those entries into each distinct transpose
+and eliminates it once.  The complement projector visits only its nonzero
+entries.
 """
 
 from __future__ import annotations
@@ -179,6 +181,7 @@ def complement_projector(s: ProductSet) -> DensityOp:
     rank = d - len(s.members)
     den = big * rank
     data = [CQ0] * (d * d)
+    bits = 8 * width
     for i in range(d):
         row_re = row_im = 0
         for xr, xi, w, pr, pi in packed:
@@ -187,10 +190,18 @@ def complement_projector(s: ProductSet) -> DensityOp:
                 # w x_i conj(x_j) in slot j
                 row_re += wr * pr + wi * pi
                 row_im += wi * pr - wr * pi
-        # entries j >= i of L I - N: slot j of a biased row is N_ij + half
-        re_bytes = (row_re + bias).to_bytes(d * width, "little")
-        im_bytes = (row_im + bias).to_bytes(d * width, "little")
-        for j in range(i, d):
+        # entries j >= i of L I - N: slot j of a biased row is N_ij + half,
+        # so slot j of `live` is nonzero exactly when N_ij is.  Slots below i
+        # are masked off and slot i is forced in, as L is added there
+        row_re += bias
+        row_im += bias
+        live = ((row_re ^ bias) | (row_im ^ bias)) & (-1 << i * bits) | (1 << i * bits)
+        re_bytes = row_re.to_bytes(d * width, "little")
+        im_bytes = row_im.to_bytes(d * width, "little")
+        while live:
+            # the lowest live slot, then drop it and every slot below
+            j = ((live & -live).bit_length() - 1) // bits
+            live &= -1 << (j + 1) * bits
             at = j * width
             a = half - int.from_bytes(re_bytes[at : at + width], "little")
             b = half - int.from_bytes(im_bytes[at : at + width], "little")
@@ -230,9 +241,12 @@ def _check_mask(mask, parties) -> frozenset:
     return mask
 
 
-# One ppt_report sweep at n qubits asks for 2^(n-1) - 1 splits in the same
-# order every time, so a cache that holds fewer evicts each one before its
-# next use.  256 holds the 255 splits of 9 qubits, 255 x 2 x 512 offsets.
+# One ppt_report sweep at n qubits asks for the splits of at most its
+# 2^(n-1) - 1 class masks: those it tests and those it scatters, in the same
+# order for operators that fix the same masks, so a cache that holds fewer
+# could evict each one before its next use.  A rotated 6-qubit complement
+# asks for most of its 31, the identity for its n - 1 singletons only.  256
+# holds all 255 of 9 qubits, 255 x 2 x 512 offsets.
 @lru_cache(maxsize=256)
 def _transpose_split(dims: tuple, mask: tuple) -> tuple:
     """Offsets (u, m), each indexed by flat index: a = u[a] + m[a], with u[a]
@@ -242,7 +256,7 @@ def _transpose_split(dims: tuple, mask: tuple) -> tuple:
     as it is an involution, that is also where entry (i, j) of the transpose
     comes from.  This is the one index rule of both partial transposes:
     ``partial_transpose`` gathers every entry through it, and ``ppt_report``
-    scatters only the nonzero ones.
+    tests and scatters only the nonzero ones.
     """
     u = [0] * prod(dims)
     m = list(u)
@@ -345,51 +359,56 @@ def ppt_report(d: DensityOp) -> PptReport:
     the input itself is not PSD.
 
     Each certificate is the one ``psd_certificate`` gives for the class's
-    ``partial_transpose``.  Only the nonzero entries are moved: each class
-    places them, as reduced triples, in fresh rows of zeros, which go to the
-    elimination as they are.  Equal transposes share one certificate object,
+    ``partial_transpose``.  Equal transposes share one certificate object,
     eliminated once, and a class whose transpose equals ``d`` shares
     ``d.psd()``; for the complement of a real product set that is every
-    class."""
+    class.  Transposes compose by XOR of masks, so the transposes of masks
+    a and b are equal exactly when the transpose of a ^ b fixes ``d``.
+    Those fixing masks form a group, found by testing each candidate at
+    most once on the nonzero entries.  Only the nonzero entries are moved:
+    each distinct class places them, as reduced triples, in fresh rows of
+    zeros, which go to the elimination as they are."""
     _check_cut(d, "ppt_report")
     base = d.psd()
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
     dims, dim = tuple(d.dims), d.dim
-    # the nonzero entries (i, j), grouped by value; reduced triples are
-    # canonical, so equal values are equal triples
-    groups = {}
-    for k, e in enumerate(d.matrix.data):
-        if e.t[0] or e.t[1]:
-            groups.setdefault(e.t, []).append(divmod(k, dim))
-    span = dim * dim
+    tri = [e.t for e in d.matrix.data]
+    entries = [(*divmod(k, dim), t) for k, t in enumerate(tri) if t[0] or t[1]]
 
-    def placements(u, m):
-        # each entry moved to its flat position in the transpose, plus span
-        # times the index of its value: sorted, equal for equal transposes only
-        return tuple(
-            sorted(
-                g * span + (u[i] + m[j]) * dim + u[j] + m[i]
-                for g, entries in enumerate(groups.values())
-                for i, j in entries
-            )
-        )
+    def split(bits):
+        return _transpose_split(dims, tuple(p for p in range(d.parties) if bits >> p & 1))
 
-    # d itself: every entry stays where it is
-    seen = {placements(range(dim), [0] * dim): base}
+    # the masks known to fix d, a group under XOR, and those known not to
+    fixing, moving = {0}, set()
+
+    def fixes(x):
+        # each mask is tested at most once; a permutation that keeps every
+        # nonzero entry keeps every zero too
+        if x in fixing or x in moving:
+            return x in fixing
+        u, m = split(x)
+        if all(tri[(u[i] + m[j]) * dim + u[j] + m[i]] == t for i, j, t in entries):
+            fixing.update([f ^ x for f in fixing])
+            return True
+        moving.add(x)
+        return False
+
+    # one (mask bits, certificate) per distinct transpose, d's own first
+    reps = [(0, base)]
     certs = {}
     for mask in bipartition_classes(d.parties):
-        u, m = _transpose_split(dims, tuple(sorted(mask)))
-        key = placements(u, m)
-        cert = seen.get(key)
+        bits = sum(1 << p for p in mask)
+        cert = next((c for r, c in reps if fixes(bits ^ r)), None)
         if cert is None:
+            u, m = split(bits)
             rows = [[CQ_ZERO] * dim for _ in range(dim)]
-            for t, entries in groups.items():
-                for i, j in entries:
-                    rows[u[i] + m[j]][u[j] + m[i]] = t
+            for i, j, t in entries:
+                rows[u[i] + m[j]][u[j] + m[i]] = t
             # d.psd() checked that d is Hermitian, so each partial transpose
             # is Hermitian too, and _ldl_certificate skips that check
-            cert = seen[key] = _ldl_certificate(rows, dim)
+            cert = _ldl_certificate(rows, dim)
+            reps.append((bits, cert))
         certs[mask] = cert
     return PptReport(certificates=certs)
 

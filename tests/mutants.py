@@ -165,8 +165,8 @@ MUTANTS = (
     Mutant(
         "ppt_report keys a class on positions only, without values",
         "states.py",
-        "g * span + (u[i] + m[j]) * dim + u[j] + m[i]",
-        "(u[i] + m[j]) * dim + u[j] + m[i]",
+        "tri[(u[i] + m[j]) * dim + u[j] + m[i]] == t for",
+        "tri[(u[i] + m[j]) * dim + u[j] + m[i]] != CQ_ZERO for",
         (
             "tests/test_states.py::test_ppt_report_certificates_match_partial_transpose"
             "[rotated-6q-complement]",
@@ -175,13 +175,27 @@ MUTANTS = (
     Mutant(
         "ppt_report gives every class the operator's own certificate",
         "states.py",
-        "cert = seen.get(key)",
-        "cert = base",
+        "if all(tri[(u[i] + m[j]) * dim + u[j] + m[i]] == t for i, j, t in entries):",
+        "if True:",
         (
             "tests/test_states.py::test_ppt_report_shares_certificates_of_equal_npt_transposes",
             "tests/test_states.py::"
             "test_certification_pipeline_eliminates_each_distinct_transpose_once",
         ),
+    ),
+    Mutant(
+        "complement walk drops the forced diagonal slot",
+        "states.py",
+        "& (-1 << i * bits) | (1 << i * bits)",
+        "& (-1 << i * bits)",
+        ("tests/test_states.py::test_complement_of_three_basis_vectors_is_pure",),
+    ),
+    Mutant(
+        "local memo keyed on the first coordinate only",
+        "catalog.py",
+        "return (kind, *value[0], *value[1])",
+        "return (kind, *value[0])",
+        ("tests/test_catalog.py::test_equal_locals_parse_to_one_object",),
     ),
     Mutant(
         "psd_certificate does not mark its matrix Hermitian",

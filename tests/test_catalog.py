@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +15,10 @@ from upblab.catalog import (
     load,
     min_upb_size,
     product_set_to_doc,
+    product_vector_obj,
     save,
     size_status,
+    to_doc,
 )
 from upblab.errors import (
     ParseError,
@@ -189,6 +193,54 @@ def test_local_naming_other_than_one_representation_rejected(local):
     with pytest.raises(ParseError) as exc:
         from_doc(doc)
     assert exc.value.location == "members[2][1]"
+
+
+def _angle_basis():
+    # the standard basis of two qubits, written as the angles 0 and 1/2
+    k0, k1 = LocalState.angle(Fraction(0)), LocalState.angle(Fraction(1, 2))
+    return build_product_set(
+        ProductVector([a, b]) for a in (k0, k1) for b in (k0, k1)
+    )
+
+
+@pytest.mark.parametrize("make", [lambda: fixture("shifts"), _angle_basis], ids=["pair", "angle"])
+def test_equal_locals_parse_to_one_object(make):
+    # |0> and |+> share their first coordinate, so a key on part of a
+    # local would hand one of them the other's object
+    doc = product_set_to_doc(make())
+    s = from_doc(doc)
+    at = [(i, p) for i, row in enumerate(doc["members"]) for p in range(len(row))]
+    for i, p in at:
+        assert product_vector_obj(s.members[i])[p] == doc["members"][i][p]
+    for (i, p), (k, q) in itertools.combinations(at, 2):
+        same = doc["members"][i][p] == doc["members"][k][q]
+        assert (s.members[i].locals[p] is s.members[k].locals[q]) == same
+
+
+@pytest.mark.parametrize(
+    "edit, suffix",
+    [
+        (lambda l: {"pair": tuple(l["pair"])}, ""),
+        (lambda l: {"pair": [tuple(l["pair"][0]), l["pair"][1]]}, ".pair[0]"),
+        (lambda l: {**l, "note": "x"}, ""),
+    ],
+    ids=["tuple-pair", "tuple-coordinate", "extra-key"],
+)
+def test_a_later_copy_of_a_parsed_local_is_still_checked(edit, suffix):
+    # members[1][2] holds the same strings as members[0][0], parsed first;
+    # reshaped, it is refused where it stands
+    doc = product_set_to_doc(fixture("shifts"))
+    assert doc["members"][1][2] == doc["members"][0][0]
+    doc["members"][1][2] = edit(doc["members"][1][2])
+    with pytest.raises(ParseError) as exc:
+        from_doc(doc)
+    assert exc.value.location == "members[1][2]" + suffix
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_round_trips_unchanged(name):
+    doc = to_doc(fixture(name))
+    assert canonical_json(to_doc(from_doc(json.loads(canonical_json(doc))))) == canonical_json(doc)
 
 
 def test_schema_version_mismatch():

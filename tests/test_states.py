@@ -773,23 +773,21 @@ def test_real_rescaling_keeps_the_hermitian_mark(monkeypatch):
 
 
 def test_transpose_splits_of_an_8_qubit_sweep_stay_cached():
-    # a ppt_report sweep at 8 qubits asks for 127 index splits, 2 x 256
-    # offsets each, in the same order every time; a cache that holds fewer
-    # evicts each before reuse.
+    # every transpose of the identity is the identity: the sweep tests the 7
+    # singleton masks, whose group is all 128 masks, and asks for no other
+    # split; a second sweep finds all 7 cached
     dims = (2,) * 8
-    masks = [tuple(sorted(m)) for m in bipartition_classes(8)]
-    assert len(masks) == 127
     d = density_from_matrix(dims, ExactMatrix.identity(256))
     _transpose_split.cache_clear()
     try:
-        assert ppt_report(d).is_ppt
+        rep = ppt_report(d)
         first = _transpose_split.cache_info()
-        for mask in masks:
-            u, m = _transpose_split(dims, mask)
-            assert len(u) == len(m) == 256
+        assert len(rep.certificates) == 127
+        assert all(c is d.psd() for c in rep.certificates.values())
+        assert (first.hits, first.misses, first.currsize) == (0, 7, 7)
+        assert ppt_report(density_from_matrix(dims, ExactMatrix.identity(256))).is_ppt
         second = _transpose_split.cache_info()
-        assert (first.hits, first.misses, first.currsize) == (0, 127, 127)
-        assert (second.hits, second.misses) == (127, 127)
+        assert (second.hits, second.misses) == (7, 7)
     finally:
         _transpose_split.cache_clear()
 
@@ -872,6 +870,30 @@ def _state_with_a_zero_row():
     return pure_density(v, (2, 2, 2))
 
 
+def _local_times_pairs(*pairs):
+    # a complex local on party 0, then one two-qubit operator per pair of
+    # parties (1, 2), (3, 4), ...: each real and symmetric, so transposing
+    # both parties of a pair fixes it, and transposing one does not.  The
+    # masks that fix the whole operator are then the unions of pairs, a
+    # group that no single party's transpose generates
+    a = [ComplexRational(1), ComplexRational(1, 2)]
+    m = outer(a, a)
+    for pair in pairs:
+        m = m.kron(pair)
+    return density_from_matrix((2,) * (1 + 2 * len(pairs)), m)
+
+
+def _bell_pair():
+    # |00> + |11>, unnormalized: NPT
+    v = [ComplexRational(int(k in (0, 3))) for k in range(4)]
+    return outer(v, v)
+
+
+def _isotropic_pair():
+    # I + (|00> + |11>)(<00| + <11|): its partial transpose is I + SWAP, PSD
+    return ExactMatrix.identity(4) + _bell_pair()
+
+
 @pytest.mark.parametrize(
     "make, ppt",
     [
@@ -883,6 +905,9 @@ def _state_with_a_zero_row():
         (_entangled_two_qutrits, False),
         (lambda: complement_projector(tensor_upb_opb(shifts_upb(), 2)), True),
         (_state_with_a_zero_row, False),
+        (lambda: _local_times_pairs(_bell_pair()), False),
+        (lambda: _local_times_pairs(_isotropic_pair(), _isotropic_pair()), True),
+        (lambda: _local_times_pairs(_isotropic_pair(), _bell_pair()), False),
     ],
     ids=[
         "rotated-5q-complement",
@@ -893,6 +918,9 @@ def _state_with_a_zero_row():
         "entangled-3x3",
         "unrotated-5q-complement",
         "zero-row",
+        "local-bell-pair",
+        "local-two-isotropic-pairs",
+        "local-isotropic-and-bell-pairs",
     ],
 )
 def test_ppt_report_certificates_match_partial_transpose(make, ppt):
