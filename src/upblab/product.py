@@ -218,32 +218,57 @@ def covering_search(keys, classes, parties: int):
     each class at party p to the bitmask of its members.  Looks for one
     class per party (parties may stay free) whose masks jointly cover every
     member.  Returns (assignment, branches): the party -> class choice, or
-    None when the search ran to exhaustion, and the number of expanded
-    nodes.
+    None when the search ran to exhaustion, and the number of nodes of the
+    depth-first search tree up to the first cover.
+
+    A node's subtree depends only on its state, the pair (covered mask, set
+    of assigned parties): the classes chosen so far act only through the
+    members they cover.  So each failed state is expanded once.  A later
+    node in the same state is not expanded again, and the size of the
+    subtree recorded for that state is added to ``branches``, which still
+    counts the nodes of the whole, unmemoized tree.  The search keeps its
+    path on an explicit stack, so its depth is not bounded by the recursion
+    limit.
     """
     full = (1 << len(keys)) - 1
-    branches = 0
+    branches = 1
     assignment: dict = {}
-
-    def search(mask: int) -> bool:
-        nonlocal branches
-        branches += 1
-        if mask == full:
-            return True
+    if full == 0:  # the root covers the empty set
+        return assignment, branches
+    failed: dict = {}  # (mask, assigned-party bits) -> nodes in its subtree
+    stack = []
+    # the node being expanded: its state, its first uncovered member i, the
+    # next party p to try, and the node count before it was entered
+    mask = used = i = p = start = 0
+    while True:
         # the first uncovered member must be covered at an unassigned party:
         # an assigned class did not cover it, and a party holds one class only
-        i = (~mask & (mask + 1)).bit_length() - 1
-        for p in range(parties):
-            if p in assignment:
-                continue
-            key = keys[i][p]
-            assignment[p] = key
-            if search(mask | classes[p][key]):
-                return True
+        while p < parties and used >> p & 1:
+            p += 1
+        if p == parties:
+            if not stack:
+                return None, branches
+            failed[mask, used] = branches - start
+            mask, used, i, p, start = stack.pop()
             del assignment[p]
-        return False
-
-    return (assignment if search(0) else None), branches
+            p += 1
+            continue
+        key = keys[i][p]
+        child = mask | classes[p][key]
+        if child == full:
+            assignment[p] = key
+            return assignment, branches + 1
+        size = failed.get((child, used | 1 << p))
+        if size is not None:
+            branches += size
+            p += 1
+            continue
+        assignment[p] = key
+        stack.append((mask, used, i, p, start))
+        mask, used, start = child, used | 1 << p, branches
+        branches += 1
+        i = (~mask & (mask + 1)).bit_length() - 1
+        p = 0
 
 
 def extend_or_certify(s: ProductSet) -> ExtendDecision:
@@ -251,8 +276,8 @@ def extend_or_certify(s: ProductSet) -> ExtendDecision:
 
     Extendible: returns a concrete witness, re-validated at its covering
     parties.  Unextendible: the covering search ran to exhaustion;
-    ``branches_explored`` counts expanded nodes.  Unconstrained parties get
-    |0>.
+    ``branches_explored`` counts the nodes of its tree.  Unconstrained
+    parties get |0>.
     """
     classes = s.structure.masks
     assignment, branches = covering_search(s.structure.labels, classes, s.parties)

@@ -47,6 +47,34 @@ MUTANTS = (
         ("tests/test_product.py::test_product_set_verifies_at_construction",),
     ),
     Mutant(
+        "covering-search memo keyed on the mask alone",
+        "product.py",
+        "size = failed.get((child, used | 1 << p))",
+        "size = next((s for (m, _), s in failed.items() if m == child), None)",
+        (
+            "tests/test_product.py::test_covering_search_matches_the_tree_oracle_on_fixtures",
+            "tests/test_product.py::"
+            "test_covering_search_matches_the_tree_oracle_on_seeded_templates",
+        ),
+    ),
+    Mutant(
+        "covering-search memo hit counts one node, not the recorded subtree",
+        "product.py",
+        "branches += size",
+        "branches += 1",
+        ("tests/test_product.py::test_chain_certificates_count_the_whole_tree",),
+    ),
+    Mutant(
+        "covering-search memo hit ends the node, recording it failed before its other children",
+        "product.py",
+        "branches += size\n            p += 1",
+        "branches += size\n            p = parties",
+        (
+            "tests/test_product.py::"
+            "test_covering_search_matches_the_tree_oracle_on_seeded_templates",
+        ),
+    ),
+    Mutant(
         "DensityOp skips the annihilation check",
         "states.py",
         "if bad is not None:",

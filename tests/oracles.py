@@ -2,7 +2,9 @@
 
 The extendibility oracle here deliberately uses plain assignment
 enumeration, not the library's covering search, so the two can check each
-other.
+other.  ``covering_search_tree`` is the covering search as it was before
+failed states were memoized: it expands every node of the tree, so it
+checks the memoized search's assignment and node count.
 """
 
 import itertools
@@ -46,6 +48,51 @@ def oracle_extendible(s: ProductSet) -> bool:
         if ok:
             return True
     return False
+
+
+# The library's covering search before it memoized failed states, kept
+# verbatim: recursive, and expanding every node of the tree.
+def covering_search_tree(keys, classes, parties: int):
+    """The covering search behind every extendibility decision.
+
+    ``keys[i][p]`` is member i's class at party p and ``classes[p]`` maps
+    each class at party p to the bitmask of its members.  Looks for one
+    class per party (parties may stay free) whose masks jointly cover every
+    member.  Returns (assignment, branches): the party -> class choice, or
+    None when the search ran to exhaustion, and the number of expanded
+    nodes.
+    """
+    full = (1 << len(keys)) - 1
+    branches = 0
+    assignment: dict = {}
+
+    def search(mask: int) -> bool:
+        nonlocal branches
+        branches += 1
+        if mask == full:
+            return True
+        # the first uncovered member must be covered at an unassigned party:
+        # an assigned class did not cover it, and a party holds one class only
+        i = (~mask & (mask + 1)).bit_length() - 1
+        for p in range(parties):
+            if p in assignment:
+                continue
+            key = keys[i][p]
+            assignment[p] = key
+            if search(mask | classes[p][key]):
+                return True
+            del assignment[p]
+        return False
+
+    return (assignment if search(0) else None), branches
+
+
+def search_outcome(search, structure, parties: int):
+    """What a covering search returns on a structure, with the assignment's
+    insertion order: (assignment, its items in order, branches)."""
+    assignment, branches = search(structure.labels, structure.masks, parties)
+    items = None if assignment is None else list(assignment.items())
+    return assignment, items, branches
 
 
 def nullspace_basis(m: ExactMatrix):

@@ -22,7 +22,7 @@ from upblab.linalg import (
     solve_consistent,
     verify_psd_certificate,
 )
-from upblab.product import ProductVector, extend_or_certify, shifts_upb
+from upblab.product import ProductVector, covering_search, extend_or_certify, shifts_upb
 from upblab.qubits import LocalState
 from upblab.scalars import ComplexRational
 from upblab.search import scan
@@ -38,10 +38,12 @@ from upblab.states import (
 )
 
 from oracles import (
+    covering_search_tree,
     oracle_extendible,
     rand_vector,
     random_feasible_ops,
     rotated_complement,
+    search_outcome,
     witnesses_pairwise,
 )
 from test_blocks import random_block_spec
@@ -143,6 +145,10 @@ def test_extendibility_oracle_equivalence():
         assert verdict == oracle_extendible(s), (n, size, instances)
         # the structure's witnesses are those of pairwise verification
         assert s.structure.witnesses() == witnesses_pairwise(s.members), instances
+        # the memoized search returns what the whole tree returns
+        assert search_outcome(covering_search, s.structure, n) == search_outcome(
+            covering_search_tree, s.structure, n
+        ), instances
         extendible_count += verdict
         instances += 1
     _report(
@@ -150,7 +156,7 @@ def test_extendibility_oracle_equivalence():
         t0,
         120.0,
         f"500 instances agree ({extendible_count} extendible, "
-        f"{500 - extendible_count} unextendible), witness maps included",
+        f"{500 - extendible_count} unextendible), witness maps and search trees included",
     )
 
 

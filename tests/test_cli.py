@@ -6,7 +6,7 @@ import pytest
 
 from upblab.catalog import fixture, product_set_to_doc, save
 from upblab.cli import main
-from upblab.product import ProductVector, build_product_set
+from upblab.product import ProductVector, build_product_set, shifts_upb, tensor_upb_opb
 from upblab.qubits import LocalState
 
 
@@ -36,6 +36,14 @@ def test_extend_extendible_exits_one(tmp_path, capsys):
     save(p, reduced)
     assert main(["extend", str(p)]) == 1
     assert "extendible" in capsys.readouterr().out
+
+
+def test_extend_reports_the_whole_tree_of_a_9_qubit_chain(tmp_path, capsys):
+    p = tmp_path / "chain9.json"
+    save(p, tensor_upb_opb(shifts_upb(), 6))
+    assert main(["extend", str(p), "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unextendible" and report["branches_explored"] == 986410
 
 
 def test_verify_ok_and_refuted(tmp_path, capsys):

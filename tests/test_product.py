@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from upblab.catalog import size_status
+from upblab.catalog import fixture, fixture_names, size_status
 from upblab.errors import (
     ApproximateComparisonError,
     DuplicateMemberError,
@@ -14,6 +15,7 @@ from upblab.product import (
     ProductSet,
     ProductVector,
     build_product_set,
+    covering_search,
     extend_or_certify,
     is_proper,
     shifts_upb,
@@ -21,15 +23,18 @@ from upblab.product import (
     tensor_upb_opb,
     verify_ops,
 )
-from upblab.qubits import LocalState, local_equal_up_to_phase, orthogonal_exact
+from upblab.qubits import KET0, LocalState, local_equal_up_to_phase, orthogonal_exact
+from upblab.search import Infeasible, label_template, sample_template
 
 from oracles import (
+    covering_search_tree,
     oracle_extendible,
     rand_local,
     rand_scalar,
     random_exact_ops,
     random_feasible_ops,
     rotated_set,
+    search_outcome,
     witnesses_pairwise,
 )
 
@@ -99,6 +104,62 @@ def test_covering_search_branch_counts_are_pinned():
         s = build_product_set([m for i, m in enumerate(base.members) if i not in drop])
         d = extend_or_certify(s)
         assert d.extendible and d.branches_explored == branches
+
+
+def _agrees_with_the_tree(s):
+    memoized = search_outcome(covering_search, s.structure, s.parties)
+    assert memoized == search_outcome(covering_search_tree, s.structure, s.parties)
+    return memoized
+
+
+def test_chain_certificates_count_the_whole_tree():
+    # each failed state is expanded once, but branches still counts the
+    # nodes of the whole tree, which grows about 9x per qubit
+    for extra, branches in [(3, 1957), (4, 13700), (5, 109601), (6, 986410)]:
+        s = tensor_upb_opb(shifts_upb(), extra)
+        d = extend_or_certify(s)
+        assert not d.extendible and d.branches_explored == branches
+        # the tree oracle is too slow past 8 qubits
+        if s.parties <= 8:
+            assert _agrees_with_the_tree(s) == (None, None, branches)
+
+
+def test_covering_search_matches_the_tree_oracle_on_fixtures():
+    sets = [fixture(name) for name in fixture_names()]
+    sets = [s for s in sets if isinstance(s, ProductSet)]
+    assert len(sets) >= 10
+    for s in sets:
+        _agrees_with_the_tree(s)
+
+
+def test_covering_search_matches_the_tree_oracle_on_seeded_templates():
+    rng = random.Random(5)
+    unextendible = 0
+    for parties in range(1, 7):
+        feasible = 0
+        for k in range(600):
+            size = rng.randint(1, min(14, 2 ** parties))
+            structure = label_template(sample_template(parties, size, rng, balanced=k % 2 == 1))
+            if isinstance(structure, Infeasible):
+                continue
+            feasible += 1
+            outcome = search_outcome(covering_search, structure, parties)
+            assert outcome == search_outcome(covering_search_tree, structure, parties)
+            unextendible += outcome[0] is None
+        assert feasible >= 200
+    assert unextendible >= 300
+
+
+def test_deep_search_is_not_bounded_by_the_recursion_limit():
+    # member i is |1> at party i and |0> elsewhere: |0...0> covers member i
+    # at party i only, so the one path to a cover is n + 1 nodes deep
+    n = sys.getrecursionlimit() + 100
+    members = [
+        ProductVector([K1 if p == i else K0 for p in range(n)]) for i in range(n)
+    ]
+    d = extend_or_certify(build_product_set(members))
+    assert d.extendible and d.branches_explored == n + 1
+    assert all(local_equal_up_to_phase(w, KET0) for w in d.witness.locals)
 
 
 def test_extend_requires_verified():
