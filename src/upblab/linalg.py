@@ -61,36 +61,16 @@ def sparse_cleared_rows(m: ExactMatrix) -> tuple[int, list]:
     as by ``cleared``, as ``(column, re, im)`` integer triples.
 
     This is the form ``annihilates`` takes; the zero entries, which cannot
-    change M x, are left out.  Only the nonzero entries are read: a zero's
+    change M x, are left out, and ``m.nonzero()`` is read: a zero's
     denominator is 1, so it leaves the row's common denominator as it is.
     """
-    rows = []
-    for i in range(m.rows):
-        nz = [(j, e) for j, e in enumerate(m.row(i)) if e.t[0] or e.t[1]]
-        re, im = cleared([e for _, e in nz])
-        rows.append([(j, a, b) for (j, _), a, b in zip(nz, re, im)])
+    rows = [[] for _ in range(m.rows)]
+    for i, j, t in m.nonzero():
+        rows[i].append((j, t))
+    for row in rows:
+        c = lcm(*(t[2] for _, t in row))
+        row[:] = [(j, p * (c // r), q * (c // r)) for j, (p, q, r) in row]
     return m.cols, rows
-
-
-def kronecker_packer(width: int, count: int):
-    """Kronecker substitution of ``count`` signed integers into one,
-    ``width`` bytes per slot: ``pack(xs)`` is sum_k xs[k] 2^(8 width k).
-
-    Returns ``(pack, half, bias)``.  A sum of packed integers whose every
-    slot stays within (-half, half) reads off slot by slot: adding ``bias``
-    makes each slot nonnegative, so slot k plus ``half`` sits in bytes
-    ``k * width`` to ``(k + 1) * width`` of its little-endian form, and the
-    sum is zero exactly when every slot is.
-    """
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-
-    def pack(xs):
-        return int.from_bytes(
-            b"".join((x + half).to_bytes(width, "little") for x in xs), "little"
-        ) - bias
-
-    return pack, half, bias
 
 
 def annihilates(sparse_rows, xs) -> Optional[int]:
@@ -100,11 +80,12 @@ def annihilates(sparse_rows, xs) -> Optional[int]:
     vector of another length is not in the kernel.
 
     All vectors are checked in one pass over M: their coordinates are packed
-    per column and part into one integer (``kronecker_packer``), one slot
-    per vector, so a row costs one multiply-add per nonzero entry and part.
-    No slot of a row's product exceeds the row's sum_j (|re| + |im|) times
-    a vector's largest |re| plus its largest |im|, and a slot holds that
-    bound and a sign bit."""
+    per column and part into one integer, one slot of ``width`` bytes per
+    vector, so a row costs one multiply-add per nonzero entry and part.  No
+    slot of a row's product exceeds the row's sum_j (|re| + |im|) times a
+    vector's largest |re| plus its largest |im|, and a slot holds that bound
+    and a sign bit.  Adding ``bias`` makes every slot nonnegative, so slot k
+    plus ``half`` is bytes k width to (k + 1) width of the sum."""
     cols, rows = sparse_rows
     xs = list(xs)
     # a vector of another length comes before every later one
@@ -116,7 +97,13 @@ def annihilates(sparse_rows, xs) -> Optional[int]:
     big = max(max(map(abs, xr), default=0) + max(map(abs, xi), default=0) for xr, xi in xs)
     bound = big * max((sum(abs(a) + abs(b) for _, a, b in row) for row in rows), default=0)
     width = bound.bit_length() // 8 + 1
-    pack, half, bias = kronecker_packer(width, m)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+
+    def pack(col):  # sum_k col[k] 2^(8 width k)
+        data = b"".join((x + half).to_bytes(width, "little") for x in col)
+        return int.from_bytes(data, "little") - bias
+
     pr = [pack(col) for col in zip(*(xr for xr, _ in xs))]
     pi = [pack(col) for col in zip(*(xi for _, xi in xs))]
     for row in rows:
@@ -140,11 +127,12 @@ class ExactMatrix:
     """A dense rows x cols matrix of complex rationals, stored row-major.
 
     ``_psd`` holds the matrix's PSD certificate once one has been computed
-    (see ``psd_certificate``), and ``_hermitian`` marks a matrix known to be
-    exactly Hermitian, whose certificate then needs no Hermiticity check;
-    the entries never change, so both stay valid."""
+    (see ``psd_certificate``), ``_hermitian`` marks a matrix known to be
+    exactly Hermitian, whose certificate then needs no Hermiticity check,
+    and ``_nonzero`` holds ``nonzero()``'s view; the entries never change,
+    so all three stay valid."""
 
-    __slots__ = ("rows", "cols", "data", "_psd", "_hermitian")
+    __slots__ = ("rows", "cols", "data", "_psd", "_hermitian", "_nonzero")
 
     def __init__(self, rows: int, cols: int, data):
         data = tuple(data)
@@ -155,6 +143,7 @@ class ExactMatrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_psd", None)
         object.__setattr__(self, "_hermitian", False)
+        object.__setattr__(self, "_nonzero", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -179,8 +168,14 @@ class ExactMatrix:
     def at(self, i: int, j: int) -> ComplexRational:
         return self.data[i * self.cols + j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+    def nonzero(self) -> tuple:
+        """``(i, j, triple)`` per nonzero entry, row-major: computed from
+        ``data`` on first use, unless the matrix's builder filled it."""
+        if self._nonzero is None:
+            c, ts = self.cols, (e.t for e in self.data)
+            nz = tuple((*divmod(k, c), t) for k, t in enumerate(ts) if t[0] or t[1])
+            object.__setattr__(self, "_nonzero", nz)
+        return self._nonzero
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -220,27 +215,6 @@ class ExactMatrix:
         object.__setattr__(out, "_hermitian", self._hermitian and s.is_real())
         return out
 
-    def __matmul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    acc = CQ0
-                    for k in range(self.cols):
-                        a = ri[k]
-                        if a.is_zero():
-                            continue
-                        b = other.data[k * other.cols + j]
-                        if b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    out.append(acc)
-            return ExactMatrix(self.rows, other.cols, out)
-        return NotImplemented
-
     def apply(self, v: Sequence[ComplexRational]) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
@@ -256,13 +230,6 @@ class ExactMatrix:
                 acc = acc + a * v[k]
             out.append(acc)
         return tuple(out)
-
-    def dagger(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.at(i, j).conjugate() for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def trace(self) -> ComplexRational:
         if self.rows != self.cols:
@@ -285,16 +252,13 @@ class ExactMatrix:
         return ExactMatrix(self.rows * other.rows, self.cols * other.cols, out)
 
     def is_hermitian(self) -> bool:
+        """Each nonzero entry against its mirror's conjugate, which covers a
+        nonzero facing a zero; canonical triples are unique, so tuple
+        equality is value equality."""
         if self.rows != self.cols:
             return False
-        n = self.rows
-        ts = [e.t for e in self.data]
-        # row i against the conjugate of column i; canonical triples are
-        # unique, so tuple equality is value equality
-        for i in range(n):
-            if ts[i * n : (i + 1) * n] != [(p, -q, r) for p, q, r in ts[i::n]]:
-                return False
-        return True
+        n, data = self.rows, self.data
+        return all(data[j * n + i].t == (p, -q, r) for i, j, (p, q, r) in self.nonzero())
 
     def to_numpy(self):
         import numpy as np

@@ -169,11 +169,15 @@ def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
         raise ValueError("members disagree on the number of parties")
     size = len(members)
     columns, masks = [], []
+    keys = {}  # id(local) -> its phase key; the members keep each local alive
     for p in range(n):
         by_key, groups, column = {}, [0] * (2 * size), []
         for i, m in enumerate(members):
             l, bit = m.locals[p], 1 << i
-            key = l.phase_key()
+            ident = id(l)
+            if ident not in keys:
+                keys[ident] = l.phase_key()
+            key = keys[ident]
             if key not in by_key:
                 # a new class; each earlier one holds its key and its perp's
                 by_key[key] = len(by_key) // 2

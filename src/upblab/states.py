@@ -9,8 +9,9 @@ rank, range and kernel questions are answered from that one certificate.
 The PPT sweep finds equal partial transposes from the masks whose
 transpose fixes the operator, testing each mask at most once on the
 nonzero entries; it moves only those entries into each distinct transpose
-and eliminates it once.  The complement projector visits only its nonzero
-entries.
+and eliminates it once.  The complement projector packs each member from
+its locals and visits only its nonzero entries, which it hands on as the
+matrix's ``nonzero()`` view; the checks and the PPT sweep read that view.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .linalg import (
     _range_quadratic_form,
     annihilates,
     as_vector,
-    kronecker_packer,
+    cleared,
     matrix_rank,
     projector,
     psd_certificate,
@@ -156,32 +157,48 @@ def complement_projector(s: ProductSet) -> DensityOp:
         if len(s.members) == d:
             raise SpansEverythingError("the set spans the whole space")
         raise ValueError("more members than the space dimension")
-    vecs = [m.cleared_flatten() for m in s.members]
-    # Each member is a Gaussian-integer vector x with norm n = <x|x>, so
-    # sum_x |x><x|/n = N/L with L the lcm of the norms and N integral.
-    norms = [sum(a * a for a in xr) + sum(b * b for b in xi) for xr, xi in vecs]
+    # Each member x is the Kronecker product of its cleared locals, each
+    # distinct local object cleared once, so its norm n = <x|x> is the
+    # product of theirs and sum_x |x><x|/n = N/L, with L the lcm of the
+    # norms and N integral.
+    locs = {}
+    for l in {id(l): l for m in s.members for l in m.locals}.values():
+        (ar, br), (ai, bi) = cleared(l.vec2())
+        locs[id(l)] = (ar, ai, br, bi)
+    factors = [[locs[id(l)] for l in m.locals] for m in s.members]
+    norms = [prod(sum(x * x for x in f) for f in fs) for fs in factors]
     big = lcm(*norms)
     weights = [big // n for n in norms]
-    # Row i of N is sum_x (w x_i) conj(x), a sum of scaled member vectors.
-    # Each member's real and imaginary coordinates are packed into one
-    # integer each, `width` bytes per coordinate (``kronecker_packer``), so
-    # a row costs one multiply-add per member and part.  No entry of N
-    # exceeds sum_x w max_j (|re| + |im|)^2 in absolute value, and a slot
-    # holds that bound and a sign bit, so no slot spills into its neighbour.
-    bound = sum(
-        w * max(abs(a) + abs(b) for a, b in zip(xr, xi)) ** 2
-        for (xr, xi), w in zip(vecs, weights)
-    )
+    # Row i of N is sum_x (w x_i) conj(x), a sum of scaled member vectors,
+    # each part packed into one integer, `width` bytes per coordinate and
+    # read as in ``annihilates``, so a row costs one multiply-add per member
+    # and part.  No entry of N exceeds sum_x w max_j (|re| + |im|)^2, and
+    # as |Re zw| + |Im zw| <= (|Re z| + |Im z|)(|Re w| + |Im w|), max_j is at
+    # most the product over x's locals of their larger |re| + |im|.  A slot
+    # holds that bound and a sign bit, so none spills over.
+    peaks = [prod(max(abs(a) + abs(b), abs(c) + abs(e)) for a, b, c, e in fs) for fs in factors]
+    bound = sum(w * p * p for w, p in zip(weights, peaks))
     width = bound.bit_length() // 8 + 1
-    pack, half, bias = kronecker_packer(width, d)
-    packed = [(xr, xi, w, pack(xr), pack(xi)) for (xr, xi), w in zip(vecs, weights)]
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * d, "little")
+    packed = []
+    for m, fs, w in zip(s.members, factors, weights):
+        # packed from the last party: l (x) P puts l_0 P in P's `up` bits
+        # and l_1 P in as many bits above them
+        pr, pi, up = 1, 0, bits
+        for ar, ai, br, bi in reversed(fs):
+            hr, hi = br * pr - bi * pi, br * pi + bi * pr
+            pr, pi, up = ar * pr - ai * pi + (hr << up), ar * pi + ai * pr + (hi << up), 2 * up
+        packed.append((*m.cleared_flatten(), w, pr, pi))
     # (L I - N) / (L (D - |s|)): the upper triangle, each nonzero entry
-    # reduced once, and its conjugate below the diagonal.  A zero entry
-    # keeps the shared CQ0; a diagonal entry is tested only after L is added
+    # reduced once, and its conjugate below the diagonal, each also listed
+    # in its row of the view.  A zero entry keeps the shared CQ0; a diagonal
+    # entry is tested only after L is added
     rank = d - len(s.members)
     den = big * rank
     data = [CQ0] * (d * d)
-    bits = 8 * width
+    view = [[] for _ in range(d)]
     for i in range(d):
         row_re = row_im = 0
         for xr, xi, w, pr, pi in packed:
@@ -208,12 +225,17 @@ def complement_projector(s: ProductSet) -> DensityOp:
             if j == i:
                 a += big
             if a or b:
-                p, q, r = cq_make(a, b, den)
-                data[i * d + j] = ComplexRational.from_triple((p, q, r))
-                data[j * d + i] = ComplexRational.from_triple((p, -q, r))
+                t = cq_make(a, b, den)
+                data[i * d + j] = ComplexRational.from_triple(t)
+                view[i].append((i, j, t))
+                if j != i:
+                    c = (t[0], -t[1], t[2])
+                    data[j * d + i] = ComplexRational.from_triple(c)
+                    view[j].append((j, i, c))
     # Every entry sits next to its conjugate, so the Hermitian check that
-    # psd() makes below is the only one needed
+    # psd() makes below on the view is the only one needed
     m = ExactMatrix(d, d, data)
+    object.__setattr__(m, "_nonzero", tuple(e for row in view for e in row))
     out = DensityOp(dims=s.dims, matrix=m, kernel_product_set=s)
     cert = out.psd()
     if not cert.is_psd or cert.rank != rank:
@@ -373,8 +395,7 @@ def ppt_report(d: DensityOp) -> PptReport:
     if not base.is_psd:
         raise NotPsdError("ppt_report requires a PSD operator")
     dims, dim = tuple(d.dims), d.dim
-    tri = [e.t for e in d.matrix.data]
-    entries = [(*divmod(k, dim), t) for k, t in enumerate(tri) if t[0] or t[1]]
+    data, entries = d.matrix.data, d.matrix.nonzero()
 
     def split(bits):
         return _transpose_split(dims, tuple(p for p in range(d.parties) if bits >> p & 1))
@@ -388,7 +409,7 @@ def ppt_report(d: DensityOp) -> PptReport:
         if x in fixing or x in moving:
             return x in fixing
         u, m = split(x)
-        if all(tri[(u[i] + m[j]) * dim + u[j] + m[i]] == t for i, j, t in entries):
+        if all(data[(u[i] + m[j]) * dim + u[j] + m[i]].t == t for i, j, t in entries):
             fixing.update([f ^ x for f in fixing])
             return True
         moving.add(x)

@@ -193,8 +193,8 @@ MUTANTS = (
     Mutant(
         "ppt_report keys a class on positions only, without values",
         "states.py",
-        "tri[(u[i] + m[j]) * dim + u[j] + m[i]] == t for",
-        "tri[(u[i] + m[j]) * dim + u[j] + m[i]] != CQ_ZERO for",
+        "data[(u[i] + m[j]) * dim + u[j] + m[i]].t == t for",
+        "data[(u[i] + m[j]) * dim + u[j] + m[i]].t != CQ_ZERO for",
         (
             "tests/test_states.py::test_ppt_report_certificates_match_partial_transpose"
             "[rotated-6q-complement]",
@@ -203,7 +203,7 @@ MUTANTS = (
     Mutant(
         "ppt_report gives every class the operator's own certificate",
         "states.py",
-        "if all(tri[(u[i] + m[j]) * dim + u[j] + m[i]] == t for i, j, t in entries):",
+        "if all(data[(u[i] + m[j]) * dim + u[j] + m[i]].t == t for i, j, t in entries):",
         "if True:",
         (
             "tests/test_states.py::test_ppt_report_shares_certificates_of_equal_npt_transposes",
@@ -217,6 +217,42 @@ MUTANTS = (
         "& (-1 << i * bits) | (1 << i * bits)",
         "& (-1 << i * bits)",
         ("tests/test_states.py::test_complement_of_three_basis_vectors_is_pure",),
+    ),
+    Mutant(
+        "the complement's view leaves out the mirrored lower entries",
+        "states.py",
+        "view[j].append((j, i, c))",
+        "pass",
+        (
+            "tests/test_states.py::test_complement_view_lists_every_nonzero_entry_of_fixtures",
+            "tests/test_states.py::test_rotated_complement_view_and_entries",
+        ),
+    ),
+    Mutant(
+        "the slot bound drops one party's factor",
+        "states.py",
+        "for a, b, c, e in fs)",
+        "for a, b, c, e in fs[1:])",
+        (
+            "tests/test_states.py::test_complement_matches_exact_matrix_reference",
+        ),
+    ),
+    Mutant(
+        "the Hermitian check skips entries on the diagonal",
+        "linalg.py",
+        "for i, j, (p, q, r) in self.nonzero())",
+        "for i, j, (p, q, r) in self.nonzero() if i != j)",
+        ("tests/test_linalg.py::test_is_hermitian_checks_every_entry",),
+    ),
+    Mutant(
+        "the verify_ops memo is keyed on the party, not the local",
+        "product.py",
+        "ident = id(l)",
+        "ident = p",
+        (
+            "tests/test_product.py::test_verify_ops_computes_one_phase_key_per_local_object",
+            "tests/test_product.py::test_product_set_verifies_at_construction",
+        ),
     ),
     Mutant(
         "local memo keyed on the first coordinate only",

@@ -422,13 +422,35 @@ def rand_local(rng: random.Random) -> LocalState:
     return LocalState.pair(a, b)
 
 
+def dagger(m: ExactMatrix) -> ExactMatrix:
+    """The conjugate transpose of m."""
+    return ExactMatrix(
+        m.cols, m.rows, [m.at(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)]
+    )
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product a b, entry by entry in ExactMatrix arithmetic."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return ExactMatrix(
+        a.rows,
+        b.cols,
+        [
+            sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), CQ0)
+            for i in range(a.rows)
+            for j in range(b.cols)
+        ],
+    )
+
+
 def rand_hermitian(rng: random.Random, n: int, psd: bool = False) -> ExactMatrix:
     """Random exact Hermitian matrix; with ``psd`` it is G G-dagger for a
     random (possibly rank-deficient) G."""
     if psd:
         r = rng.randint(1, n)
         g = ExactMatrix.from_rows([[rand_scalar(rng) for _ in range(r)] for _ in range(n)])
-        return g @ g.dagger()
+        return matmul(g, dagger(g))
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = ComplexRational(rand_fraction(rng))
@@ -457,7 +479,7 @@ def random_psd(rng: random.Random, n: int, rank: int) -> ExactMatrix:
     g = ExactMatrix.from_rows(
         [[ComplexRational(part(), part()) for _ in range(rank)] for _ in range(n)]
     )
-    return g @ g.dagger()
+    return matmul(g, dagger(g))
 
 
 def sparse_low_rank_psd(rng: random.Random, n: int) -> ExactMatrix:
@@ -466,7 +488,7 @@ def sparse_low_rank_psd(rng: random.Random, n: int) -> ExactMatrix:
     g = ExactMatrix.from_rows(
         [[rand_scalar(rng) if rng.random() < 0.3 else 0 for _ in range(r)] for _ in range(n)]
     )
-    return g @ g.dagger()
+    return matmul(g, dagger(g))
 
 
 def _random_block(rng, blocks):
@@ -569,10 +591,11 @@ def rotated_complement(rng: random.Random, extra: int) -> DensityOp:
     return complement_projector(rotated_set(rng, extra))
 
 
-def rotated_set(rng: random.Random, extra: int) -> ProductSet:
+def rotated_set(rng: random.Random, extra: int, span: int = 3) -> ProductSet:
     """The shifts UPB tensored with ``extra`` basis parties, parties
     permuted and each party rotated by |0> -> (a, b), |1> -> (-conj b, conj a),
-    as the benchmark builds its inputs."""
+    as the benchmark builds its inputs: a and b are Gaussian integers with
+    parts in [-span, span]."""
     base = tensor_upb_opb(shifts_upb(), extra)
     n = 3 + extra
     perm = list(range(n))
@@ -581,8 +604,8 @@ def rotated_set(rng: random.Random, extra: int) -> ProductSet:
     for _ in range(n):
         a = b = (0, 0)
         while a == b == (0, 0):
-            a = (rng.randint(-3, 3), rng.randint(-3, 3))
-            b = (rng.randint(-3, 3), rng.randint(-3, 3))
+            a = (rng.randint(-span, span), rng.randint(-span, span))
+            b = (rng.randint(-span, span), rng.randint(-span, span))
         unitaries.append((ComplexRational(*a), ComplexRational(*b)))
     members = []
     for m in base.members:

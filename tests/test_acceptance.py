@@ -39,6 +39,8 @@ from upblab.states import (
 
 from oracles import (
     covering_search_tree,
+    dagger,
+    matmul,
     oracle_extendible,
     rand_vector,
     random_feasible_ops,
@@ -303,7 +305,7 @@ def test_exact_vs_float_psd_crosscheck():
             g = ExactMatrix.from_rows(
                 [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
             )
-            m = g @ g.dagger()
+            m = matmul(g, dagger(g))
         elif kind == 2:
             m = rand_hermitian(rng, n, psd=True)  # often singular: lam_min = 0
         else:

@@ -30,6 +30,8 @@ from upblab.scalars import CQ0, ComplexRational
 from upblab.states import complement_projector, density_from_matrix
 
 from oracles import (
+    dagger,
+    matmul,
     nullspace_basis,
     rand_hermitian,
     rand_scalar,
@@ -134,6 +136,29 @@ def test_is_hermitian_checks_every_entry():
             bad[k] = bad[k] + ComplexRational(0, 1)  # breaks (i, j) against (j, i)
             assert not ExactMatrix(n, n, bad).is_hermitian(), (i, j)
     assert not ExactMatrix.from_rows([[1, 2, 3]]).is_hermitian()
+
+
+def test_is_hermitian_sees_a_nonzero_entry_facing_a_zero():
+    # every other entry equals its mirror's conjugate; only (0, 2) against
+    # the zero at (2, 0) breaks the symmetry, in either triangle
+    upper = ExactMatrix.from_rows([[1, 0, 5], [0, 2, 0], [0, 0, 3]])
+    assert [(i, j) for i, j, _ in upper.nonzero()] == [(0, 0), (0, 2), (1, 1), (2, 2)]
+    assert not upper.is_hermitian()
+    assert not ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [5, 0, 3]]).is_hermitian()
+    assert ExactMatrix.from_rows([[1, 0, 5], [0, 2, 0], [5, 0, 3]]).is_hermitian()
+
+
+def test_nonzero_view_is_every_nonzero_entry_in_row_major_order():
+    rng = random.Random(31)
+    for _ in range(30):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        m = ExactMatrix.from_rows(
+            [[rand_scalar(rng) if rng.random() < 0.5 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        )
+        dense = [(i, j, m.at(i, j).t) for i in range(rows) for j in range(cols)]
+        assert m.nonzero() == tuple(e for e in dense if e[2] != (0, 0, 1))
+        assert m.nonzero() is m.nonzero()  # computed once
 
 
 def test_psd_rank_equals_pivot_count():
@@ -282,9 +307,9 @@ def test_matrix_ops_match_numpy():
         b = ExactMatrix.from_rows(
             [[rand_scalar(rng) for _ in range(2)] for _ in range(3)]
         )
-        assert np.allclose((a @ b).to_numpy(), a.to_numpy() @ b.to_numpy())
+        assert np.allclose(matmul(a, b).to_numpy(), a.to_numpy() @ b.to_numpy())
         assert np.allclose(a.kron(b).to_numpy(), np.kron(a.to_numpy(), b.to_numpy()))
-        assert np.allclose(a.dagger().to_numpy(), a.to_numpy().conj().T)
+        assert np.allclose(dagger(a).to_numpy(), a.to_numpy().conj().T)
 
 
 def test_solve_consistent():
@@ -388,7 +413,8 @@ def test_kernel_basis_is_the_rref_basis():
 def test_kernel_basis_edge_cases():
     assert _kernel_basis(psd_certificate(ExactMatrix.identity(4))) == []
     eye = ExactMatrix.identity(3)
-    assert _kernel_basis(psd_certificate(ExactMatrix.zeros(3, 3))) == [eye.row(i) for i in range(3)]
+    rows = [eye.data[3 * i : 3 * i + 3] for i in range(3)]
+    assert _kernel_basis(psd_certificate(ExactMatrix.zeros(3, 3))) == rows
     cert = psd_certificate(ExactMatrix.from_rows([[1, 2], [2, 1]]))
     assert not cert.is_psd and cert.steps
     with pytest.raises(NotPsdError):
@@ -406,7 +432,7 @@ def _to_sympy(m: ExactMatrix):
     from sympy import QQ_I
     from sympy.polys.matrices import DomainMatrix
 
-    rows = [[_qq_i(x.t) for x in m.row(i)] for i in range(m.rows)]
+    rows = [[_qq_i(x.t) for x in m.data[i * m.cols : (i + 1) * m.cols]] for i in range(m.rows)]
     return DomainMatrix(rows, (m.rows, m.cols), QQ_I)
 
 
@@ -419,7 +445,7 @@ def test_rank_and_nullity_match_sympy_oracle():
         k = rng.randint(1, min(nr, nc))
         a = ExactMatrix.from_rows([[rand_scalar(rng) for _ in range(k)] for _ in range(nr)])
         b = ExactMatrix.from_rows([[rand_scalar(rng) for _ in range(nc)] for _ in range(k)])
-        m = a @ b
+        m = matmul(a, b)
         oracle = _to_sympy(m)
         rank = oracle.rank()
         assert matrix_rank(m) == rank

@@ -23,7 +23,7 @@ from upblab.product import (
     tensor_upb_opb,
     verify_ops,
 )
-from upblab.qubits import KET0, LocalState, local_equal_up_to_phase, orthogonal_exact
+from upblab.qubits import KET0, LocalState, local_equal_up_to_phase, local_perp, orthogonal_exact
 from upblab.search import Infeasible, label_template, sample_template
 
 from oracles import (
@@ -483,3 +483,28 @@ def test_first_unwitnessed_pair_is_reported_among_mixed_locals():
     with pytest.raises(NotOrthogonalError) as exc:
         verify_ops([members[2], members[0], members[1]])
     assert exc.value.pair == (1, 2)
+
+
+def test_verify_ops_computes_one_phase_key_per_local_object(monkeypatch):
+    # tensor_upb_opb shares the shifts UPB's four local objects across the
+    # copies of a member and makes a fresh object for every extra local
+    members = tensor_upb_opb(shifts_upb(), 3).members
+    objects = len({id(l) for m in members for l in m.locals})
+    # one perpendicular lookup per phase class and party
+    perps = sum(
+        len({frozenset([l.phase_key(), local_perp(l).phase_key()]) for l in column})
+        for column in zip(*(m.locals for m in members))
+    )
+    assert (objects, perps) == (4 + 32 * 3, 3 * 2 + 3)
+    calls = []
+    original = LocalState.phase_key
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LocalState, "phase_key", counted)
+    structure = verify_ops(members)
+    monkeypatch.undo()
+    assert len(calls) == objects + perps
+    assert structure.witnesses() == witnesses_pairwise(members)

@@ -53,6 +53,7 @@ from upblab.states import (
 
 from oracles import (
     complement_reference,
+    dagger,
     flattening_entrywise,
     partial_trace_entrywise,
     partial_transpose_entrywise,
@@ -159,7 +160,7 @@ def test_partial_transpose_involution():
         (outer(rand_vector(rng, 8), rand_vector(rng, 8)) for _ in range(2)),
         ExactMatrix.zeros(8, 8),
     )
-    h = m + m.dagger()
+    h = m + dagger(m)
     d = density_from_matrix((2, 2, 2), h)
     for mask in [{0}, {2}, {0, 1}, {1, 2}]:
         assert partial_transpose(partial_transpose(d, mask), mask).matrix == d.matrix
@@ -429,16 +430,57 @@ def _wide_range_sets(rng):
     return out
 
 
+def _dense_view(m):
+    """(i, j, triple) for every nonzero entry, row-major, read entry by entry."""
+    return tuple(
+        (i, j, m.at(i, j).t)
+        for i in range(m.rows)
+        for j in range(m.cols)
+        if not m.at(i, j).is_zero()
+    )
+
+
 def test_complement_matches_exact_matrix_reference():
     rng = random.Random(2024)
     sets = [random_exact_ops(rng, rng.randint(1, 4)) for _ in range(25)]
     angles = sum(any(l.is_angle() for m in s.members for l in m.locals) for s in sets)
     assert angles > 0  # the sets do exercise angle locals
     sets += _wide_range_sets(rng) + [rotated_set(rng, 2)]
+    # parts up to 2^24 in every local: an entry of N then needs some 200
+    # bits, and a slot sized without one party's factor would spill over
+    sets += [rotated_set(rng, 1, span=2**24) for _ in range(3)]
     for s in sets:
         c = complement_projector(s)
         assert c.matrix == complement_reference(s)
+        assert c.matrix.nonzero() == _dense_view(c.matrix)
         assert c.trace_norm == 1
+
+
+def test_complement_view_lists_every_nonzero_entry_of_fixtures():
+    # each product-set fixture, a full basis without its last member
+    from upblab.catalog import fixture, fixture_names
+
+    sets = [fixture(name) for name in fixture_names()]
+    sets = [s for s in sets if isinstance(s, ProductSet)]
+    assert len(sets) == 10
+    for s in sets:
+        if len(s.members) == 2**s.parties:
+            s = build_product_set(s.members[:-1])
+        m = complement_projector(s).matrix
+        assert m._nonzero is not None  # filled by complement_projector
+        assert m.nonzero() == _dense_view(m)
+
+
+@pytest.mark.parametrize("extra", range(5))
+def test_rotated_complement_view_and_entries(extra):
+    # the pptes_6q construction at 3-7 qubits; the 7-qubit reference alone
+    # takes seconds, so it checks the view only
+    s = rotated_set(random.Random(100 + extra), extra)
+    m = complement_projector(s).matrix
+    assert m._nonzero is not None
+    assert m.nonzero() == _dense_view(m)
+    if extra < 4:
+        assert m == complement_reference(s)
 
 
 def test_complement_rejects_generic_angle_locals():
@@ -638,7 +680,7 @@ def test_birank_matches_the_bareiss_oracle():
 
 def _hermitian_on_three_qubits(rng):
     m = outer(rand_vector(rng, 8), rand_vector(rng, 8))
-    return density_from_matrix((2, 2, 2), m + m.dagger())
+    return density_from_matrix((2, 2, 2), m + dagger(m))
 
 
 def test_kept_transposes_are_per_mask():
