@@ -11,12 +11,12 @@
 ``ldl_hermitian`` first splits its matrix into the connected blocks of the
 nonzero pattern, which the elimination never mixes.  Each distinct block is
 eliminated once, so the copies of C in a complement C (x) I, and in each of
-its partial transposes, share one run.  The per-block records are merged,
-by the whole-matrix pivot rule, into the record the whole matrix gives; a
-matrix of one block runs the loop as it stands.  Sharing across matrices
-happens above this module: ``states.ppt_report`` gives equal partial
-transposes one certificate, so each distinct transpose reaches
-``ldl_hermitian`` once.
+its partial transposes, share one run.  When every block is PSD, their
+records are merged by the whole-matrix pivot rule; a matrix of one block,
+or with a block that is not PSD, runs the loop as it stands.  Sharing
+across matrices happens above this module: ``states.ppt_report`` gives
+equal partial transposes one certificate, so each distinct transpose
+reaches ``ldl_hermitian`` once.
 
 Matrices are lists of rows; each entry is a triple ``(p, q, r)`` meaning
 ``(p + q*i)/r`` with ``r > 0``.  Inputs and returned values are reduced,
@@ -172,16 +172,9 @@ def ldl_hermitian(rows, n):
     loop on the input as it stands.  Otherwise the loop runs once per
     distinct block, keyed on its entries in ascending index order, so the
     copies of C in C (x) I, and in its partial transposes, share one run.
-    The per-block records are merged into the record the whole matrix
-    gives:
-      * steps go in the order the whole-matrix rule takes them, the
-        smallest next pivot index over the blocks first;
-      * "neg_diag" is returned right after the step that leaves a block
-        with a negative diagonal, or at once, at the smallest such index,
-        when blocks start negative;
-      * once no block has a pivot left, "zero_diag" is returned at the
-        lexicographically least pair over the blocks;
-      * a block's witness is lifted to length n by zeros.
+    When every block is PSD, their steps are merged in the whole-matrix
+    order, the smallest next pivot index first; a block that is not PSD
+    sends the whole matrix through the loop.
 
     The input rows are reduced triples and are not mutated; every returned
     value is reduced.  Schur-complement entries stay unreduced until they
@@ -202,7 +195,7 @@ def ldl_hermitian(rows, n):
     """
     blocks = _blocks(rows, n)
     if len(blocks) < 2:
-        return _ldl_dense(rows, n)[0]
+        return _ldl_dense(rows, n)
     runs = {}
     parts = []
     for idx in blocks:
@@ -210,51 +203,27 @@ def ldl_hermitian(rows, n):
         run = runs.get(key)
         if run is None:
             run = runs[key] = _ldl_dense(key, len(idx))
+            if run["verdict"] != "psd":
+                return _ldl_dense(rows, n)
         parts.append((idx, run))
-    order = []
-    pivots = []
-    steps = []
-
-    def record(verdict, b=None, pair=None):
-        witness = value = None
-        if b is not None:
-            idx, (rec, _) = parts[b]
-            witness = [(0, 0, 1)] * n
-            for i, x in zip(idx, rec["witness"]):
-                witness[i] = x
-            value = rec["value"]
-        return _record(verdict, order, pivots, steps, witness, pair, value)
-
-    negative = [
-        (idx[neg], b) for b, (idx, (rec, neg)) in enumerate(parts) if neg >= 0 and not rec["order"]
-    ]
-    if negative:
-        return record("neg_diag", min(negative)[1])
     # One ascending sort of every block's steps by pivot index gives the
     # whole-matrix order, as a block's pivots ascend: an active index below a
     # pivot has a zero Schur diagonal, which later steps can only make
     # negative, so it is never a pivot.
     merged = sorted(
         (idx[q], b, t)
-        for b, (idx, (rec, _)) in enumerate(parts)
+        for b, (idx, rec) in enumerate(parts)
         for t, q in enumerate(rec["order"])
     )
+    order = []
+    pivots = []
+    steps = []
     for p, b, t in merged:
-        idx, (rec, neg) = parts[b]
+        idx, rec = parts[b]
         order.append(p)
         pivots.append(rec["pivots"][t])
         steps.append((p, [(idx[k], f) for k, f in rec["steps"][t][1]]))
-        if neg >= 0 and t == len(rec["order"]) - 1:
-            return record("neg_diag", b)
-    pairs = [
-        (idx[rec["pair"][0]], idx[rec["pair"][1]], b)
-        for b, (idx, (rec, _)) in enumerate(parts)
-        if rec["pair"]
-    ]
-    if pairs:
-        i, j, b = min(pairs)
-        return record("zero_diag", b, (i, j))
-    return record("psd")
+    return _record("psd", order, pivots, steps)
 
 
 def _blocks(rows, n):
@@ -317,8 +286,7 @@ def backapply(steps, u):
 
 
 def _ldl_dense(rows, n):
-    """The elimination loop of ``ldl_hermitian`` over the whole matrix, and
-    the index of the negative diagonal on "neg_diag" (-1 otherwise)."""
+    """The elimination loop of ``ldl_hermitian`` over the whole matrix."""
     W = [list(r) for r in rows]
     act = list(range(n))  # active indices, ascending
     order = []
@@ -340,7 +308,7 @@ def _ldl_dense(rows, n):
             u = [(0, 0, 1)] * n
             u[neg] = (1, 0, 1)
             w = backapply(steps, u)
-            return _record("neg_diag", order, pivots, steps, w, value=(val[0], val[2])), neg
+            return _record("neg_diag", order, pivots, steps, w, value=(val[0], val[2]))
         if pos < 0:
             # Active diagonal all zero: look for a nonzero off-diagonal.
             for a in range(len(act)):
@@ -355,8 +323,8 @@ def _ldl_dense(rows, n):
                         n2 = c[0] * c[0] + c[1] * c[1]
                         w = backapply(steps, u)
                         value = (-2 * n2, c[2] * c[2])
-                        return _record("zero_diag", order, pivots, steps, w, (i, j), value), -1
-            return _record("psd", order, pivots, steps), -1
+                        return _record("zero_diag", order, pivots, steps, w, (i, j), value)
+            return _record("psd", order, pivots, steps)
         p = pos
         act.remove(p)
         d = cq_make(*W[p][p])

@@ -85,7 +85,8 @@ def annihilates(sparse_rows, xs) -> Optional[int]:
     slot of a row's product exceeds the row's sum_j (|re| + |im|) times a
     vector's largest |re| plus its largest |im|, and a slot holds that bound
     and a sign bit.  Adding ``bias`` makes every slot nonnegative, so slot k
-    plus ``half`` is bytes k width to (k + 1) width of the sum."""
+    plus ``half`` is bytes k width to (k + 1) width of the biased sum, and
+    XOR with ``bias`` leaves those bytes nonzero exactly when slot k is."""
     cols, rows = sparse_rows
     xs = list(xs)
     # a vector of another length comes before every later one
@@ -113,13 +114,9 @@ def annihilates(sparse_rows, xs) -> Optional[int]:
             v = pi[j]
             re += a * u - b * v
             im += a * v + b * u
-        for part in (re, im):
-            if part:
-                data = (part + bias).to_bytes(m * width, "little")
-                for k in range(first):
-                    if int.from_bytes(data[k * width : (k + 1) * width], "little") != half:
-                        first = k
-                        break
+        live = ((re + bias) ^ bias) | ((im + bias) ^ bias)
+        if live:
+            first = min(first, ((live & -live).bit_length() - 1) // (8 * width))
     return None if first == count else first
 
 

@@ -149,9 +149,6 @@ class ProductSet:
     def __len__(self):
         return len(self.members)
 
-    def member_keys(self):
-        return {m.phase_key() for m in self.members}
-
 
 def verify_ops(candidate: Sequence[ProductVector]) -> Structure:
     """Check pairwise orthogonality of product vectors, exactly.

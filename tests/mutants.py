@@ -170,6 +170,13 @@ MUTANTS = (
         ("tests/test_kernels.py::test_ldl_of_scattered_blocks_matches_fraction_reference",),
     ),
     Mutant(
+        "ldl_hermitian merges the blocks of a matrix that is not PSD",
+        "_kernels.py",
+        'if run["verdict"] != "psd":',
+        "if False:",
+        ("tests/test_kernels.py::test_ldl_of_scattered_blocks_matches_fraction_reference",),
+    ),
+    Mutant(
         "back substitution runs first step first",
         "_kernels.py",
         "for p, frow in reversed(steps):",

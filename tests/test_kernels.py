@@ -87,7 +87,9 @@ def test_ldl_of_scattered_blocks_matches_fraction_reference(monkeypatch):
     gives the whole-matrix record -- steps in pivot order across blocks, a
     negative diagonal the moment any block shows one, the least zero-
     diagonal pair over all blocks, witnesses of length n -- while blocks
-    with equal entries are eliminated once."""
+    with equal entries are eliminated once.  A split PSD matrix is merged
+    from one run per distinct block and never runs the loop on all n
+    indices; a split matrix that is not PSD ends with one run on all n."""
     i = ComplexRational(0, 1)
     mats = [
         # the late negative of {0, 2} shows after pivot 0, with {1, 3} left
@@ -111,8 +113,16 @@ def test_ldl_of_scattered_blocks_matches_fraction_reference(monkeypatch):
         assert rec == ldl_reference(rows, m.rows)
         verdicts[rec["verdict"]] = verdicts.get(rec["verdict"], 0) + 1
         blocks = kernels._blocks(rows, m.rows)
-        split += len(blocks) > 1
-        shared += len(runs) < len(blocks)
+        distinct = {tuple(tuple(rows[i][j] for j in idx) for i in idx) for idx in blocks}
+        if len(blocks) > 1:
+            split += 1
+            if rec["verdict"] == "psd":
+                assert len(runs) == len(distinct) and max(runs) < m.rows, runs
+            else:
+                # distinct blocks up to the first that fails, then all n
+                assert runs[-1] == m.rows and runs.count(m.rows) == 1, runs
+                assert len(runs) - 1 <= len(distinct), runs
+        shared += len(distinct) < len(blocks)
     late = kernels.ldl_hermitian(mats[0]._triple_rows(), 4)
     assert late["verdict"] == "neg_diag" and late["order"] == [0]
     assert min(verdicts.get(v, 0) for v in ("psd", "neg_diag", "zero_diag")) >= 20, verdicts
